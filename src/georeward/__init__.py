@@ -6,7 +6,6 @@ from .adapter import VideoBundle, read_bundle, write_bundle
 from .camera import (
     Intrinsics,
     PoseSE3,
-    RelativeTransform,
     Z_MIN,
     project,
     relative_transform,
@@ -103,5 +102,3 @@ from .synth import (
     toy_scene,
     wobble_field,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .camera import Intrinsics, PoseSE3
 from .errors import InputError
-from .grid import load_tensor, save_tensor
+from .grid import _dump_json, load_tensor, save_tensor
 
 _REQUIRED_DIRS = ("frames", "depth", "flow_fwd", "flow_bwd")
 _OPTIONAL_DIRS = ("confidence", "features", "dynamic")
@@ -85,9 +85,7 @@ def write_bundle(out_dir, bundle: VideoBundle):
             }
         )
     doc = {"flow_stride": int(bundle.flow_stride), "cameras": cameras}
-    with open(os.path.join(out_dir, "cameras.json"), "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _dump_json(doc, os.path.join(out_dir, "cameras.json"))
 
 
 def _load_dir(root, name, expected=None):
@@ -98,6 +96,10 @@ def _load_dir(root, name, expected=None):
     if expected is not None and len(names) != expected:
         raise InputError(f'"{name}/" holds {len(names)} tensors, expected {expected}')
     return [load_tensor(os.path.join(d, n)) for n in names]
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def read_bundle(in_dir) -> VideoBundle:
@@ -112,7 +114,11 @@ def read_bundle(in_dir) -> VideoBundle:
         raise InputError(f'missing "cameras.json" under {in_dir}')
     with open(cam_path) as f:
         cam_doc = json.load(f)
-    stride = int(cam_doc.get("flow_stride", 1))
+    if not isinstance(cam_doc, dict):
+        raise InputError(f"cameras.json must hold a JSON object, got {type(cam_doc).__name__}")
+    stride = cam_doc.get("flow_stride", 1)
+    if isinstance(stride, bool) or not isinstance(stride, int):
+        raise InputError(f"cameras.json flow_stride must be an integer, got {stride!r}")
     if stride < 1:
         raise InputError(f"flow_stride must be >= 1, got {stride}")
     entries = cam_doc.get("cameras")
@@ -121,13 +127,18 @@ def read_bundle(in_dir) -> VideoBundle:
 
     intrinsics, poses = [], []
     for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise InputError(f"camera {i} must be a JSON object, got {type(e).__name__}")
         vec = e.get("intrinsics")
         mat = e.get("extrinsics")
         if vec is None or mat is None:
             raise InputError(f'camera {i} needs "intrinsics" and "extrinsics"')
-        if len(vec) != 4:
+        if not isinstance(vec, list) or len(vec) != 4 or not all(_is_number(v) for v in vec):
             raise InputError(f"camera {i} intrinsics must be [fx, fy, cx, cy]")
-        m = np.asarray(mat, dtype=np.float64)
+        try:
+            m = np.asarray(mat, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise InputError(f"camera {i} extrinsics must be a 3x4 matrix of numbers")
         if m.shape != (3, 4):
             raise InputError(f"camera {i} extrinsics must be 3x4, got {m.shape}")
         intrinsics.append(Intrinsics(*[float(v) for v in vec]))

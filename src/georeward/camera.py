@@ -80,18 +80,14 @@ class PoseSE3:
         return f"PoseSE3(r={self.r.tolist()}, t={self.t.tolist()})"
 
 
-class RelativeTransform(PoseSE3):
-    """Maps camera-a coordinates to camera-b coordinates; same layout as a pose."""
-
-
-def relative_transform(e_a: PoseSE3, e_b: PoseSE3) -> RelativeTransform:
+def relative_transform(e_a: PoseSE3, e_b: PoseSE3) -> PoseSE3:
     """Transform taking camera-a coordinates to camera-b coordinates.
 
     Composing the result with e_a reproduces e_b: T(E_a x) = E_b x.
     """
     r = e_b.r @ e_a.r.T
     t = e_b.t - r @ e_a.t
-    return RelativeTransform(r, t)
+    return PoseSE3(r, t)
 
 
 def unproject(uv, depth, k: Intrinsics):
@@ -124,26 +120,22 @@ def project(points, k: Intrinsics):
     return np.stack([u, v], axis=-1)
 
 
-def _pixel_lattice(h, w):
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    return np.stack([xs, ys], axis=-1)
+def _moved_lattice(depth, k_src: Intrinsics, transform: PoseSE3):
+    """Unproject every pixel of an HxW depth map and apply `transform`.
 
-
-def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: RelativeTransform):
-    """Flow induced by camera motion over a static scene.
-
-    flow(u) = project(T(unproject(u, D(u)))) - u. Pixels with D(u) <= 0 or a
-    transformed z <= Z_MIN are reported invalid and carry zero flow; no
-    exception is raised for them.
+    Returns (uv, moved, valid, zs): the (x, y) pixel lattice, the moved
+    camera-frame points, validity (finite D > 0 and moved z > Z_MIN), and
+    the moved z with invalid pixels set to 1 so callers may divide by it.
     """
     d = np.asarray(depth, dtype=np.float64)
     if d.ndim != 2:
         raise ShapeError(f"depth must be HxW, got shape {d.shape}")
     h, w = d.shape
-    uv = _pixel_lattice(h, w)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    uv = np.stack([xs, ys], axis=-1)
 
     valid = np.isfinite(d) & (d > 0)
-    ds = np.where(valid, d, 1.0)  # placeholder depth, masked out below
+    ds = np.where(valid, d, 1.0)  # placeholder depth, masked out by valid
     pts = np.stack(
         [ds * (uv[..., 0] - k_src.cx) / k_src.fx, ds * (uv[..., 1] - k_src.cy) / k_src.fy, ds],
         axis=-1,
@@ -151,8 +143,17 @@ def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: RelativeT
     moved = pts @ transform.r.T + transform.t
     z = moved[..., 2]
     valid &= z > Z_MIN
+    return uv, moved, valid, np.where(valid, z, 1.0)
 
-    zs = np.where(valid, z, 1.0)
+
+def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
+    """Flow induced by camera motion over a static scene.
+
+    flow(u) = project(T(unproject(u, D(u)))) - u. Pixels with D(u) <= 0 or a
+    transformed z <= Z_MIN are reported invalid and carry zero flow; no
+    exception is raised for them.
+    """
+    uv, moved, valid, zs = _moved_lattice(depth, k_src, transform)
     u2 = k_dst.fx * moved[..., 0] / zs + k_dst.cx
     v2 = k_dst.fy * moved[..., 1] / zs + k_dst.cy
     flow = np.stack([u2, v2], axis=-1) - uv
@@ -160,7 +161,7 @@ def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: RelativeT
     return flow, valid
 
 
-def reproject_depth(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: RelativeTransform):
+def reproject_depth(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
     """Forward-splat source depth into the target view.
 
     Each valid source pixel contributes its post-transform z at the nearest
@@ -169,28 +170,13 @@ def reproject_depth(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: Rela
     cells no source pixel reached. The min-reduction makes the result
     independent of traversal order, so parallel splatting stays deterministic.
     """
-    d = np.asarray(depth, dtype=np.float64)
-    if d.ndim != 2:
-        raise ShapeError(f"depth must be HxW, got shape {d.shape}")
-    h, w = d.shape
-    uv = _pixel_lattice(h, w)
-
-    valid = np.isfinite(d) & (d > 0)
-    ds = np.where(valid, d, 1.0)
-    pts = np.stack(
-        [ds * (uv[..., 0] - k_src.cx) / k_src.fx, ds * (uv[..., 1] - k_src.cy) / k_src.fy, ds],
-        axis=-1,
-    )
-    moved = pts @ transform.r.T + transform.t
-    z = moved[..., 2]
-    valid &= z > Z_MIN
-
-    zs = np.where(valid, z, 1.0)
+    uv, moved, valid, zs = _moved_lattice(depth, k_src, transform)
+    h, w = uv.shape[:2]
     ix = np.floor(k_dst.fx * moved[..., 0] / zs + k_dst.cx + 0.5).astype(np.int64)
     iy = np.floor(k_dst.fy * moved[..., 1] / zs + k_dst.cy + 0.5).astype(np.int64)
     valid &= (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
 
     buf = np.full((h, w), np.inf)
-    np.minimum.at(buf, (iy[valid], ix[valid]), z[valid])
+    np.minimum.at(buf, (iy[valid], ix[valid]), zs[valid])
     covered = np.isfinite(buf)
     return np.where(covered, buf, 0.0), covered

@@ -24,17 +24,12 @@ from .adapter import VideoBundle, read_bundle, write_bundle
 from .errors import (
     ConfigError,
     DegeneracyError,
-    DomainError,
-    EmptyMaskError,
-    FormatError,
-    GridTypeError,
+    GeoRewardError,
     InputError,
-    InsufficientDataError,
     NumericError,
-    ShapeError,
     TrainingError,
 )
-from .grid import save_tensor
+from .grid import _dump_json, save_tensor
 from .grpo import TrainerConfig, train
 from .metrics import dynamic_degree, eight_point, sample_correspondences, sampson_error
 from .policy import fm_pretrain, init_policy, load_policy, save_policy
@@ -46,19 +41,6 @@ from .synth import (
     scene_from_dict,
     toy_scene,
 )
-
-_INPUT_ERRORS = (
-    FormatError,
-    ShapeError,
-    GridTypeError,
-    DomainError,
-    ConfigError,
-    InputError,
-    EmptyMaskError,
-    InsufficientDataError,
-    DegeneracyError,
-)
-_NUMERIC_ERRORS = (NumericError, TrainingError)
 
 _DEFAULT_PRETRAIN = {
     "dim": LATENT_DIM,
@@ -85,25 +67,33 @@ def _load_json(path):
         raise InputError(f"invalid JSON in {path}: {exc}")
 
 
-def _dump_json(doc, path):
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _config_hash(doc):
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
+def _json_type_ok(value, kind):
+    # JSON true/false load as bool, which Python also counts as an int
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
 def _from_dict(cls, doc, label):
-    """Strict dataclass construction from a JSON object."""
+    """Strict dataclass construction from a JSON object: no unknown keys,
+    and every int, float, bool or str field gets a value of its type."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{label} must be a JSON object, got {type(doc).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - names)
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
+    for key, value in doc.items():
+        kind = fields[key]
+        if kind in (int, float, bool, str) and not _json_type_ok(value, kind):
+            raise ConfigError(f"{label} key {key} must be {kind.__name__}, got {value!r}")
     return cls(**doc)
 
 
@@ -142,6 +132,8 @@ def cmd_score(args):
     started = time.monotonic()
     bundle = read_bundle(args.input)
     config_doc = _load_json(args.config) if args.config else {}
+    if not isinstance(config_doc, dict):
+        raise ConfigError(f"reward config must be a JSON object, got {type(config_doc).__name__}")
     if "pair_stride" in config_doc and config_doc["pair_stride"] != bundle.flow_stride:
         raise ConfigError(
             f"config pair_stride {config_doc['pair_stride']} does not match "
@@ -486,18 +478,15 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (NumericError, TrainingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (GeoRewardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

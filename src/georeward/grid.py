@@ -15,6 +15,7 @@ GFT file layout (little-endian):
   payload     row-major element data
 """
 
+import json
 import struct
 
 import numpy as np
@@ -119,6 +120,14 @@ def save_tensor(grid, path):
     payload = arr.astype(_DTYPE_CODES[code], copy=False).tobytes()
     with open(path, "wb") as f:
         f.write(header + dims + payload)
+
+
+def _dump_json(doc, path):
+    """The package's one JSON writer: sorted keys, two-space indent and a
+    trailing newline, so equal documents give equal bytes."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def load_tensor(path):

@@ -235,14 +235,6 @@ def _batch_means(policy, xs, ts, dts, sigmas):
     )
 
 
-def _gauss_logp(x, mean, sigma_step):
-    d = x.shape[-1]
-    sq = ((x - mean) ** 2).sum(axis=-1)
-    return -0.5 * d * np.log(2.0 * np.pi * sigma_step * sigma_step) - sq / (
-        2.0 * sigma_step * sigma_step
-    )
-
-
 def surrogate_loss(policy, policy_ref, group, config: TrainerConfig):
     """Clipped surrogate restricted to the leading grad_window steps.
 
@@ -266,8 +258,8 @@ def surrogate_loss(policy, policy_ref, group, config: TrainerConfig):
     mean_new = _batch_means(policy, xs, ts, dts, sigmas)
     mean_ref = _batch_means(policy_ref, xs, ts, dts, sigmas)
 
-    lp_new = _gauss_logp(x_nexts, mean_new, sig_steps)
-    lp_old = _gauss_logp(x_nexts, means_old, sig_steps)
+    lp_new = transition_logprob(x_nexts, mean_new, sig_steps)
+    lp_old = transition_logprob(x_nexts, means_old, sig_steps)
     ratio = np.exp(lp_new - lp_old)
     clipped = np.clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps)
 

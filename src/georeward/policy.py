@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, ShapeError, TrainingError
-from .grid import load_tensor, save_tensor
+from .grid import _dump_json, load_tensor, save_tensor
 
 
 @dataclass
@@ -272,6 +272,16 @@ def transition_mean(policy, x_t, t, dt, sigma):
     return x - drift * dt
 
 
+def _step(policy, x_t, t, dt, sigma, z):
+    """(x_next, mean, sigma_step) of one step at noise level sigma; z is
+    not read when the step is deterministic."""
+    mean = transition_mean(policy, x_t, t, dt, sigma)
+    sigma_step = float(sigma * np.sqrt(dt))
+    if sigma_step == 0.0:
+        return mean.copy(), mean, sigma_step
+    return mean + sigma_step * np.asarray(z, dtype=np.float64), mean, sigma_step
+
+
 def sde_step(policy, x_t, t, dt, noise_scale, z):
     """One Euler-Maruyama step of the marginal-preserving reverse SDE.
 
@@ -283,23 +293,18 @@ def sde_step(policy, x_t, t, dt, noise_scale, z):
         raise DomainError(f"t must be in (0, 1], got {t}")
     if dt <= 0.0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    if noise_scale == 0.0:
-        mean = transition_mean(policy, x_t, t, dt, 0.0)
-        return mean.copy(), mean, 0.0
-    sigma = sigma_schedule(t, dt, noise_scale)
-    mean = transition_mean(policy, x_t, t, dt, sigma)
-    sigma_step = float(sigma * np.sqrt(dt))
-    x_next = mean + sigma_step * np.asarray(z, dtype=np.float64)
-    return x_next, mean, sigma_step
+    sigma = sigma_schedule(t, dt, noise_scale) if noise_scale != 0.0 else 0.0
+    return _step(policy, x_t, t, dt, sigma, z)
 
 
 def transition_logprob(x_next, mean, sigma_step, dim=None):
     """Log-density of an isotropic Gaussian transition.
 
-    Batched inputs (..., d) give a (...) result; `dim` overrides the
-    dimension read from the trailing axis.
+    Batched inputs (..., d) give a (...) result; sigma_step is a scalar or
+    one entry per row. `dim` overrides the dimension read from the trailing
+    axis.
     """
-    if not sigma_step > 0:
+    if not np.all(np.asarray(sigma_step) > 0):
         raise DomainError(f"sigma_step must be > 0 for a density, got {sigma_step}")
     x = np.asarray(x_next, dtype=np.float64)
     m = np.asarray(mean, dtype=np.float64)
@@ -335,9 +340,7 @@ def rollout(policy, eps_init, config: SamplerConfig, rng):
         else:
             sigma = 0.0
             z = np.zeros_like(x)
-        mean = transition_mean(policy, x, t, dt, sigma)
-        sigma_step = float(sigma * np.sqrt(dt))
-        x_next = mean + sigma_step * z if sigma_step > 0 else mean.copy()
+        x_next, mean, sigma_step = _step(policy, x, t, dt, sigma, z)
         logp = transition_logprob(x_next, mean, sigma_step) if sigma_step > 0 else None
         steps.append(
             TrajectoryStep(
@@ -366,9 +369,7 @@ def save_policy(policy: VelocityPolicy, out_dir, meta=None):
         "activation": "tanh",
         "meta": meta or {},
     }
-    with open(os.path.join(out_dir, "policy.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _dump_json(manifest, os.path.join(out_dir, "policy.json"))
 
 
 def load_policy(ckpt_dir) -> VelocityPolicy:

@@ -20,7 +20,7 @@ validity, depth-warp coverage, positive target depth and, when hard gating
 is on, the confidence threshold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,15 +82,7 @@ class RewardConfig:
             raise ConfigError(f"depth_warp must be one of {_DEPTH_WARP_MODES}, got {self.depth_warp!r}")
 
     def to_dict(self):
-        return {
-            "lam": self.lam,
-            "eps_num": self.eps_num,
-            "pair_stride": self.pair_stride,
-            "gating": self.gating,
-            "conf_threshold": self.conf_threshold,
-            "feature_patch": self.feature_patch,
-            "depth_warp": self.depth_warp,
-        }
+        return asdict(self)
 
 
 @dataclass

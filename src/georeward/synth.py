@@ -12,7 +12,7 @@ speed, renders the pair, and injects the corruption. It is the toy
 generator the trainer optimizes against the pair reward.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -383,8 +383,8 @@ def flow_at(spec: SceneSpec, frame_a: int, frame_b: int, xy):
     """Exact flow from frame_a to frame_b at continuous pixel coordinates.
 
     Returns (flow, visible): visible is False where the corresponded point
-    is occluded in frame_b or falls behind its camera. Useful for checking
-    flow properties off the integer lattice.
+    is occluded in frame_b or falls behind its camera. Evaluated on the
+    pixel lattice it gives the ground-truth flow grids.
     """
     pts = np.asarray(xy, dtype=np.float64)
     if pts.shape[-1] != 2:
@@ -394,16 +394,6 @@ def flow_at(spec: SceneSpec, frame_a: int, frame_b: int, xy):
     uv_b, ok, moved = _correspond(spec, frame_a, frame_b, points, surf)
     vis = ok & _visible(spec, frame_b, moved)
     flow = np.where(ok[..., None], uv_b - pts, 0.0)
-    return flow, vis
-
-
-def _flow_grid(spec, frame_a, frame_b):
-    xs, ys = _pixel_grid(spec)
-    uv_a = np.stack([xs, ys], axis=-1)
-    points, _, surf = _trace(spec, frame_a, xs, ys)
-    uv_b, ok, moved = _correspond(spec, frame_a, frame_b, points, surf)
-    vis = ok & _visible(spec, frame_b, moved)
-    flow = np.where(ok[..., None], uv_b - uv_a, 0.0)
     return flow, vis
 
 
@@ -418,8 +408,9 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1) -> RenderedP
         )
     image_a, depth_a, obj_a = render_frame(spec, fa)
     image_b, depth_b, obj_b = render_frame(spec, fb)
-    flow_fwd, valid_fwd = _flow_grid(spec, fa, fb)
-    flow_bwd, valid_bwd = _flow_grid(spec, fb, fa)
+    uv = np.stack(_pixel_grid(spec), axis=-1)
+    flow_fwd, valid_fwd = flow_at(spec, fa, fb, uv)
+    flow_bwd, valid_bwd = flow_at(spec, fb, fa, uv)
     h, w = spec.resolution
     return RenderedPair(
         image_a=image_a,
@@ -513,6 +504,28 @@ def _morph_pixels(img, object_mask, scale):
     return _sample_clamped(img, coords)
 
 
+def _corrupt_image(img, object_mask, p: PerturbationSpec, seed, salt, drift_frames, morph):
+    """Apply p's frame corruptions in order: wobble (unless corrupt_flow
+    routes it into the flow), texture drift over drift_frames frames, then
+    an object morph by factor morph."""
+    if p.wobble_px > 0 and not p.corrupt_flow:
+        img = _warp_image(img, wobble_field(img.shape[:2], p.wobble_px, seed, salt=salt))
+    if p.texture_drift_px > 0:
+        img = _drift_image(img, object_mask, p.texture_drift_px * drift_frames)
+    if p.object_morph != 1.0:
+        img = _morph_pixels(img, object_mask, morph)
+    return img
+
+
+def _noisy_depth(depth, p: PerturbationSpec, seed, frame):
+    """Multiply depth by lognormal noise of log-stddev p.depth_noise_rel,
+    drawn from a stream keyed by (seed, frame)."""
+    if p.depth_noise_rel > 0:
+        rng = np.random.default_rng([seed, 13, frame])
+        depth = depth * np.exp(p.depth_noise_rel * rng.standard_normal(depth.shape))
+    return depth
+
+
 def inject_perturbation(pair: RenderedPair, p: PerturbationSpec, seed: int) -> RenderedPair:
     """Deterministically corrupt a rendered pair.
 
@@ -524,27 +537,16 @@ def inject_perturbation(pair: RenderedPair, p: PerturbationSpec, seed: int) -> R
     if p.is_noop():
         return pair
     dframes = pair.frame_b - pair.frame_a
-    image_b = pair.image_b
     flow_fwd = pair.flow_fwd
-    depth_a, depth_b = pair.depth_a, pair.depth_b
-
-    if p.wobble_px > 0:
-        disp = wobble_field(image_b.shape[:2], p.wobble_px, seed)
-        if p.corrupt_flow:
-            flow_fwd = flow_fwd + disp
-        else:
-            image_b = _warp_image(image_b, disp)
-    if p.texture_drift_px > 0:
-        image_b = _drift_image(image_b, pair.object_mask_b, p.texture_drift_px * dframes)
-    if p.object_morph != 1.0:
-        image_b = _morph_pixels(image_b, pair.object_mask_b, p.object_morph)
-    if p.depth_noise_rel > 0:
-        rng_a = np.random.default_rng([seed, 13, pair.frame_a])
-        rng_b = np.random.default_rng([seed, 13, pair.frame_b])
-        depth_a = depth_a * np.exp(p.depth_noise_rel * rng_a.standard_normal(depth_a.shape))
-        depth_b = depth_b * np.exp(p.depth_noise_rel * rng_b.standard_normal(depth_b.shape))
-
-    return replace(pair, image_b=image_b, flow_fwd=flow_fwd, depth_a=depth_a, depth_b=depth_b)
+    if p.wobble_px > 0 and p.corrupt_flow:
+        flow_fwd = flow_fwd + wobble_field(pair.image_b.shape[:2], p.wobble_px, seed)
+    return replace(
+        pair,
+        image_b=_corrupt_image(pair.image_b, pair.object_mask_b, p, seed, 11, dframes, p.object_morph),
+        flow_fwd=flow_fwd,
+        depth_a=_noisy_depth(pair.depth_a, p, seed, pair.frame_a),
+        depth_b=_noisy_depth(pair.depth_b, p, seed, pair.frame_b),
+    )
 
 
 @dataclass
@@ -583,24 +585,18 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     for i in range(n):
         img, dep, msk = render_frame(spec, i)
         if i > 0:
-            if p.wobble_px > 0 and not p.corrupt_flow:
-                img = _warp_image(img, wobble_field(img.shape[:2], p.wobble_px, seed, salt=11 + i))
-            if p.texture_drift_px > 0:
-                img = _drift_image(img, msk, p.texture_drift_px * i)
-            if p.object_morph != 1.0:
-                img = _morph_pixels(img, msk, p.object_morph**i)
-            if p.depth_noise_rel > 0:
-                rng = np.random.default_rng([seed, 13, i])
-                dep = dep * np.exp(p.depth_noise_rel * rng.standard_normal(dep.shape))
+            img = _corrupt_image(img, msk, p, seed, 11 + i, i, p.object_morph**i)
+            dep = _noisy_depth(dep, p, seed, i)
         images.append(img)
         depths.append(dep)
         masks.append(msk)
 
+    uv = np.stack(_pixel_grid(spec), axis=-1)
     flows_fwd, flows_bwd = [], []
     for a in range(n - stride):
         b = a + stride
-        fwd, _ = _flow_grid(spec, a, b)
-        bwd, _ = _flow_grid(spec, b, a)
+        fwd, _ = flow_at(spec, a, b, uv)
+        bwd, _ = flow_at(spec, b, a, uv)
         if p.wobble_px > 0 and p.corrupt_flow:
             fwd = fwd + wobble_field(fwd.shape[:2], p.wobble_px, seed, salt=11 + b)
         flows_fwd.append(fwd)
@@ -702,19 +698,7 @@ def _path_from_json(doc):
     return tuple(_pose_from_dict(p) for p in doc)
 
 
-_SCENE_KEYS = {
-    "geometry",
-    "depth",
-    "normal",
-    "depth2",
-    "split_x",
-    "texture_seed",
-    "texture_freq",
-    "resolution",
-    "intrinsics",
-    "camera_path",
-    "moving_object",
-}
+_SCENE_KEYS = {f.name for f in fields(SceneSpec)}
 
 
 def scene_from_dict(doc: dict) -> SceneSpec:
@@ -751,7 +735,7 @@ def scene_from_dict(doc: dict) -> SceneSpec:
     return SceneSpec(**kwargs)
 
 
-_PERTURB_KEYS = {"wobble_px", "texture_drift_px", "object_morph", "depth_noise_rel", "corrupt_flow"}
+_PERTURB_KEYS = {f.name for f in fields(PerturbationSpec)}
 
 
 def perturbation_from_dict(doc: dict) -> PerturbationSpec:

@@ -196,6 +196,44 @@ def test_score_rejects_bad_config(static_dump, tmp_path, capsys):
     assert "sharpness" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        "cameras_list",
+        "camera_entries",
+        "flow_stride_type",
+        "intrinsics_type",
+        "extrinsics_type",
+        "score_config_type",
+        "trainer_field_type",
+    ],
+)
+def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
+    cameras = read_json(os.path.join(static_dump, "cameras.json"))
+    cam0 = cameras["cameras"][0]
+    bad_cameras = {
+        "cameras_list": [],
+        "camera_entries": {"cameras": [1, 2]},
+        "flow_stride_type": dict(cameras, flow_stride="a"),
+        "intrinsics_type": dict(cameras, cameras=[dict(cam0, intrinsics="abcd")]),
+        "extrinsics_type": dict(cameras, cameras=[dict(cam0, extrinsics=[["a"] * 4] * 3)]),
+    }
+    report = str(tmp_path / "r.json")
+    if case in bad_cameras:
+        dump = tmp_path / "dump"
+        shutil.copytree(static_dump, dump)
+        write_json(dump / "cameras.json", bad_cameras[case])
+        argv = ["score", "--input", str(dump), "--out", report]
+    elif case == "score_config_type":
+        cfg = write_json(tmp_path / "cfg.json", [1])
+        argv = ["score", "--input", static_dump, "--config", cfg, "--out", report]
+    else:
+        cfg = write_json(tmp_path / "cfg.json", {"trainer": {"group_size": "4"}})
+        argv = ["grpo", "--config", cfg, "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_score_incomplete_dump(tmp_path, capsys):
     partial = tmp_path / "partial"
     (partial / "frames").mkdir(parents=True)

@@ -316,6 +316,15 @@ def test_logprob_batched_rows():
     assert lp.shape == (2,)
     assert lp[0] - lp[1] == pytest.approx(0.5, abs=1e-12)
 
+    # one sigma_step per row gives exactly the row-by-row scalar densities
+    sigmas = np.array([0.4, 0.9])
+    per_row = transition_logprob(x, mean, sigmas)
+    np.testing.assert_array_equal(
+        per_row, [transition_logprob(x[i], mean[i], sigmas[i]) for i in range(2)]
+    )
+    with pytest.raises(DomainError):
+        transition_logprob(x, mean, np.array([0.4, 0.0]))
+
 
 def test_logprob_rejects_zero_sigma():
     with pytest.raises(DomainError):
@@ -380,6 +389,20 @@ def test_rollout_logp_recomputable_from_stored_fields():
         assert again == pytest.approx(s.logp, abs=1e-12)
         redo = transition_mean(pol, s.x_t, s.t, s.dt, s.sigma)
         np.testing.assert_array_equal(redo, s.mean)
+
+
+def test_rollout_matches_chained_sde_steps():
+    pol = init_policy(2, 8, np.random.default_rng(19))
+    cfg = SamplerConfig(steps=6, noise_scale=0.7)
+    steps, x_end = rollout(pol, np.array([0.4, -0.3]), cfg, np.random.default_rng(5))
+    x = steps[0].x_t
+    for s in steps:
+        x_next, mean, sigma_step = sde_step(pol, x, s.t, s.dt, cfg.noise_scale, s.z)
+        np.testing.assert_array_equal(mean, s.mean)
+        np.testing.assert_array_equal(x_next, s.x_next)
+        assert sigma_step == s.sigma_step
+        x = x_next
+    np.testing.assert_array_equal(x, x_end)
 
 
 # ---------------------------------------------------------------------------
