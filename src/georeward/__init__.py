@@ -34,7 +34,6 @@ from .grpo import (
     TrainerConfig,
     TrainResult,
     group_advantages,
-    importance_ratio,
     latent_reward,
     sample_group,
     surrogate_loss,

@@ -29,7 +29,7 @@ from .errors import (
     NumericError,
     TrainingError,
 )
-from .grid import _dump_json, save_tensor
+from .grid import _dump_json, _from_dict, _json_type_ok, save_tensor
 from .grpo import TrainerConfig, train
 from .metrics import dynamic_degree, eight_point, sample_correspondences, sampson_error
 from .policy import fm_pretrain, init_policy, load_policy, save_policy
@@ -70,31 +70,6 @@ def _load_json(path):
 def _config_hash(doc):
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _json_type_ok(value, kind):
-    # JSON true/false load as bool, which Python also counts as an int
-    if kind is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if kind is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return isinstance(value, kind)
-
-
-def _from_dict(cls, doc, label):
-    """Strict dataclass construction from a JSON object: no unknown keys,
-    and every int, float, bool or str field gets a value of its type."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{label} must be a JSON object, got {type(doc).__name__}")
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - set(fields))
-    if unknown:
-        raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
-    for key, value in doc.items():
-        kind = fields[key]
-        if kind in (int, float, bool, str) and not _json_type_ok(value, kind):
-            raise ConfigError(f"{label} key {key} must be {kind.__name__}, got {value!r}")
-    return cls(**doc)
 
 
 @contextlib.contextmanager
@@ -271,11 +246,17 @@ def _data_sampler(doc, dim):
 
 
 def _run_pretrain(doc):
-    merged = dict(_DEFAULT_PRETRAIN)
-    merged.update(doc)
-    unknown = sorted(set(merged) - set(_DEFAULT_PRETRAIN))
+    if not isinstance(doc, dict):
+        raise ConfigError(f"pretrain config must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(_DEFAULT_PRETRAIN))
     if unknown:
         raise ConfigError(f"unknown pretrain keys: {', '.join(unknown)}")
+    for key, value in doc.items():
+        kind = type(_DEFAULT_PRETRAIN[key])
+        if not _json_type_ok(value, kind):
+            raise ConfigError(f"pretrain key {key} must be {kind.__name__}, got {value!r}")
+    merged = dict(_DEFAULT_PRETRAIN)
+    merged.update(doc)
     dim = int(merged["dim"])
     rng = np.random.default_rng(merged["seed"])
     policy = init_policy(dim, int(merged["hidden"]), rng)

@@ -1,4 +1,5 @@
-"""Dense grids: bilinear sampling, backward warping, and the GFT tensor file.
+"""Dense grids: bilinear sampling, backward warping, and the GFT tensor file,
+plus the package's JSON writer and strict JSON-document check.
 
 Grids are plain numpy arrays in row-major, channels-last layout. Pixel
 centers sit at integer coordinates, origin top-left, x right, y down; the
@@ -15,12 +16,13 @@ GFT file layout (little-endian):
   payload     row-major element data
 """
 
+import dataclasses
 import json
 import struct
 
 import numpy as np
 
-from .errors import FormatError, GridTypeError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, GridTypeError, NumericError, ShapeError
 
 _MAGIC = b"GFT1"
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
@@ -128,6 +130,31 @@ def _dump_json(doc, path):
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _json_type_ok(value, kind):
+    # JSON true/false load as bool, which Python also counts as an int
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _from_dict(cls, doc, label):
+    """Strict dataclass construction from a JSON object: no unknown keys,
+    and every int, float, bool or str field gets a value of its type."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {type(doc).__name__}")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
+    for key, value in doc.items():
+        kind = fields[key]
+        if kind in (int, float, bool, str) and not _json_type_ok(value, kind):
+            raise ConfigError(f"{label} key {key} must be {kind.__name__}, got {value!r}")
+    return cls(**doc)
 
 
 def load_tensor(path):

@@ -1,7 +1,7 @@
 """Group-relative policy optimization over the latent scene-corruption
-space: synchronized-noise groups, group-normalized advantages, a clipped
-truncated surrogate with a KL anchor to the pretrained policy, and an EMA
-shadow of the live parameters.
+space: synchronized-noise groups, group-normalized advantages, one
+on-policy policy-gradient step per group over a truncated window with a KL
+anchor to the pretrained policy, and an EMA shadow of the live parameters.
 
 The generator is the SDE sampler from .policy; a rollout's terminal sample
 decodes into a corrupted rendered pair whose score is the trajectory's
@@ -18,7 +18,6 @@ from .policy import (
     VelocityPolicy,
     params_vector,
     rollout,
-    transition_logprob,
     transition_mean,
     velocity_grad,
     with_params,
@@ -37,7 +36,6 @@ class TrainerConfig:
     group_size: int = 4
     steps: int = 10
     grad_window: int = 5
-    clip_eps: float = 1e-3
     kl_beta: float = 0.004
     lr: float = 0.05
     ema_decay: float = 0.99
@@ -57,8 +55,6 @@ class TrainerConfig:
             raise ConfigError(
                 f"grad_window exceeds steps ({self.grad_window} > {self.steps})"
             )
-        if self.clip_eps <= 0:
-            raise ConfigError(f"clip_eps must be > 0, got {self.clip_eps}")
         if self.kl_beta < 0:
             raise ConfigError(f"kl_beta must be >= 0, got {self.kl_beta}")
         if self.lr < 0:
@@ -189,32 +185,14 @@ def sample_group(snapshot: PolicySnapshot, template, config: TrainerConfig, rng,
     )
 
 
-def importance_ratio(policy, step, policy_old=None):
-    """Per-step ratio pi_theta(x_next | x_t) / pi_theta_old(x_next | x_t).
-
-    The theta-density re-derives its mean from the stored (x_t, t, dt,
-    sigma) through transition_mean, the exact code path the sampler used,
-    so theta == theta_old yields exactly 1.0. The old density uses the
-    stored behavior mean unless policy_old is supplied.
-    """
-    mean_new = transition_mean(policy, step.x_t, step.t, step.dt, step.sigma)
-    if policy_old is None:
-        mean_old = step.mean
-    else:
-        mean_old = transition_mean(policy_old, step.x_t, step.t, step.dt, step.sigma)
-    lp_new = transition_logprob(step.x_next, mean_new, step.sigma_step)
-    lp_old = transition_logprob(step.x_next, mean_old, step.sigma_step)
-    return float(np.exp(lp_new - lp_old))
-
-
 def _window_batch(group, window):
     """Flatten the first `window` steps of every trajectory into arrays."""
     rows = [
-        (s.x_t, s.t, s.dt, s.sigma, s.sigma_step, s.x_next, s.mean, adv)
+        (s.x_t, s.t, s.dt, s.sigma, s.sigma_step, s.x_next, adv)
         for traj, adv in zip(group.trajectories, group.advantages)
         for s in traj[:window]
     ]
-    xs, ts, dts, sigmas, sig_steps, x_nexts, means_old, advs = zip(*rows)
+    xs, ts, dts, sigmas, sig_steps, x_nexts, advs = zip(*rows)
     return (
         np.stack(xs),
         np.array(ts),
@@ -222,35 +200,36 @@ def _window_batch(group, window):
         np.array(sigmas),
         np.array(sig_steps),
         np.stack(x_nexts),
-        np.stack(means_old),
         np.array(advs),
     )
 
 
 def _batch_means(policy, xs, ts, dts, sigmas):
-    # Per-row transition_mean, not a fused batch: bit-identity with the
-    # sampler's stored means matters more than speed on a tiny window.
+    # Per-row transition_mean, not a fused batch: each row then equals the
+    # sampler's stored step mean bit for bit, which keeps outputs
+    # byte-identical; on a tiny window that matters more than speed.
     return np.stack(
         [transition_mean(policy, x, t, dt, s) for x, t, dt, s in zip(xs, ts, dts, sigmas)]
     )
 
 
 def surrogate_loss(policy, policy_ref, group, config: TrainerConfig):
-    """Clipped surrogate restricted to the leading grad_window steps.
+    """Loss and gradient of one on-policy step: the group-baseline policy
+    gradient (REINFORCE) over the leading grad_window steps, plus the KL
+    anchor to the reference policy.
 
-    loss = -mean_{i, k < M} min(r Â_i, clip(r, 1 ± eps) Â_i)
+    loss = -mean_{i, k < M} Â_i
            + kl_beta · mean ‖mu_theta − mu_ref‖² / (2 sigma_step²)
+    grad = -mean_{i, k < M} Â_i ∇ log pi_theta(x_next | x_t) + kl_beta ∇ KL
 
-    The behavior density comes from the stored step means; the theta and
-    reference densities are re-derived. Returns (loss, grad, stats) with
-    stats = {"kl", "clip_fraction"}. The clipped-and-worse branch of the
-    min contributes zero gradient; gradient reaches the parameters only
-    through v_theta at the stored (x_t, t), via the drift factor
-    dmean/dv = -dt (1 + sigma² (1 - t) / (2t)).
+    `policy` must be the policy that sampled the group (train() passes
+    theta_old = theta): there the likelihood-ratio surrogate has exactly
+    this value and gradient. Gradient reaches the parameters only through
+    v_theta at the stored (x_t, t), via the drift factor
+    dmean/dv = -dt (1 + sigma² (1 - t) / (2t)). Returns (loss, grad, stats)
+    with stats = {"kl"}.
     """
-    xs, ts, dts, sigmas, sig_steps, x_nexts, means_old, advs = _window_batch(
-        group, config.grad_window
-    )
+    xs, ts, dts, sigmas, sig_steps, x_nexts, advs = _window_batch(group, config.grad_window)
     if np.any(sig_steps <= 0):
         raise TrainingError("surrogate needs stochastic steps; noise_scale is 0")
     n = xs.shape[0]
@@ -258,32 +237,19 @@ def surrogate_loss(policy, policy_ref, group, config: TrainerConfig):
     mean_new = _batch_means(policy, xs, ts, dts, sigmas)
     mean_ref = _batch_means(policy_ref, xs, ts, dts, sigmas)
 
-    lp_new = transition_logprob(x_nexts, mean_new, sig_steps)
-    lp_old = transition_logprob(x_nexts, means_old, sig_steps)
-    ratio = np.exp(lp_new - lp_old)
-    clipped = np.clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps)
-
-    term_plain = ratio * advs
-    term_clip = clipped * advs
-    objective = np.minimum(term_plain, term_clip)
-    unclipped = term_plain <= term_clip
-
     var_step = sig_steps * sig_steps
     kl_per = ((mean_new - mean_ref) ** 2).sum(axis=1) / (2.0 * var_step)
     kl = float(kl_per.mean())
-    loss = float(-objective.mean() + config.kl_beta * kl)
+    loss = float(-advs.mean() + config.kl_beta * kl)
 
     # d loss / d mean_new, both terms.
-    up_mean = np.zeros_like(mean_new)
-    coeff = -(advs[unclipped] * ratio[unclipped]) / (n * var_step[unclipped])
-    up_mean[unclipped] = coeff[:, None] * (x_nexts[unclipped] - mean_new[unclipped])
+    up_mean = (-advs / (n * var_step))[:, None] * (x_nexts - mean_new)
     up_mean += (config.kl_beta / n) * (mean_new - mean_ref) / var_step[:, None]
 
     g_coef = -dts * (1.0 + sigmas * sigmas * (1.0 - ts) / (2.0 * ts))
     grad = velocity_grad(policy, xs, ts, up_mean * g_coef[:, None])
 
-    stats = {"kl": kl, "clip_fraction": float(np.mean(term_clip < term_plain))}
-    return loss, grad, stats
+    return loss, grad, {"kl": kl}
 
 
 @dataclass
@@ -297,9 +263,9 @@ class TrainResult:
 
 def train(config: TrainerConfig, pretrained: VelocityPolicy, template, reward_config=None):
     """Run the full loop: per iteration snapshot theta_old <- theta, sample
-    one group, take one gradient step, update the EMA. Deterministic in
-    (config, pretrained, template). A non-finite loss or gradient aborts
-    with the last finite policy attached to the error.
+    one group, take one on-policy gradient step, update the EMA.
+    Deterministic in (config, pretrained, template). A non-finite loss or
+    gradient aborts with the last finite policy attached to the error.
     """
     snap = PolicySnapshot.from_policy(pretrained)
     rc = reward_config if reward_config is not None else RewardConfig()
@@ -317,7 +283,6 @@ def train(config: TrainerConfig, pretrained: VelocityPolicy, template, reward_co
             "reward_mean": float(group.rewards.mean()),
             "reward_std": float(group.rewards.std()),
             "kl": stats["kl"],
-            "clip_fraction": stats["clip_fraction"],
             "grad_norm": grad_norm,
         }
         metrics.append(row)

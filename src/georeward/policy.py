@@ -261,7 +261,7 @@ def transition_mean(policy, x_t, t, dt, sigma):
     mean = x_t - [v + (sigma^2 / (2t)) (x_t + (1 - t) v)] dt
 
     sigma = 0 gives the plain Euler ODE update. This is the single code
-    path for the step mean, shared by the sampler and by importance-ratio
+    path for the step mean, shared by the sampler and by the trainer's
     recomputation so identical parameters give bit-identical means.
     """
     x = np.asarray(x_t, dtype=np.float64)
@@ -379,10 +379,15 @@ def load_policy(ckpt_dir) -> VelocityPolicy:
             manifest = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"no policy manifest at {path}")
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {type(manifest).__name__}")
     if manifest.get("activation") != "tanh":
         raise ConfigError(f"unsupported activation {manifest.get('activation')!r}")
+    layer_dims = manifest.get("layer_dims", [])
+    if not isinstance(layer_dims, list):
+        raise ConfigError(f"{path}: layer_dims must be a list, got {layer_dims!r}")
     blocks = [load_tensor(os.path.join(ckpt_dir, f"{name}.gft")) for name in _BLOCK_NAMES]
     pol = VelocityPolicy(*blocks)
-    if list(pol.layer_dims) != list(manifest.get("layer_dims", [])):
+    if list(pol.layer_dims) != layer_dims:
         raise ConfigError("manifest layer_dims do not match the stored tensors")
     return pol

@@ -12,13 +12,13 @@ speed, renders the pair, and injects the corruption. It is the toy
 generator the trainer optimizes against the pair reward.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .camera import Intrinsics, PoseSE3, Z_MIN
 from .errors import ConfigError, DomainError, ShapeError
-from .grid import bilinear_sample
+from .grid import _from_dict, _json_type_ok, bilinear_sample
 
 _OBJ_SURF = 7  # surface id of the moving quad; background planes use 0..2
 
@@ -678,73 +678,86 @@ def decode_latent(z, template: SceneSpec, seed: int = 0) -> RenderedPair:
 # ---------------------------------------------------------------------------
 # JSON scene documents
 
+def _numbers(value, shape, label, kind=float):
+    """Return value once it is a (nested) JSON list of `kind` numbers of the
+    given shape; otherwise raise ConfigError naming the field."""
+    ok = isinstance(value, (list, tuple)) and len(value) == shape[0]
+    if ok and len(shape) == 1:
+        ok = all(_json_type_ok(v, kind) for v in value)
+    if not ok:
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{label} must be a list of {shape[0]} {noun}, got {value!r}")
+    if len(shape) > 1:
+        for row in value:
+            _numbers(row, shape[1:], label, kind)
+    return value
+
+
 def _pose_from_dict(d):
     if not isinstance(d, dict) or "r" not in d or "t" not in d:
         raise ConfigError("camera pose entries need 'r' (3x3) and 't' (3) fields")
-    return PoseSE3(np.asarray(d["r"], dtype=np.float64), np.asarray(d["t"], dtype=np.float64))
+    r = _numbers(d["r"], (3, 3), "camera pose r")
+    t = _numbers(d["t"], (3,), "camera pose t")
+    return PoseSE3(np.asarray(r, dtype=np.float64), np.asarray(t, dtype=np.float64))
 
 
 def _path_from_json(doc):
     if isinstance(doc, dict):
         if doc.get("kind") != "linear":
             raise ConfigError(f"unknown camera path kind {doc.get('kind')!r}")
-        frames = int(doc.get("frames", 2))
-        if frames < 1:
-            raise ConfigError(f"camera path needs at least 1 frame, got {frames}")
-        vel = np.asarray(doc.get("velocity", (0.0, 0.0, 0.0)), dtype=np.float64)
-        if vel.shape != (3,):
-            raise ConfigError("camera path velocity must be a 3-vector")
+        frames = doc.get("frames", 2)
+        if not _json_type_ok(frames, int) or frames < 1:
+            raise ConfigError(f"camera_path frames must be an integer >= 1, got {frames!r}")
+        vel = _numbers(doc.get("velocity", (0.0, 0.0, 0.0)), (3,), "camera_path velocity")
+        vel = np.asarray(vel, dtype=np.float64)
         return tuple(PoseSE3(np.eye(3), i * vel) for i in range(frames))
+    if not isinstance(doc, list):
+        raise ConfigError(f"camera_path must be an object or a list of poses, got {doc!r}")
     return tuple(_pose_from_dict(p) for p in doc)
 
 
-_SCENE_KEYS = {f.name for f in fields(SceneSpec)}
+_INTRINSICS_KEYS = ("fx", "fy", "cx", "cy")
+
+
+def _intrinsics_from_json(doc):
+    if isinstance(doc, dict):
+        if sorted(doc) != sorted(_INTRINSICS_KEYS):
+            raise ConfigError(f"intrinsics object needs exactly fx, fy, cx and cy, got {sorted(doc)}")
+        doc = [doc[k] for k in _INTRINSICS_KEYS]
+    return Intrinsics(*_numbers(doc, (4,), "intrinsics"))
+
+
+def _object_from_json(doc):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"moving_object must be a JSON object, got {doc!r}")
+    vectors = {
+        key: tuple(_numbers(doc[key], (3,), f"moving_object {key}"))
+        for key in ("center", "velocity")
+        if key in doc
+    }
+    return _from_dict(ObjectSpec, {**doc, **vectors}, "moving_object")
 
 
 def scene_from_dict(doc: dict) -> SceneSpec:
-    """Build a SceneSpec from its JSON document form."""
+    """Build a SceneSpec from its JSON document form. Unknown keys and
+    values of the wrong JSON type raise ConfigError naming the field."""
     if not isinstance(doc, dict):
         raise ConfigError("scene document must be a JSON object")
-    unknown = set(doc) - _SCENE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scene fields: {sorted(unknown)}")
-    kwargs = {}
-    for key in ("geometry", "depth", "depth2", "split_x", "texture_seed", "texture_freq"):
-        if key in doc:
-            kwargs[key] = doc[key]
+    kwargs = dict(doc)
     if "normal" in doc:
-        kwargs["normal"] = tuple(doc["normal"])
+        kwargs["normal"] = tuple(_numbers(doc["normal"], (3,), "normal"))
     if "resolution" in doc:
-        kwargs["resolution"] = tuple(int(v) for v in doc["resolution"])
+        kwargs["resolution"] = tuple(_numbers(doc["resolution"], (2,), "resolution", int))
     if "intrinsics" in doc:
-        ki = doc["intrinsics"]
-        if isinstance(ki, dict):
-            kwargs["intrinsics"] = Intrinsics(ki["fx"], ki["fy"], ki["cx"], ki["cy"])
-        else:
-            fx, fy, cx, cy = ki
-            kwargs["intrinsics"] = Intrinsics(fx, fy, cx, cy)
+        kwargs["intrinsics"] = _intrinsics_from_json(doc["intrinsics"])
     if "camera_path" in doc:
         kwargs["camera_path"] = _path_from_json(doc["camera_path"])
     if doc.get("moving_object") is not None:
-        o = doc["moving_object"]
-        kwargs["moving_object"] = ObjectSpec(
-            center=tuple(o.get("center", (0.0, 0.0, 1.5))),
-            size=float(o.get("size", 0.4)),
-            velocity=tuple(o.get("velocity", (0.0, 0.0, 0.0))),
-        )
-    return SceneSpec(**kwargs)
-
-
-_PERTURB_KEYS = {f.name for f in fields(PerturbationSpec)}
+        kwargs["moving_object"] = _object_from_json(doc["moving_object"])
+    return _from_dict(SceneSpec, kwargs, "scene")
 
 
 def perturbation_from_dict(doc: dict) -> PerturbationSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError("perturbation document must be a JSON object")
-    unknown = set(doc) - _PERTURB_KEYS
-    if unknown:
-        raise ConfigError(f"unknown perturbation fields: {sorted(unknown)}")
-    clean = dict(doc)
-    if "corrupt_flow" in clean:
-        clean["corrupt_flow"] = bool(clean["corrupt_flow"])
-    return PerturbationSpec(**clean)
+    """Build a PerturbationSpec from its JSON document form (strict keys and
+    JSON types)."""
+    return _from_dict(PerturbationSpec, doc, "perturbation")

@@ -2,7 +2,8 @@
 
 The acceptance tests are named test_criterion_NN_*; a terminal-summary hook
 collects their outcomes and prints one PASS/FAIL line per criterion so the
-gate is readable without scrolling through the full pytest output.
+gate is readable without scrolling through the full pytest output. A
+collection hook marks every test in test_acceptance.py `acceptance`.
 """
 
 import re
@@ -110,6 +111,13 @@ _CRITERIA = {
 
 _outcomes = {}
 _pattern = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
+
+
+def pytest_collection_modifyitems(items):
+    # `-m "not acceptance"` skips the slow gate for a quick inner loop
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.acceptance)
 
 
 def pytest_runtest_logreport(report):

@@ -196,6 +196,27 @@ def test_score_rejects_bad_config(static_dump, tmp_path, capsys):
     assert "sharpness" in capsys.readouterr().err
 
 
+# documents that are valid JSON of the wrong shape or type, by subcommand
+BAD_SPECS = {
+    "scene_depth_type": {"depth": "a"},
+    "scene_object_type": {"moving_object": [1]},
+    "scene_resolution_type": {"resolution": "ab"},
+    "scene_frames_type": {"camera_path": {"kind": "linear", "frames": "x"}},
+    "scene_intrinsics_keys": {"intrinsics": {"fx": 1}},
+}
+BAD_PRETRAIN = {
+    "pretrain_list": [1],
+    "pretrain_seed_type": {"seed": "x"},
+    "pretrain_hidden_type": {"hidden": "a"},
+}
+BAD_GRPO = {
+    "trainer_field_type": {"trainer": {"group_size": "4"}},
+    "trainer_clip_eps": {"trainer": {"clip_eps": 0.001}},
+    "grpo_pretrain_type": {"pretrain": 5},
+    "grpo_data_type": {"pretrain": {"data": [1]}},
+}
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -205,7 +226,10 @@ def test_score_rejects_bad_config(static_dump, tmp_path, capsys):
         "intrinsics_type",
         "extrinsics_type",
         "score_config_type",
-        "trainer_field_type",
+        *BAD_SPECS,
+        *BAD_PRETRAIN,
+        *BAD_GRPO,
+        "policy_manifest_list",
     ],
 )
 def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
@@ -219,6 +243,7 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
         "extrinsics_type": dict(cameras, cameras=[dict(cam0, extrinsics=[["a"] * 4] * 3)]),
     }
     report = str(tmp_path / "r.json")
+    out = str(tmp_path / "run")
     if case in bad_cameras:
         dump = tmp_path / "dump"
         shutil.copytree(static_dump, dump)
@@ -227,11 +252,26 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
     elif case == "score_config_type":
         cfg = write_json(tmp_path / "cfg.json", [1])
         argv = ["score", "--input", static_dump, "--config", cfg, "--out", report]
+    elif case in BAD_SPECS:
+        spec = write_json(tmp_path / "spec.json", BAD_SPECS[case])
+        argv = ["synth", "--spec", spec, "--out", out]
+    elif case in BAD_PRETRAIN:
+        cfg = write_json(tmp_path / "cfg.json", BAD_PRETRAIN[case])
+        argv = ["pretrain", "--config", cfg, "--out", out]
+    elif case in BAD_GRPO:
+        cfg = write_json(tmp_path / "cfg.json", BAD_GRPO[case])
+        argv = ["grpo", "--config", cfg, "--out", out]
     else:
-        cfg = write_json(tmp_path / "cfg.json", {"trainer": {"group_size": "4"}})
-        argv = ["grpo", "--config", cfg, "--out", str(tmp_path / "run")]
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        write_json(ckpt / "policy.json", [])
+        cfg = write_json(tmp_path / "cfg.json", {"init_checkpoint": str(ckpt)})
+        argv = ["grpo", "--config", cfg, "--out", out]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if case == "trainer_clip_eps":
+        assert "clip_eps" in err
 
 
 def test_score_incomplete_dump(tmp_path, capsys):
@@ -282,7 +322,7 @@ def test_grpo_cli(tmp_path):
     assert main(["grpo", "--config", cfg, "--out", str(out)]) == 0
     rows = read_lines(out / "metrics.jsonl")
     assert len(rows) == 5
-    want = {"iter", "reward_mean", "reward_std", "kl", "clip_fraction", "grad_norm"}
+    want = {"iter", "reward_mean", "reward_std", "kl", "grad_norm"}
     assert all(set(r) == want for r in rows)
     load_policy(str(out / "checkpoint"))
     load_policy(str(out / "checkpoint_ema"))

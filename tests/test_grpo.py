@@ -1,4 +1,4 @@
-"""Group sampling, the clipped surrogate, and the full training loop."""
+"""Group sampling, the on-policy surrogate, and the full training loop."""
 
 import math
 
@@ -11,12 +11,10 @@ from georeward import (
     TrainerConfig,
     fm_pretrain,
     group_advantages,
-    importance_ratio,
     init_policy,
     latent_reward,
     params_vector,
     sample_group,
-    sigma_schedule,
     surrogate_loss,
     toy_scene,
     train,
@@ -25,7 +23,6 @@ from georeward import (
     with_params,
 )
 from georeward.errors import ConfigError, TrainingError
-from georeward.policy import TrajectoryStep
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +61,6 @@ def test_config_window_bound_message():
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainerConfig(group_size=1)
-    with pytest.raises(ConfigError):
-        TrainerConfig(clip_eps=0.0)
     with pytest.raises(ConfigError):
         TrainerConfig(ema_decay=1.0)
     with pytest.raises(ConfigError):
@@ -169,52 +164,6 @@ def test_latent_reward_matches_group_rewards(pretrained):
 
 
 # ---------------------------------------------------------------------------
-# importance ratios
-
-def test_on_policy_ratio_is_exactly_one(pretrained):
-    snap = PolicySnapshot.from_policy(pretrained)
-    group = make_group(snap, small_config())
-    pol = snap.policy_old()
-    for step in group.trajectories[0]:
-        assert importance_ratio(pol, step) == 1.0
-
-
-def test_ratio_of_dead_unit_perturbation_is_one(pretrained):
-    # killing an output column makes w2 row 0 unreachable: same v, ratio 1
-    snap = PolicySnapshot.from_policy(pretrained)
-    group = make_group(snap, small_config())
-    pol = snap.policy_old()
-    dead = with_params(pol, params_vector(pol))
-    dead.w3[:, 0] = 0.0
-    perturbed = with_params(dead, params_vector(dead))
-    perturbed.w2[0, :] += 0.7
-    step = group.trajectories[1][2]
-    base = importance_ratio(dead, step)
-    assert importance_ratio(perturbed, step) == base
-
-
-def test_mean_shift_ratio_formula():
-    # constant-velocity policies make the transition mean shift tractable
-    t, dt, a = 0.5, 0.1, 0.8
-    sigma = sigma_schedule(t, dt, a)
-    sigma_step = sigma * math.sqrt(dt)
-    x_t = np.array([0.4, -0.2])
-    old = lambda x, tt: np.full_like(x, 0.3)
-    new = lambda x, tt: np.full_like(x, 0.5)
-    mean_old = transition_mean(old, x_t, t, dt, sigma)
-    mean_new = transition_mean(new, x_t, t, dt, sigma)
-    step = TrajectoryStep(
-        t=t, dt=dt, x_t=x_t, mean=mean_old, sigma=sigma, sigma_step=sigma_step,
-        z=np.zeros(2), x_next=mean_old.copy(),
-        logp=float(transition_logprob(mean_old, mean_old, sigma_step)),
-    )
-    delta = float(np.linalg.norm(mean_new - mean_old))
-    want = math.exp(-delta * delta / (2.0 * sigma_step * sigma_step))
-    assert importance_ratio(new, step) == pytest.approx(want, abs=1e-12)
-    assert importance_ratio(new, step) < 1.0
-
-
-# ---------------------------------------------------------------------------
 # surrogate
 
 def test_on_policy_surrogate_is_the_kl_penalty(pretrained):
@@ -225,51 +174,9 @@ def test_on_policy_surrogate_is_the_kl_penalty(pretrained):
     loss, grad, stats = surrogate_loss(pol, pol, group, cfg)
     # ratio == 1 everywhere: the objective mean is the advantage mean, zero
     assert stats["kl"] == 0.0
-    assert stats["clip_fraction"] == 0.0
+    assert set(stats) == {"kl"}
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.isfinite(grad).all()
-
-
-def test_surrogate_clip_arithmetic(pretrained):
-    # two one-step trajectories with hand-set ratios around 1.002:
-    # min(1.002 a, 1.001 a) keeps 1.001 for a = +1 and 1.002 for a = -1
-    pol = pretrained
-    t, dt = 1.0, 0.1
-    sigma = sigma_schedule(t, dt, 0.7)
-    sigma_step = sigma * math.sqrt(dt)
-    rng = np.random.default_rng(23)
-    ratio_target = 1.002
-
-    trajectories = []
-    for _ in range(2):
-        x_t = rng.standard_normal(4)
-        mean_new = transition_mean(pol, x_t, t, dt, sigma)
-        delta = np.zeros(4)
-        delta[0] = sigma_step
-        mean_old = mean_new + delta
-        # solve |x - mean_old|^2 - |x - mean_new|^2 = 2 sigma_step^2 ln(r)
-        c = sigma_step / 2.0 - sigma_step * math.log(ratio_target)
-        x_next = mean_new + np.where(np.arange(4) == 0, c, 0.0)
-        trajectories.append([
-            TrajectoryStep(
-                t=t, dt=dt, x_t=x_t, mean=mean_old, sigma=sigma,
-                sigma_step=sigma_step, z=np.zeros(4), x_next=x_next,
-                logp=float(transition_logprob(x_next, mean_old, sigma_step)),
-            )
-        ])
-
-    group = GroupRollout(
-        eps_init=[tr[0].x_t for tr in trajectories],
-        trajectories=trajectories,
-        x0s=np.zeros((2, 4)),
-        rewards=np.array([1.0, -1.0]),
-        advantages=np.array([1.0, -1.0]),
-    )
-    cfg = TrainerConfig(group_size=2, steps=2, grad_window=1, clip_eps=1e-3, kl_beta=0.0)
-    loss, _, stats = surrogate_loss(pol, pol, group, cfg)
-    # objective rows: min(r, 1.001) = 1.001 and min(-r, -1.001) = -1.002
-    assert loss == pytest.approx(-0.5 * (1.001 - 1.002), abs=1e-9)
-    assert stats["clip_fraction"] == 0.5
 
 
 def test_surrogate_rejects_deterministic_steps(pretrained):
@@ -353,21 +260,6 @@ def test_first_update_matches_vanilla_policy_gradient(pretrained):
         assert grad[i] == pytest.approx(fd, abs=1e-6 * (1.0 + abs(fd)))
 
 
-def test_widening_the_clip_never_hurts_the_objective(pretrained):
-    snap = PolicySnapshot.from_policy(pretrained)
-    cfg = small_config(kl_beta=0.0)
-    group = make_group(snap, cfg)
-    # evaluate under a shifted policy so the ratios leave the band
-    shifted = with_params(snap.policy_old(), snap.theta_old + 0.05)
-    values = []
-    for eps in (1e-4, 1e-3, 1e-2, 1e-1):
-        loss, _, _ = surrogate_loss(
-            shifted, shifted, group, small_config(kl_beta=0.0, clip_eps=eps)
-        )
-        values.append(-loss)
-    assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -375,8 +267,7 @@ def test_train_metrics_rows(pretrained):
     res = train(small_config(iterations=3), pretrained, toy_scene())
     assert len(res.metrics) == 3
     for i, row in enumerate(res.metrics):
-        assert set(row) == {"iter", "reward_mean", "reward_std", "kl",
-                            "clip_fraction", "grad_norm"}
+        assert set(row) == {"iter", "reward_mean", "reward_std", "kl", "grad_norm"}
         assert row["iter"] == i
     assert not np.array_equal(params_vector(res.policy), params_vector(pretrained))
 
