@@ -88,13 +88,17 @@ def write_bundle(out_dir, bundle: VideoBundle):
     _dump_json(doc, os.path.join(out_dir, "cameras.json"))
 
 
-def _load_dir(root, name, expected=None):
+def _load_dir(root, name, expected):
     d = os.path.join(root, name)
     if not os.path.isdir(d):
         return None
     names = sorted(n for n in os.listdir(d) if n.endswith(".gft"))
-    if expected is not None and len(names) != expected:
+    if len(names) != expected:
         raise InputError(f'"{name}/" holds {len(names)} tensors, expected {expected}')
+    want = [_tensor_name(i) for i in range(expected)]
+    bad = sorted(set(names) - set(want))
+    if bad:
+        raise InputError(f'"{name}/" under {root} holds {bad[0]}; tensors must be named {want[0]} to {want[-1]}')
     return [load_tensor(os.path.join(d, n)) for n in names]
 
 

@@ -36,6 +36,7 @@ from .policy import fm_pretrain, init_policy, load_policy, save_policy
 from .reward import RewardConfig, score_video
 from .synth import (
     LATENT_DIM,
+    _numbers,
     perturbation_from_dict,
     render_video,
     scene_from_dict,
@@ -217,24 +218,34 @@ def cmd_synth(args):
 
 def _data_sampler(doc, dim):
     kind = doc.get("kind", "normal")
+    if not isinstance(kind, str):
+        raise ConfigError(f"data kind must be a string, got {kind!r}")
     if kind == "normal":
-        mean = np.broadcast_to(np.asarray(doc.get("mean", 0.0), dtype=np.float64), (dim,))
-        std = np.broadcast_to(np.asarray(doc.get("std", 1.0), dtype=np.float64), (dim,))
+        mean, std = doc.get("mean", 0.0), doc.get("std", 1.0)
+        for key, value in (("mean", mean), ("std", std)):
+            if not _json_type_ok(value, float):
+                _numbers(value, (dim,), f"data {key}")
+        mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), (dim,))
+        std = np.broadcast_to(np.asarray(std, dtype=np.float64), (dim,))
         if np.any(std <= 0):
             raise ConfigError("data std must be > 0")
         return lambda rng, n: mean + std * rng.standard_normal((n, dim))
     if kind == "coordinate_mixture":
-        means = np.asarray(doc.get("means", ()), dtype=np.float64)
-        if means.ndim != 1 or means.size < 1:
-            raise ConfigError('coordinate_mixture needs a flat "means" list')
-        std = float(doc.get("std", 1.0))
+        means = doc.get("means")
+        if not isinstance(means, list) or not means:
+            raise ConfigError(f'coordinate_mixture needs a non-empty "means" list, got {means!r}')
+        means = np.asarray(_numbers(means, (len(means),), "data means"), dtype=np.float64)
+        std = doc.get("std", 1.0)
+        if not _json_type_ok(std, float):
+            raise ConfigError(f"data std must be a number, got {std!r}")
+        std = float(std)
         if std <= 0:
             raise ConfigError("data std must be > 0")
         weights = doc.get("weights")
         if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != means.shape or np.any(weights < 0) or weights.sum() <= 0:
-                raise ConfigError("weights must be nonnegative and match means")
+            weights = np.asarray(_numbers(weights, (means.size,), "data weights"), dtype=np.float64)
+            if np.any(weights < 0) or weights.sum() <= 0:
+                raise ConfigError("data weights must be nonnegative with a positive sum")
             weights = weights / weights.sum()
 
         def sample(rng, n):

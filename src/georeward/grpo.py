@@ -24,7 +24,7 @@ from .policy import (
 )
 from .reward import RewardConfig, score_pair
 from .runtime import ordered_map
-from .synth import decode_latent
+from .synth import decode_latent, render_frame
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,10 @@ class GroupRollout:
     advantages: np.ndarray
 
 
-def latent_reward(z, template, seed=0, reward_config=None):
-    """Decode a latent and score the resulting pair; the trainer's reward."""
-    pair = decode_latent(z, template, seed=seed)
+def latent_reward(z, template, seed=0, reward_config=None, *, frame_a=None):
+    """Decode a latent and score the resulting pair; the trainer's reward.
+    frame_a is passed on to decode_latent."""
+    pair = decode_latent(z, template, seed=seed, frame_a=frame_a)
     score = score_pair(
         pair.image_a,
         pair.image_b,
@@ -143,12 +144,15 @@ def group_advantages(rewards):
     return (r - r.mean()) / sigma
 
 
-def sample_group(snapshot: PolicySnapshot, template, config: TrainerConfig, rng, reward_config=None):
+def sample_group(
+    snapshot: PolicySnapshot, template, config: TrainerConfig, rng, reward_config=None, *, frame_a=None
+):
     """Roll out one group under theta_old and score the terminal decodes.
 
     eps_init is drawn from rng first (one shared draw when sync_noise, G
     draws otherwise); per-member SDE noise then comes from rng.spawn(G), so
-    serial and threaded execution consume identical streams.
+    serial and threaded execution consume identical streams. frame_a is
+    passed on to every latent_reward call.
     """
     g = config.group_size
     policy_old = snapshot.policy_old()
@@ -169,7 +173,7 @@ def sample_group(snapshot: PolicySnapshot, template, config: TrainerConfig, rng,
         rewards = np.array(
             ordered_map(
                 lambda x0: latent_reward(
-                    x0, template, seed=config.seed, reward_config=reward_config
+                    x0, template, seed=config.seed, reward_config=reward_config, frame_a=frame_a
                 ),
                 list(x0s),
             )
@@ -270,12 +274,17 @@ def train(config: TrainerConfig, pretrained: VelocityPolicy, template, reward_co
     snap = PolicySnapshot.from_policy(pretrained)
     rc = reward_config if reward_config is not None else RewardConfig()
     ref_policy = with_params(pretrained, snap.theta_ref)
+    # The first decoded frame does not depend on the latent: shade it once
+    # and share it, read-only, with every decode of the run.
+    frame_a = render_frame(template, 0)
+    for arr in frame_a:
+        arr.flags.writeable = False
     metrics = []
     for it in range(config.iterations):
         rng = np.random.default_rng([config.seed, it])
         snap.theta_old = snap.theta.copy()
         policy_old = snap.policy_old()
-        group = sample_group(snap, template, config, rng, reward_config=rc)
+        group = sample_group(snap, template, config, rng, reward_config=rc, frame_a=frame_a)
         loss, grad, stats = surrogate_loss(policy_old, ref_policy, group, config)
         grad_norm = float(np.linalg.norm(grad))
         row = {

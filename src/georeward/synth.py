@@ -31,10 +31,14 @@ _M2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix(z):
-    z = (z + _GAMMA) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 output of state z; works in place on z + gamma, never on z."""
+    z = z + _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _key(*parts):
@@ -45,43 +49,62 @@ def _key(*parts):
     return k
 
 
-def _hash01(ix, iy, key):
-    """Uniform [0, 1) value per integer lattice point."""
-    hx = _mix(ix.astype(np.int64).view(np.uint64) ^ key)
-    h = _mix(iy.astype(np.int64).view(np.uint64) ^ hx)
-    return (h >> np.uint64(11)).astype(np.float64) * (1.0 / 2**53)
+def _lattice_bits(x):
+    """Integer-valued floats as the uint64 bits of their int64 values."""
+    return x.astype(np.int64).view(np.uint64)
+
+
+def _hash01(hx, iy):
+    """Uniform [0, 1) value per integer lattice point, from the column hash
+    hx = _mix(ix ^ key) and the row bits iy."""
+    h = _mix(hx ^ iy)
+    h >>= np.uint64(11)
+    out = h.astype(np.float64)
+    out *= 1.0 / 2**53
+    return out
 
 
 def _value_noise(u, v, key):
-    """Smoothstep-interpolated value noise, C1-continuous, range [0, 1)."""
+    """Smoothstep-interpolated value noise, C1-continuous, range [0, 1).
+
+    key broadcasts against u and v, so a (3, 1, ...) key array hashes three
+    channels in one pass.
+    """
     iu = np.floor(u)
     iv = np.floor(v)
     fu = u - iu
     fv = v - iv
     su = fu * fu * (3.0 - 2.0 * fu)
     sv = fv * fv * (3.0 - 2.0 * fv)
-    c00 = _hash01(iu, iv, key)
-    c10 = _hash01(iu + 1, iv, key)
-    c01 = _hash01(iu, iv + 1, key)
-    c11 = _hash01(iu + 1, iv + 1, key)
+    hx0 = _mix(_lattice_bits(iu) ^ key)
+    hx1 = _mix(_lattice_bits(iu + 1) ^ key)
+    iy0 = _lattice_bits(iv)
+    iy1 = _lattice_bits(iv + 1)
+    c00 = _hash01(hx0, iy0)
+    c10 = _hash01(hx1, iy0)
+    c01 = _hash01(hx0, iy1)
+    c11 = _hash01(hx1, iy1)
     top = c00 + (c10 - c00) * su
     bot = c01 + (c11 - c01) * su
     return top + (bot - top) * sv
 
 
 def _texture(u, v, freq, seed, salt):
-    """Three-octave RGB value noise over plane-local coordinates (world units)."""
-    out = np.zeros(u.shape + (3,))
+    """Three-octave RGB value noise over plane-local coordinates (world units).
+
+    Each octave hashes the three channels in one pass over a leading channel
+    axis; the sum runs in the same order as a per-channel loop would, so the
+    bits do not depend on the batching.
+    """
+    channels = np.arange(3).reshape((3,) + (1,) * u.ndim)
+    acc = np.zeros((3,) + u.shape)
+    amp, f = 1.0, freq
     with np.errstate(over="ignore"):
-        for ch in range(3):
-            acc = np.zeros_like(u)
-            amp, f = 1.0, freq
-            for octave in range(3):
-                acc += amp * _value_noise(u * f, v * f, _key(seed, salt, octave, ch))
-                amp *= 0.5
-                f *= 2.0
-            out[..., ch] = acc / 1.75
-    return out
+        for octave in range(3):
+            acc += amp * _value_noise(u * f, v * f, _key(seed, salt, octave, channels))
+            amp *= 0.5
+            f *= 2.0
+    return np.moveaxis(acc / 1.75, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +420,13 @@ def flow_at(spec: SceneSpec, frame_a: int, frame_b: int, xy):
     return flow, vis
 
 
-def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1) -> RenderedPair:
-    """Render frames (frame_index, frame_index + stride) with exact tensors."""
+def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=None) -> RenderedPair:
+    """Render frames (frame_index, frame_index + stride) with exact tensors.
+
+    frame_a, when given, must be render_frame(spec, frame_index): a caller
+    that renders many pairs from one first frame passes it to skip shading
+    it again. The pair holds it by reference.
+    """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     fa, fb = frame_index, frame_index + stride
@@ -406,7 +434,7 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1) -> RenderedP
         raise ConfigError(
             f"pair ({fa}, {fb}) needs a camera path of length > {fb}, got {len(spec.camera_path)}"
         )
-    image_a, depth_a, obj_a = render_frame(spec, fa)
+    image_a, depth_a, obj_a = render_frame(spec, fa) if frame_a is None else frame_a
     image_b, depth_b, obj_b = render_frame(spec, fb)
     uv = np.stack(_pixel_grid(spec), axis=-1)
     flow_fwd, valid_fwd = flow_at(spec, fa, fb, uv)
@@ -645,7 +673,7 @@ def _squash(raw, lo, hi):
     return lo + (hi - lo) / (1.0 + np.exp(-raw))
 
 
-def decode_latent(z, template: SceneSpec, seed: int = 0) -> RenderedPair:
+def decode_latent(z, template: SceneSpec, seed: int = 0, *, frame_a=None) -> RenderedPair:
     """Decode a latent 4-vector into a (possibly corrupted) rendered pair.
 
     Coordinates map monotonically to (wobble px, texture drift px, object
@@ -653,6 +681,9 @@ def decode_latent(z, template: SceneSpec, seed: int = 0) -> RenderedPair:
     drives the corruption to zero. Deterministic in (z, template, seed).
     The wobble corrupts the forward flow (not the frame), so both the
     structural and the feature term of the reward stay sensitive.
+
+    The first frame does not depend on z: frame_a, when given, must be
+    render_frame(template, 0), and the decode then reuses it unshaded.
     """
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     if z.shape != (LATENT_DIM,):
@@ -665,7 +696,7 @@ def decode_latent(z, template: SceneSpec, seed: int = 0) -> RenderedPair:
     e_a = template.camera_path[0]
     e_b = PoseSE3(e_a.r, e_a.t + np.array([t_x, 0.0, 0.0]))
     spec = replace(template, camera_path=(e_a, e_b))
-    pair = render_pair(spec, 0)
+    pair = render_pair(spec, 0, frame_a=frame_a)
     corruption = PerturbationSpec(
         wobble_px=wobble,
         texture_drift_px=drift,

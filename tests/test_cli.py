@@ -208,12 +208,25 @@ BAD_PRETRAIN = {
     "pretrain_list": [1],
     "pretrain_seed_type": {"seed": "x"},
     "pretrain_hidden_type": {"hidden": "a"},
+    "data_std_type": {"data": {"kind": "normal", "std": "a"}},
+    "data_mean_length": {"data": {"kind": "normal", "mean": [1, 2]}},
+    "data_means_type": {"data": {"kind": "coordinate_mixture", "means": "ab"}},
+    "data_weights_type": {"data": {"kind": "coordinate_mixture", "means": [1.0], "weights": "x"}},
 }
 BAD_GRPO = {
     "trainer_field_type": {"trainer": {"group_size": "4"}},
     "trainer_clip_eps": {"trainer": {"clip_eps": 0.001}},
     "grpo_pretrain_type": {"pretrain": 5},
     "grpo_data_type": {"pretrain": {"data": [1]}},
+}
+# what the message must name, for cases that pin it
+NAMED = {
+    "trainer_clip_eps": "clip_eps",
+    "data_std_type": "std",
+    "data_mean_length": "mean",
+    "data_means_type": "means",
+    "data_weights_type": "weights",
+    "tensor_name": "007.gft",
 }
 
 
@@ -226,6 +239,7 @@ BAD_GRPO = {
         "intrinsics_type",
         "extrinsics_type",
         "score_config_type",
+        "tensor_name",
         *BAD_SPECS,
         *BAD_PRETRAIN,
         *BAD_GRPO,
@@ -249,6 +263,11 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
         shutil.copytree(static_dump, dump)
         write_json(dump / "cameras.json", bad_cameras[case])
         argv = ["score", "--input", str(dump), "--out", report]
+    elif case == "tensor_name":
+        dump = tmp_path / "dump"
+        shutil.copytree(static_dump, dump)
+        os.rename(dump / "depth" / "001.gft", dump / "depth" / "007.gft")
+        argv = ["score", "--input", str(dump), "--out", report]
     elif case == "score_config_type":
         cfg = write_json(tmp_path / "cfg.json", [1])
         argv = ["score", "--input", static_dump, "--config", cfg, "--out", report]
@@ -270,8 +289,7 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    if case == "trainer_clip_eps":
-        assert "clip_eps" in err
+    assert NAMED.get(case, "") in err
 
 
 def test_score_incomplete_dump(tmp_path, capsys):

@@ -25,7 +25,69 @@ from georeward import (
     toy_scene,
     wobble_field,
 )
+from georeward import synth
 from georeward.errors import ConfigError, ShapeError
+
+
+# ---------------------------------------------------------------------------
+# texture: the channel-batched hash against the per-channel reference
+
+_M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _mix_ref(z):
+    z = (z + synth._GAMMA) & _M64
+    z = (z ^ (z >> np.uint64(30))) * synth._M1
+    z = (z ^ (z >> np.uint64(27))) * synth._M2
+    return z ^ (z >> np.uint64(31))
+
+
+def _value_noise_ref(u, v, key):
+    def hash01(ix, iy):
+        hx = _mix_ref(ix.astype(np.int64).view(np.uint64) ^ key)
+        h = _mix_ref(iy.astype(np.int64).view(np.uint64) ^ hx)
+        return (h >> np.uint64(11)).astype(np.float64) * (1.0 / 2**53)
+
+    iu, iv = np.floor(u), np.floor(v)
+    fu, fv = u - iu, v - iv
+    su = fu * fu * (3.0 - 2.0 * fu)
+    sv = fv * fv * (3.0 - 2.0 * fv)
+    c00, c10 = hash01(iu, iv), hash01(iu + 1, iv)
+    c01, c11 = hash01(iu, iv + 1), hash01(iu + 1, iv + 1)
+    top = c00 + (c10 - c00) * su
+    bot = c01 + (c11 - c01) * su
+    return top + (bot - top) * sv
+
+
+def _texture_ref(u, v, freq, seed, salt):
+    """One value-noise pass per channel and octave, summed channel by channel."""
+    out = np.zeros(u.shape + (3,))
+    with np.errstate(over="ignore"):
+        for ch in range(3):
+            acc = np.zeros_like(u)
+            amp, f = 1.0, freq
+            for octave in range(3):
+                acc += amp * _value_noise_ref(u * f, v * f, synth._key(seed, salt, octave, ch))
+                amp *= 0.5
+                f *= 2.0
+            out[..., ch] = acc / 1.75
+    return out
+
+
+@pytest.mark.parametrize("shape", [(301,), (17, 23)])
+def test_texture_matches_the_per_channel_reference(shape):
+    rng = np.random.default_rng(shape)
+    u = rng.uniform(-3e3, 3e3, shape)  # large and negative lattice indices
+    v = rng.uniform(-2.0, 2.0, shape)
+    for freq, seed, salt in ((4.0, 0, 0), (16.0, 5, 107), (0.37, -3, 2)):
+        got = synth._texture(u, v, freq, seed, salt)
+        assert got.shape == shape + (3,)
+        assert got.tobytes() == _texture_ref(u, v, freq, seed, salt).tobytes()
+    # the hash never writes to its input
+    key = u.astype(np.int64).view(np.uint64)
+    before = key.copy()
+    synth._mix(key)
+    np.testing.assert_array_equal(key, before)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +316,26 @@ def test_decode_is_deterministic():
     b = decode_latent(z, toy_scene())
     np.testing.assert_array_equal(a.image_b, b.image_b)
     np.testing.assert_array_equal(a.flow_fwd, b.flow_fwd)
+
+
+def test_decode_reuses_a_given_first_frame():
+    template = SceneSpec(
+        geometry="two_plane",
+        camera_path=(PoseSE3(np.eye(3), np.array([0.05, -0.02, 0.1])),),
+        moving_object=ObjectSpec(center=(0.1, 0.0, 1.2), size=0.3, velocity=(0.02, 0.01, 0.0)),
+    )
+    z = np.array([0.5, -0.3, 0.8, 1.0])
+    plain = decode_latent(z, template, seed=3)
+    reused = decode_latent(z, template, seed=3, frame_a=render_frame(template, 0))
+    assert plain.object_mask_a.any() and plain.object_mask_b.any()
+    for f in dataclasses.fields(plain):
+        a, b = getattr(plain, f.name), getattr(reused, f.name)
+        if isinstance(a, PoseSE3):
+            a, b = a.matrix34(), b.matrix34()
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_decode_rejects_wrong_dimension():
