@@ -88,7 +88,6 @@ from .synth import (
     ObjectSpec,
     PerturbationSpec,
     RenderedPair,
-    RenderedVideo,
     SceneSpec,
     decode_latent,
     flow_at,

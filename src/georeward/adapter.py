@@ -88,7 +88,12 @@ def write_bundle(out_dir, bundle: VideoBundle):
     _dump_json(doc, os.path.join(out_dir, "cameras.json"))
 
 
-def _load_dir(root, name, expected):
+def _load_dir(root, name, expected, shape):
+    """Load the `expected` tensors of one directory, or None if it is absent.
+
+    Every tensor must have `shape`; a None axis takes the first tensor's
+    size, so all tensors of one directory share one shape.
+    """
     d = os.path.join(root, name)
     if not os.path.isdir(d):
         return None
@@ -99,7 +104,15 @@ def _load_dir(root, name, expected):
     bad = sorted(set(names) - set(want))
     if bad:
         raise InputError(f'"{name}/" under {root} holds {bad[0]}; tensors must be named {want[0]} to {want[-1]}')
-    return [load_tensor(os.path.join(d, n)) for n in names]
+    tensors = [load_tensor(os.path.join(d, n)) for n in names]
+    first = tensors[0].shape
+    if len(first) == len(shape):
+        shape = tuple(f if s is None else s for s, f in zip(shape, first))
+    for n, t in zip(names, tensors):
+        if t.shape != shape:
+            text = "x".join("?" if s is None else str(s) for s in shape)
+            raise InputError(f'"{name}/{n}" under {root} has shape {t.shape}, expected {text}')
+    return tensors
 
 
 def _is_number(v):
@@ -151,13 +164,14 @@ def read_bundle(in_dir) -> VideoBundle:
     n = len(entries)
     if n < stride + 1:
         raise InputError(f"{n} frames cannot support flow_stride {stride}")
-    images = _load_dir(in_dir, "frames", n)
-    depths = _load_dir(in_dir, "depth", n)
-    flows_fwd = _load_dir(in_dir, "flow_fwd", n - stride)
-    flows_bwd = _load_dir(in_dir, "flow_bwd", n - stride)
-    confidences = _load_dir(in_dir, "confidence", n)
-    features = _load_dir(in_dir, "features", n)
-    dynamic = _load_dir(in_dir, "dynamic", n)
+    images = _load_dir(in_dir, "frames", n, (None, None, 3))
+    h, w, _ = images[0].shape
+    depths = _load_dir(in_dir, "depth", n, (h, w))
+    flows_fwd = _load_dir(in_dir, "flow_fwd", n - stride, (h, w, 2))
+    flows_bwd = _load_dir(in_dir, "flow_bwd", n - stride, (h, w, 2))
+    confidences = _load_dir(in_dir, "confidence", n, (h, w))
+    features = _load_dir(in_dir, "features", n, (None, None, None))
+    dynamic = _load_dir(in_dir, "dynamic", n, (h, w))
 
     images = [
         img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else np.asarray(img, dtype=np.float64)

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from ._version import __version__
-from .adapter import VideoBundle, read_bundle, write_bundle
+from .adapter import read_bundle, write_bundle
 from .errors import (
     ConfigError,
     DegeneracyError,
@@ -119,17 +119,7 @@ def cmd_score(args):
     merged.setdefault("pair_stride", bundle.flow_stride)
     cfg = _from_dict(RewardConfig, merged, "reward config")
 
-    score = score_video(
-        bundle.images,
-        bundle.depths,
-        bundle.intrinsics,
-        bundle.poses,
-        bundle.flows_fwd,
-        bundle.flows_bwd,
-        cfg,
-        confidences=bundle.confidences,
-        features=bundle.features,
-    )
+    score = score_video(bundle, cfg)
     _dump_json(score.report(cfg), args.out)
     outputs = [args.out]
 
@@ -182,24 +172,11 @@ def cmd_synth(args):
     scene = scene_from_dict(spec_doc)
     perturb_doc = _parse_perturb(args.perturb)
     perturb = perturbation_from_dict(perturb_doc)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
     with _locked_dir(args.out):
-        video = render_video(scene, perturb, seed=args.seed, stride=args.stride)
-        n = len(video.images)
-        write_bundle(
-            args.out,
-            VideoBundle(
-                images=video.images,
-                depths=video.depths,
-                flows_fwd=video.flows_fwd,
-                flows_bwd=video.flows_bwd,
-                intrinsics=[video.intrinsics] * n,
-                poses=list(video.poses),
-                flow_stride=video.stride,
-                confidences=video.confidences,
-                dynamic_masks=[m.astype(np.uint8) for m in video.object_masks],
-            ),
-        )
+        write_bundle(args.out, render_video(scene, perturb, seed=args.seed, stride=args.stride))
         config_doc = {
             "spec": spec_doc,
             "perturb": perturb_doc,
@@ -268,6 +245,8 @@ def _run_pretrain(doc):
             raise ConfigError(f"pretrain key {key} must be {kind.__name__}, got {value!r}")
     merged = dict(_DEFAULT_PRETRAIN)
     merged.update(doc)
+    if merged["seed"] < 0:
+        raise ConfigError(f"pretrain seed must be >= 0, got {merged['seed']}")
     dim = int(merged["dim"])
     rng = np.random.default_rng(merged["seed"])
     policy = init_policy(dim, int(merged["hidden"]), rng)
@@ -378,11 +357,12 @@ def cmd_metrics(args):
     started = time.monotonic()
     bundle = read_bundle(args.input)
     n = len(bundle)
-    if args.stride > n - 1:
-        raise ConfigError(f"stride {args.stride} needs at least {args.stride + 1} frames, got {n}")
-    if args.stride != bundle.flow_stride:
+    stride = bundle.flow_stride if args.stride is None else args.stride
+    if stride > n - 1:
+        raise ConfigError(f"stride {stride} needs at least {stride + 1} frames, got {n}")
+    if stride != bundle.flow_stride:
         raise ConfigError(
-            f"stride {args.stride} does not match the dump's flow_stride {bundle.flow_stride}; "
+            f"stride {stride} does not match the dump's flow_stride {bundle.flow_stride}; "
             "re-synthesize with the matching stride"
         )
 
@@ -412,7 +392,7 @@ def cmd_metrics(args):
     if warnings:
         report["warnings"] = warnings
     _dump_json(report, args.out)
-    config_doc = {"stride": args.stride, "grid_step": args.grid_step}
+    config_doc = {"stride": stride, "grid_step": args.grid_step}
     _dump_json(
         _manifest("metrics", config_doc, None, [args.input], [args.out], started),
         args.out + ".manifest.json",
@@ -458,7 +438,7 @@ def _build_parser():
 
     p = sub.add_parser("metrics", help="epipolar metrics over an adapter directory")
     p.add_argument("--input", required=True, help="adapter-layout video directory")
-    p.add_argument("--stride", type=int, default=4, help="frame gap between paired frames")
+    p.add_argument("--stride", type=int, help="frame gap between paired frames (default: the dump's flow_stride)")
     p.add_argument("--grid-step", type=int, default=8, help="correspondence lattice step")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_metrics)

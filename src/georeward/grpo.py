@@ -65,6 +65,8 @@ class TrainerConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.noise_scale < 0:
             raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def sampler(self) -> SamplerConfig:
         return SamplerConfig(steps=self.steps, noise_scale=self.noise_scale)

@@ -180,6 +180,8 @@ def fm_pretrain(policy, data_sampler, iterations, lr, rng, batch_size=128, momen
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     if lr <= 0:
         raise ConfigError(f"lr must be > 0, got {lr}")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     theta = params_vector(policy)
     vel = np.zeros_like(theta)
     losses = np.empty(iterations)

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import runtime
+from .adapter import VideoBundle
 from .camera import Intrinsics, PoseSE3, relative_transform, reproject_depth, rigid_flow
 from .errors import ConfigError, EmptyMaskError, InputError, NumericError, ShapeError
 from .grid import backward_warp, bilinear_sample
@@ -403,56 +404,46 @@ def score_pair(
     )
 
 
-def score_video(
-    images,
-    depths,
-    intrinsics,
-    poses,
-    flows_fwd,
-    flows_bwd,
-    config: RewardConfig = None,
-    *,
-    confidences=None,
-    features=None,
-):
+def score_video(video: VideoBundle, config: RewardConfig = None):
     """Score all (tau, tau + stride) pairs of a clip and average.
 
-    flows_fwd[tau] must map frame tau to frame tau + stride and flows_bwd[tau]
-    back again, so both lists hold len(images) - stride entries.
+    video.flows_fwd[tau] must map frame tau to frame tau + stride and
+    video.flows_bwd[tau] back again, so both lists hold len(video) - stride
+    entries. Confidences and feature grids are used when the video has them.
     """
     cfg = config if config is not None else RewardConfig()
-    n = len(images)
+    n = len(video)
     stride = cfg.pair_stride
     if n < stride + 1:
         raise InputError(f"need at least pair_stride + 1 = {stride + 1} frames, got {n}")
-    if not (len(depths) == len(intrinsics) == len(poses) == n):
+    if not (len(video.depths) == len(video.intrinsics) == len(video.poses) == n):
         raise InputError("frames, depths, intrinsics and poses must align")
     expected = n - stride
-    if len(flows_fwd) != expected or len(flows_bwd) != expected:
+    if len(video.flows_fwd) != expected or len(video.flows_bwd) != expected:
         raise InputError(
             f"need {expected} flow pairs for {n} frames at stride {stride}, "
-            f"got {len(flows_fwd)} forward / {len(flows_bwd)} backward"
+            f"got {len(video.flows_fwd)} forward / {len(video.flows_bwd)} backward"
         )
 
     def one(tau):
         kwargs = {}
-        if confidences is not None:
-            kwargs["confidence_a"] = confidences[tau]
-            kwargs["confidence_b"] = confidences[tau + stride]
-        if features is not None:
-            kwargs["features_a"] = features[tau]
-            kwargs["features_b"] = features[tau + stride]
+        if video.confidences is not None:
+            kwargs["confidence_a"] = video.confidences[tau]
+            kwargs["confidence_b"] = video.confidences[tau + stride]
+        if video.features is not None:
+            kwargs["features_a"] = video.features[tau]
+            kwargs["features_b"] = video.features[tau + stride]
         ps = score_pair(
-            images[tau],
-            images[tau + stride],
-            depths[tau],
-            depths[tau + stride],
-            intrinsics[tau],
-            intrinsics[tau + stride],
-            poses[tau],
-            poses[tau + stride],
-            flows_fwd[tau],
-            flows_bwd[tau],
+            video.images[tau],
+            video.images[tau + stride],
+            video.depths[tau],
+            video.depths[tau + stride],
+            video.intrinsics[tau],
+            video.intrinsics[tau + stride],
+            video.poses[tau],
+            video.poses[tau + stride],
+            video.flows_fwd[tau],
+            video.flows_bwd[tau],
             cfg,
             **kwargs,
         )

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .adapter import VideoBundle
 from .camera import Intrinsics, PoseSE3, Z_MIN
 from .errors import ConfigError, DomainError, ShapeError
 from .grid import _from_dict, _json_type_ok, bilinear_sample
@@ -577,30 +578,15 @@ def inject_perturbation(pair: RenderedPair, p: PerturbationSpec, seed: int) -> R
     )
 
 
-@dataclass
-class RenderedVideo:
-    """Per-frame tensors for a whole camera path plus GT flows at one
-    stride; the shape the directory adapter serializes."""
-
-    images: list
-    depths: list
-    flows_fwd: list
-    flows_bwd: list
-    object_masks: list
-    confidences: list
-    intrinsics: Intrinsics
-    poses: tuple
-    stride: int
-
-
-def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 0, stride: int = 1) -> RenderedVideo:
+def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 0, stride: int = 1) -> VideoBundle:
     """Render every frame of the camera path, corrupted per frame.
 
     Frame 0 always stays clean. Wobble draws a fresh field per frame (or
     per flow pair under corrupt_flow), texture drift accumulates linearly
     and the morph factor compounds geometrically, so any consecutive pair
     carries one unit of the configured corruption. Flow files at index i
-    map frame i to frame i + stride.
+    map frame i to frame i + stride; the moving quad's pixels are the
+    bundle's dynamic masks.
     """
     p = perturb if perturb is not None else PerturbationSpec()
     n = len(spec.camera_path)
@@ -631,16 +617,16 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
         flows_bwd.append(bwd)
 
     h, w = spec.resolution
-    return RenderedVideo(
+    return VideoBundle(
         images=images,
         depths=depths,
         flows_fwd=flows_fwd,
         flows_bwd=flows_bwd,
-        object_masks=masks,
+        intrinsics=[spec.intrinsics] * n,
+        poses=list(spec.camera_path),
+        flow_stride=stride,
         confidences=[np.ones((h, w)) for _ in range(n)],
-        intrinsics=spec.intrinsics,
-        poses=spec.camera_path,
-        stride=stride,
+        dynamic_masks=masks,
     )
 
 

@@ -2,12 +2,24 @@
 
 import json
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from georeward import Intrinsics, PoseSE3, VideoBundle, read_bundle, save_tensor, write_bundle
+from georeward import (
+    Intrinsics,
+    ObjectSpec,
+    PerturbationSpec,
+    PoseSE3,
+    SceneSpec,
+    VideoBundle,
+    read_bundle,
+    render_video,
+    save_tensor,
+    write_bundle,
+)
 from georeward.errors import InputError
 
 K = Intrinsics(fx=40.0, fy=40.0, cx=8.0, cy=6.0)
@@ -56,6 +68,34 @@ def test_round_trip(tmp_path):
     for i in range(2):
         np.testing.assert_array_equal(back.flows_fwd[i], bundle.flows_fwd[i])
         np.testing.assert_array_equal(back.flows_bwd[i], bundle.flows_bwd[i])
+
+
+def test_rendered_video_round_trip(tmp_path):
+    # render_video's bundle is what synth writes; reading the dump back
+    # returns it, with frames at f32 precision
+    spec = SceneSpec(
+        geometry="two_plane",
+        camera_path=tuple(PoseSE3(np.eye(3), np.array([0.05 * i, 0.0, 0.0])) for i in range(3)),
+        moving_object=ObjectSpec(center=(0.0, 0.0, 1.5), size=0.5, velocity=(0.0, 0.03, 0.0)),
+    )
+    video = render_video(spec, PerturbationSpec(wobble_px=1.0, depth_noise_rel=0.05), seed=3)
+    write_bundle(tmp_path / "v", video)
+    back = read_bundle(tmp_path / "v")
+    assert len(back) == len(video) == 3
+    assert back.flow_stride == video.flow_stride == 1
+    assert back.features is None and video.features is None
+    assert any(m.any() for m in video.dynamic_masks)
+    for i in range(3):
+        np.testing.assert_array_equal(back.images[i], video.images[i].astype(np.float32).astype(np.float64))
+        np.testing.assert_array_equal(back.depths[i], video.depths[i])
+        np.testing.assert_array_equal(back.confidences[i], video.confidences[i])
+        np.testing.assert_array_equal(back.dynamic_masks[i], video.dynamic_masks[i])
+        assert back.dynamic_masks[i].dtype == video.dynamic_masks[i].dtype == bool
+        assert back.intrinsics[i] == video.intrinsics[i]
+        np.testing.assert_array_equal(back.poses[i].t, video.poses[i].t)
+    for i in range(2):
+        np.testing.assert_array_equal(back.flows_fwd[i], video.flows_fwd[i])
+        np.testing.assert_array_equal(back.flows_bwd[i], video.flows_bwd[i])
 
 
 def test_optional_directories_default_to_none(tmp_path):
@@ -158,4 +198,25 @@ def test_camera_entry_validation(tmp_path):
     write_bundle(tmp_path / "v", make_bundle(with_optional=False))
     _edit_cameras(tmp_path / "v", lambda d: d.update(cameras=[]))
     with pytest.raises(InputError, match="non-empty"):
+        read_bundle(tmp_path / "v")
+
+
+@pytest.mark.parametrize(
+    "name,shape",
+    [
+        ("frames/001.gft", (12, 16)),
+        ("frames/002.gft", (12, 8, 3)),
+        ("depth/000.gft", (12, 16, 1)),
+        ("flow_fwd/001.gft", (12, 16, 3)),
+        ("flow_bwd/000.gft", (16, 12, 2)),
+        ("confidence/002.gft", (6, 16)),
+        ("dynamic/001.gft", (12, 15)),
+        ("features/000.gft", (3, 20)),
+        ("features/002.gft", (3, 4, 6)),
+    ],
+)
+def test_tensor_shape_mismatch(tmp_path, name, shape):
+    write_bundle(tmp_path / "v", make_bundle())
+    save_tensor(np.zeros(shape), str(tmp_path / "v" / name))
+    with pytest.raises(InputError, match=f'"{name}" under .* has shape {re.escape(str(shape))}'):
         read_bundle(tmp_path / "v")

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from georeward import load_policy, load_tensor, params_vector
+from georeward import load_policy, load_tensor, params_vector, save_tensor
 from georeward.cli import main
 
 
@@ -203,6 +203,7 @@ BAD_SPECS = {
     "scene_resolution_type": {"resolution": "ab"},
     "scene_frames_type": {"camera_path": {"kind": "linear", "frames": "x"}},
     "scene_intrinsics_keys": {"intrinsics": {"fx": 1}},
+    "synth_negative_seed": {"camera_path": STATIC_PATH},
 }
 BAD_PRETRAIN = {
     "pretrain_list": [1],
@@ -212,12 +213,21 @@ BAD_PRETRAIN = {
     "data_mean_length": {"data": {"kind": "normal", "mean": [1, 2]}},
     "data_means_type": {"data": {"kind": "coordinate_mixture", "means": "ab"}},
     "data_weights_type": {"data": {"kind": "coordinate_mixture", "means": [1.0], "weights": "x"}},
+    "pretrain_negative_seed": {"seed": -3},
+    "pretrain_batch_size": {"batch_size": 0, "iterations": 2},
 }
 BAD_GRPO = {
     "trainer_field_type": {"trainer": {"group_size": "4"}},
     "trainer_clip_eps": {"trainer": {"clip_eps": 0.001}},
     "grpo_pretrain_type": {"pretrain": 5},
     "grpo_data_type": {"pretrain": {"data": [1]}},
+    "trainer_negative_seed": {"trainer": {"seed": -1}},
+}
+# one tensor of a copy of the 48x64 static dump swapped for a 32x32 one,
+# then read by the given subcommand
+BAD_SHAPES = {
+    "dynamic_shape": (["metrics", "--stride", "1"], "dynamic/000.gft", (32, 32), np.uint8),
+    "frame_shape": (["score"], "frames/001.gft", (32, 32, 3), np.float32),
 }
 # what the message must name, for cases that pin it
 NAMED = {
@@ -227,6 +237,12 @@ NAMED = {
     "data_means_type": "means",
     "data_weights_type": "weights",
     "tensor_name": "007.gft",
+    "dynamic_shape": "dynamic/000.gft",
+    "frame_shape": "frames/001.gft",
+    "synth_negative_seed": "seed",
+    "trainer_negative_seed": "seed",
+    "pretrain_negative_seed": "seed",
+    "pretrain_batch_size": "batch_size",
 }
 
 
@@ -243,6 +259,7 @@ NAMED = {
         *BAD_SPECS,
         *BAD_PRETRAIN,
         *BAD_GRPO,
+        *BAD_SHAPES,
         "policy_manifest_list",
     ],
 )
@@ -268,12 +285,20 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
         shutil.copytree(static_dump, dump)
         os.rename(dump / "depth" / "001.gft", dump / "depth" / "007.gft")
         argv = ["score", "--input", str(dump), "--out", report]
+    elif case in BAD_SHAPES:
+        command, name, shape, dtype = BAD_SHAPES[case]
+        dump = tmp_path / "dump"
+        shutil.copytree(static_dump, dump)
+        save_tensor(np.zeros(shape, dtype=dtype), str(dump / name))
+        argv = command + ["--input", str(dump), "--out", report]
     elif case == "score_config_type":
         cfg = write_json(tmp_path / "cfg.json", [1])
         argv = ["score", "--input", static_dump, "--config", cfg, "--out", report]
     elif case in BAD_SPECS:
         spec = write_json(tmp_path / "spec.json", BAD_SPECS[case])
         argv = ["synth", "--spec", spec, "--out", out]
+        if case == "synth_negative_seed":
+            argv += ["--seed", "-1", "--perturb", "depth_noise_rel=0.1"]
     elif case in BAD_PRETRAIN:
         cfg = write_json(tmp_path / "cfg.json", BAD_PRETRAIN[case])
         argv = ["pretrain", "--config", cfg, "--out", out]
@@ -426,8 +451,11 @@ def test_metrics_epipolar_floor(trans_dump, tmp_path):
 
 
 def test_metrics_stride_validation(static_dump, tmp_path, capsys):
-    # default stride is 4; a 3-frame dump cannot support it
+    # the default stride is the dump's flow_stride
     assert main(["metrics", "--input", static_dump,
+                 "--out", str(tmp_path / "m.json")]) == 0
+    # a 3-frame dump cannot support stride 4
+    assert main(["metrics", "--input", static_dump, "--stride", "4",
                  "--out", str(tmp_path / "m.json")]) == 2
     assert "at least 5 frames" in capsys.readouterr().err
     assert main(["metrics", "--input", static_dump, "--stride", "2",

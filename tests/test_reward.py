@@ -1,5 +1,7 @@
 """Pair scoring: error maps, quality aggregation, feature term, video mean."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -354,19 +356,6 @@ def test_flow_mode_depth_warp_runs(static_scene, score_rendered):
 # ---------------------------------------------------------------------------
 # score_video
 
-def _video_args(video):
-    n = len(video.images)
-    return dict(
-        images=video.images,
-        depths=video.depths,
-        intrinsics=[video.intrinsics] * n,
-        poses=list(video.poses),
-        flows_fwd=video.flows_fwd,
-        flows_bwd=video.flows_bwd,
-        confidences=video.confidences,
-    )
-
-
 def _walking_scene(step, frames):
     path = tuple(
         PoseSE3(np.eye(3), np.array([step * i, 0.0, 0.0])) for i in range(frames)
@@ -376,7 +365,7 @@ def _walking_scene(step, frames):
 
 def test_video_mean_of_pair_scores():
     video = render_video(_walking_scene(0.1, 3))
-    vs = score_video(config=RewardConfig(), **_video_args(video))
+    vs = score_video(video, RewardConfig())
     assert len(vs.pair_scores) == 2
     rs = [p.r_pair for p in vs.pair_scores]
     assert vs.r_video == pytest.approx(float(np.mean(rs)), abs=1e-15)
@@ -385,7 +374,7 @@ def test_video_mean_of_pair_scores():
 def test_video_report_shape():
     video = render_video(_walking_scene(0.0, 3))
     cfg = RewardConfig()
-    report = score_video(config=cfg, **_video_args(video)).report(cfg)
+    report = score_video(video, cfg).report(cfg)
     assert set(report) == {"pairs", "r_video", "config"}
     assert [p["tau"] for p in report["pairs"]] == [0, 1]
     assert abs(report["r_video"]) < 1e-9
@@ -395,7 +384,7 @@ def test_video_report_shape():
 def test_video_stride_pairs_against_direct_pair_score(score_rendered):
     spec = _walking_scene(0.05, 3)
     video = render_video(spec, stride=2)
-    vs = score_video(config=RewardConfig(pair_stride=2), **_video_args(video))
+    vs = score_video(video, RewardConfig(pair_stride=2))
     direct = score_rendered(render_pair(spec, 0, stride=2))
     assert len(vs.pair_scores) == 1
     assert vs.pair_scores[0].r_pair == direct.r_pair
@@ -403,17 +392,14 @@ def test_video_stride_pairs_against_direct_pair_score(score_rendered):
 
 def test_video_flow_count_mismatch():
     video = render_video(_walking_scene(0.0, 3))
-    args = _video_args(video)
-    args["flows_fwd"] = args["flows_fwd"][:1]
+    video = dataclasses.replace(video, flows_fwd=video.flows_fwd[:1])
     with pytest.raises(InputError):
-        score_video(config=RewardConfig(), **args)
+        score_video(video, RewardConfig())
 
 
 def test_video_too_few_frames(static_scene):
     video = render_video(static_scene)
-    args = _video_args(video)
-    for key in ("images", "depths", "confidences", "poses", "intrinsics"):
-        args[key] = args[key][:1]
-    args["flows_fwd"], args["flows_bwd"] = [], []
+    short = {key: getattr(video, key)[:1] for key in ("images", "depths", "confidences", "poses", "intrinsics")}
+    video = dataclasses.replace(video, flows_fwd=[], flows_bwd=[], **short)
     with pytest.raises(InputError):
-        score_video(config=RewardConfig(pair_stride=2), **args)
+        score_video(video, RewardConfig(pair_stride=2))

@@ -286,7 +286,7 @@ def test_video_shapes_and_stride(static_scene):
     video = render_video(spec, stride=2)
     assert len(video.images) == 4
     assert len(video.flows_fwd) == 2
-    assert video.stride == 2
+    assert video.flow_stride == 2
     with pytest.raises(ConfigError):
         render_video(spec, stride=4)
 
