@@ -35,9 +35,6 @@ class Intrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise DomainError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
-    def as_vector(self):
-        return np.array([self.fx, self.fy, self.cx, self.cy], dtype=np.float64)
-
 
 def _check_rotation(r, what):
     r = np.asarray(r, dtype=np.float64)

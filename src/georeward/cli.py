@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -26,6 +27,7 @@ from .errors import (
     DegeneracyError,
     GeoRewardError,
     InputError,
+    InsufficientDataError,
     NumericError,
     TrainingError,
 )
@@ -110,14 +112,14 @@ def cmd_score(args):
     config_doc = _load_json(args.config) if args.config else {}
     if not isinstance(config_doc, dict):
         raise ConfigError(f"reward config must be a JSON object, got {type(config_doc).__name__}")
-    if "pair_stride" in config_doc and config_doc["pair_stride"] != bundle.flow_stride:
-        raise ConfigError(
-            f"config pair_stride {config_doc['pair_stride']} does not match "
-            f"the dump's flow_stride {bundle.flow_stride}"
-        )
     merged = dict(config_doc)
     merged.setdefault("pair_stride", bundle.flow_stride)
     cfg = _from_dict(RewardConfig, merged, "reward config")
+    if cfg.pair_stride != bundle.flow_stride:
+        raise ConfigError(
+            f"config pair_stride {cfg.pair_stride} does not match "
+            f"the dump's flow_stride {bundle.flow_stride}"
+        )
 
     score = score_video(bundle, cfg)
     _dump_json(score.report(cfg), args.out)
@@ -263,10 +265,16 @@ def _run_pretrain(doc):
     return policy, losses, merged
 
 
+def _finite_or_null(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_metric_rows(rows, path):
+    """One strict-JSON object per line; non-finite floats are written as null."""
     with open(path, "w") as f:
         for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+            row = {k: _finite_or_null(v) for k, v in row.items()}
+            f.write(json.dumps(row, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_pretrain(args):
@@ -373,13 +381,12 @@ def cmd_metrics(args):
         static = None
         if bundle.dynamic_masks is not None:
             static = ~(bundle.dynamic_masks[i] | bundle.dynamic_masks[i + bundle.flow_stride])
-        corr = sample_correspondences(flow, args.grid_step, static)
         try:
-            f_hat = eight_point(corr)
-        except DegeneracyError as exc:
+            corr = sample_correspondences(flow, args.grid_step, static)
+            res = sampson_error(eight_point(corr), corr)
+        except (DegeneracyError, InsufficientDataError) as exc:
             warnings.append(f"pair {i}: {exc}")
             continue
-        res = sampson_error(f_hat, corr)
         all_errors.append(res.errors)
         skipped += res.skipped
 

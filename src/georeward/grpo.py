@@ -74,13 +74,10 @@ class TrainerConfig:
 
 @dataclass
 class PolicySnapshot:
-    """Flat parameter vectors for the four policy roles, plus a blueprint
-    instance that fixes the layer shapes. theta_ref is the frozen KL
-    anchor; theta_ema only ever moves by the EMA rule."""
+    """Flat live and EMA parameter vectors, plus a blueprint instance that
+    fixes the layer shapes. theta_ema only ever moves by the EMA rule."""
 
     theta: np.ndarray
-    theta_old: np.ndarray
-    theta_ref: np.ndarray
     theta_ema: np.ndarray
     blueprint: VelocityPolicy
 
@@ -89,20 +86,20 @@ class PolicySnapshot:
         v = params_vector(policy)
         return cls(
             theta=v.copy(),
-            theta_old=v.copy(),
-            theta_ref=v.copy(),
             theta_ema=v.copy(),
             blueprint=policy,
         )
 
     def policy_old(self) -> VelocityPolicy:
-        return with_params(self.blueprint, self.theta_old)
+        """The sampling policy; on-policy, so it is the live theta."""
+        return with_params(self.blueprint, self.theta)
 
 
 @dataclass
 class GroupRollout:
     """One sampled group: initial noise per member, frozen trajectories
-    under theta_old, terminal latents, and their rewards/advantages."""
+    under the sampling policy, terminal latents, and their
+    rewards/advantages."""
 
     eps_init: list
     trajectories: list
@@ -149,7 +146,8 @@ def group_advantages(rewards):
 def sample_group(
     snapshot: PolicySnapshot, template, config: TrainerConfig, rng, reward_config=None, *, frame_a=None
 ):
-    """Roll out one group under theta_old and score the terminal decodes.
+    """Roll out one group under snapshot.policy_old() and score the
+    terminal decodes.
 
     eps_init is drawn from rng first (one shared draw when sync_noise, G
     draws otherwise); per-member SDE noise then comes from rng.spawn(G), so
@@ -229,7 +227,7 @@ def surrogate_loss(policy, policy_ref, group, config: TrainerConfig):
     grad = -mean_{i, k < M} Â_i ∇ log pi_theta(x_next | x_t) + kl_beta ∇ KL
 
     `policy` must be the policy that sampled the group (train() passes
-    theta_old = theta): there the likelihood-ratio surrogate has exactly
+    snapshot.policy_old()): there the likelihood-ratio surrogate has exactly
     this value and gradient. Gradient reaches the parameters only through
     v_theta at the stored (x_t, t), via the drift factor
     dmean/dv = -dt (1 + sigma² (1 - t) / (2t)). Returns (loss, grad, stats)
@@ -268,14 +266,14 @@ class TrainResult:
 
 
 def train(config: TrainerConfig, pretrained: VelocityPolicy, template, reward_config=None):
-    """Run the full loop: per iteration snapshot theta_old <- theta, sample
-    one group, take one on-policy gradient step, update the EMA.
-    Deterministic in (config, pretrained, template). A non-finite loss or
-    gradient aborts with the last finite policy attached to the error.
+    """Run the full loop: per iteration sample one group under theta, take
+    one on-policy gradient step with a KL anchor to `pretrained`, update
+    the EMA. Deterministic in (config, pretrained, template). A non-finite
+    loss or gradient aborts with the last finite policy attached to the
+    error.
     """
     snap = PolicySnapshot.from_policy(pretrained)
     rc = reward_config if reward_config is not None else RewardConfig()
-    ref_policy = with_params(pretrained, snap.theta_ref)
     # The first decoded frame does not depend on the latent: shade it once
     # and share it, read-only, with every decode of the run.
     frame_a = render_frame(template, 0)
@@ -284,11 +282,11 @@ def train(config: TrainerConfig, pretrained: VelocityPolicy, template, reward_co
     metrics = []
     for it in range(config.iterations):
         rng = np.random.default_rng([config.seed, it])
-        snap.theta_old = snap.theta.copy()
         policy_old = snap.policy_old()
         group = sample_group(snap, template, config, rng, reward_config=rc, frame_a=frame_a)
-        loss, grad, stats = surrogate_loss(policy_old, ref_policy, group, config)
-        grad_norm = float(np.linalg.norm(grad))
+        loss, grad, stats = surrogate_loss(policy_old, pretrained, group, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad_norm = float(np.linalg.norm(grad))
         row = {
             "iter": it,
             "reward_mean": float(group.rewards.mean()),
@@ -300,7 +298,7 @@ def train(config: TrainerConfig, pretrained: VelocityPolicy, template, reward_co
         if not (np.isfinite(loss) and np.isfinite(grad_norm)):
             raise TrainingError(
                 f"non-finite surrogate at iteration {it}",
-                last_good=with_params(pretrained, snap.theta_old),
+                last_good=policy_old,
                 metrics=metrics,
             )
         snap.theta = snap.theta - config.lr * grad

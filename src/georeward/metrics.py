@@ -21,7 +21,6 @@ class CorrespondenceSet:
 
     uv_a: np.ndarray
     uv_b: np.ndarray
-    source: str = "flow-sampled"
 
     def __post_init__(self):
         self.uv_a = np.asarray(self.uv_a, dtype=np.float64)
@@ -67,8 +66,8 @@ def sample_correspondences(flow_fwd, grid_step, static_mask=None) -> Corresponde
         if mask.shape != (h, w):
             raise ShapeError(f"static mask shape {mask.shape} does not match flow {flow.shape[:2]}")
         keep &= mask[ys, xs]
-        bx = np.clip(np.rint(uv_b[:, 0]).astype(int), 0, w - 1)
-        by = np.clip(np.rint(uv_b[:, 1]).astype(int), 0, h - 1)
+        bx = np.clip(np.rint(uv_b[:, 0]), 0, w - 1).astype(int)
+        by = np.clip(np.rint(uv_b[:, 1]), 0, h - 1).astype(int)
         keep &= mask[by, bx]
     if int(keep.sum()) < 8:
         raise InsufficientDataError(

@@ -215,7 +215,7 @@ class PerturbationSpec:
 
 @dataclass
 class RenderedPair:
-    """Everything the pair scorer consumes, plus oracle-only masks."""
+    """Everything the pair scorer consumes, plus the oracle's object masks."""
 
     image_a: np.ndarray
     image_b: np.ndarray
@@ -223,8 +223,6 @@ class RenderedPair:
     depth_b: np.ndarray
     flow_fwd: np.ndarray
     flow_bwd: np.ndarray
-    flow_valid_fwd: np.ndarray
-    flow_valid_bwd: np.ndarray
     object_mask_a: np.ndarray
     object_mask_b: np.ndarray
     intrinsics: Intrinsics
@@ -368,8 +366,8 @@ def render_frame(spec: SceneSpec, frame: int):
 def _correspond(spec, frame_a, frame_b, points, surf_id):
     """Project frame-a hit points into frame b, moving object points rigidly.
 
-    Returns (uv_b, flow-capable mask, moved world points). The mask drops
-    points that land behind (or numerically at) the frame-b camera plane.
+    Returns (uv_b, flow-capable mask). The mask drops points that land
+    behind (or numerically at) the frame-b camera plane.
     """
     moved = points.copy()
     obj = spec.moving_object
@@ -382,43 +380,23 @@ def _correspond(spec, frame_a, frame_b, points, surf_id):
     z = np.where(ok, cam[..., 2], 1.0)
     k = spec.intrinsics
     uv = np.stack([k.fx * cam[..., 0] / z + k.cx, k.fy * cam[..., 1] / z + k.cy], axis=-1)
-    return uv, ok, moved
-
-
-def _visible(spec, frame, points_world):
-    """True where a world point is the nearest surface along its view ray."""
-    pose = spec.camera_path[frame]
-    c = _camera_center(pose)
-    offset = points_world - c
-    # camera-frame z equals the ray parameter for unit-z rays; compare it
-    # against the nearest hit along the same ray
-    s_target = points_world @ pose.r[2] + pose.t[2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dirs = offset / np.where(s_target[..., None] == 0.0, 1.0, s_target[..., None])
-    hits = _surface_hits(spec, frame, c, dirs)
-    nearest = np.full(s_target.shape, np.inf)
-    for _, s, ok in hits:
-        nearest = np.minimum(nearest, np.where(ok, s, np.inf))
-    tol = 1e-9 * (1.0 + np.abs(s_target))
-    return (s_target > Z_MIN) & (s_target <= nearest + tol)
+    return uv, ok
 
 
 def flow_at(spec: SceneSpec, frame_a: int, frame_b: int, xy):
     """Exact flow from frame_a to frame_b at continuous pixel coordinates.
 
-    Returns (flow, visible): visible is False where the corresponded point
-    is occluded in frame_b or falls behind its camera. Evaluated on the
-    pixel lattice it gives the ground-truth flow grids.
+    The flow is zero where the corresponded point falls behind the frame_b
+    camera; occlusion is not checked. Evaluated on the pixel lattice it
+    gives the ground-truth flow grids.
     """
     pts = np.asarray(xy, dtype=np.float64)
     if pts.shape[-1] != 2:
         raise ShapeError(f"coordinates must end in an (x, y) axis, got {pts.shape}")
     xs, ys = pts[..., 0], pts[..., 1]
     points, _, surf = _trace(spec, frame_a, xs, ys)
-    uv_b, ok, moved = _correspond(spec, frame_a, frame_b, points, surf)
-    vis = ok & _visible(spec, frame_b, moved)
-    flow = np.where(ok[..., None], uv_b - pts, 0.0)
-    return flow, vis
+    uv_b, ok = _correspond(spec, frame_a, frame_b, points, surf)
+    return np.where(ok[..., None], uv_b - pts, 0.0)
 
 
 def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=None) -> RenderedPair:
@@ -438,8 +416,8 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=N
     image_a, depth_a, obj_a = render_frame(spec, fa) if frame_a is None else frame_a
     image_b, depth_b, obj_b = render_frame(spec, fb)
     uv = np.stack(_pixel_grid(spec), axis=-1)
-    flow_fwd, valid_fwd = flow_at(spec, fa, fb, uv)
-    flow_bwd, valid_bwd = flow_at(spec, fb, fa, uv)
+    flow_fwd = flow_at(spec, fa, fb, uv)
+    flow_bwd = flow_at(spec, fb, fa, uv)
     h, w = spec.resolution
     return RenderedPair(
         image_a=image_a,
@@ -448,8 +426,6 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=N
         depth_b=depth_b,
         flow_fwd=flow_fwd,
         flow_bwd=flow_bwd,
-        flow_valid_fwd=valid_fwd,
-        flow_valid_bwd=valid_bwd,
         object_mask_a=obj_a,
         object_mask_b=obj_b,
         intrinsics=spec.intrinsics,
@@ -609,8 +585,8 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     flows_fwd, flows_bwd = [], []
     for a in range(n - stride):
         b = a + stride
-        fwd, _ = flow_at(spec, a, b, uv)
-        bwd, _ = flow_at(spec, b, a, uv)
+        fwd = flow_at(spec, a, b, uv)
+        bwd = flow_at(spec, b, a, uv)
         if p.wobble_px > 0 and p.corrupt_flow:
             fwd = fwd + wobble_field(fwd.shape[:2], p.wobble_px, seed, salt=11 + b)
         flows_fwd.append(fwd)

@@ -10,7 +10,6 @@ import pytest
 
 from georeward import (
     Intrinsics,
-    ObjectSpec,
     PerturbationSpec,
     PoseSE3,
     SceneSpec,
@@ -21,6 +20,7 @@ from georeward import (
     write_bundle,
 )
 from georeward.errors import InputError
+from georeward.synth import ObjectSpec
 
 K = Intrinsics(fx=40.0, fy=40.0, cx=8.0, cy=6.0)
 

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from georeward import (
-    Intrinsics,
-    PoseSE3,
-    project,
-    relative_transform,
-    reproject_depth,
-    rigid_flow,
-    unproject,
-)
+from georeward import Intrinsics, PoseSE3, project
+from georeward.camera import relative_transform, reproject_depth, rigid_flow, unproject
 from georeward.errors import DomainError
 
 K100 = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0)
@@ -33,10 +26,6 @@ def test_intrinsics_reject_nonpositive_focal():
         Intrinsics(fx=0.0, fy=100.0, cx=50.0, cy=50.0)
     with pytest.raises(DomainError):
         Intrinsics(fx=100.0, fy=-1.0, cx=50.0, cy=50.0)
-
-
-def test_intrinsics_vector_order():
-    np.testing.assert_array_equal(K100.as_vector(), [100.0, 100.0, 50.0, 50.0])
 
 
 def test_pose_rejects_non_rotation():

@@ -3,12 +3,14 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from georeward import load_policy, load_tensor, params_vector, save_tensor
+from georeward import load_tensor, params_vector, save_tensor
 from georeward.cli import main
+from georeward.policy import load_policy
 
 
 def write_json(path, doc):
@@ -22,9 +24,14 @@ def read_json(path):
         return json.load(f)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def read_lines(path):
+    """Parse a JSON-lines file strictly: NaN and Infinity are rejected."""
     with open(path) as f:
-        return [json.loads(line) for line in f]
+        return [json.loads(line, parse_constant=_reject_constant) for line in f]
 
 
 STATIC_PATH = {"kind": "linear", "velocity": [0.0, 0.0, 0.0], "frames": 3}
@@ -98,9 +105,9 @@ def test_synth_is_deterministic(tmp_path):
         outs.append(out)
     for sub in ("frames", "depth", "flow_fwd", "flow_bwd", "confidence", "dynamic"):
         for fname in sorted(os.listdir(os.path.join(outs[0], sub))):
-            pair = [open(os.path.join(o, sub, fname), "rb").read() for o in outs]
+            pair = [Path(o, sub, fname).read_bytes() for o in outs]
             assert pair[0] == pair[1], f"{sub}/{fname} differs between identical runs"
-    cams = [open(os.path.join(o, "cameras.json"), "rb").read() for o in outs]
+    cams = [Path(o, "cameras.json").read_bytes() for o in outs]
     assert cams[0] == cams[1]
     manifests = [read_json(os.path.join(o, "manifest.json")) for o in outs]
     for m in manifests:
@@ -197,6 +204,10 @@ def test_score_rejects_bad_config(static_dump, tmp_path, capsys):
 
 
 # documents that are valid JSON of the wrong shape or type, by subcommand
+BAD_SCORE_CONFIGS = {
+    "score_config_type": [1],
+    "score_pair_stride_type": {"pair_stride": "1"},
+}
 BAD_SPECS = {
     "scene_depth_type": {"depth": "a"},
     "scene_object_type": {"moving_object": [1]},
@@ -243,6 +254,7 @@ NAMED = {
     "trainer_negative_seed": "seed",
     "pretrain_negative_seed": "seed",
     "pretrain_batch_size": "batch_size",
+    "score_pair_stride_type": "must be int",
 }
 
 
@@ -254,7 +266,7 @@ NAMED = {
         "flow_stride_type",
         "intrinsics_type",
         "extrinsics_type",
-        "score_config_type",
+        *BAD_SCORE_CONFIGS,
         "tensor_name",
         *BAD_SPECS,
         *BAD_PRETRAIN,
@@ -291,8 +303,8 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
         shutil.copytree(static_dump, dump)
         save_tensor(np.zeros(shape, dtype=dtype), str(dump / name))
         argv = command + ["--input", str(dump), "--out", report]
-    elif case == "score_config_type":
-        cfg = write_json(tmp_path / "cfg.json", [1])
+    elif case in BAD_SCORE_CONFIGS:
+        cfg = write_json(tmp_path / "cfg.json", BAD_SCORE_CONFIGS[case])
         argv = ["score", "--input", static_dump, "--config", cfg, "--out", report]
     elif case in BAD_SPECS:
         spec = write_json(tmp_path / "spec.json", BAD_SPECS[case])
@@ -421,7 +433,10 @@ def test_grpo_divergence_leaves_last_good(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
     rescued = load_policy(str(out / "checkpoint_last_good"))
     assert np.isfinite(params_vector(rescued)).all()
-    assert len(read_lines(out / "metrics.jsonl")) >= 2
+    rows = read_lines(out / "metrics.jsonl")
+    assert len(rows) >= 2
+    # the diverged row keeps its keys; its non-finite values are null
+    assert None in rows[-1].values()
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +463,22 @@ def test_metrics_epipolar_floor(trans_dump, tmp_path):
     assert report["pairs"] > 0
     assert report["sampson_mean"] < 1e-10
     assert report["dynamic_degree"] > 1.0
+
+
+def test_metrics_skips_pairs_without_enough_correspondences(trans_dump, tmp_path):
+    # a huge flow sends every lattice point of pair 0 out of frame; the pair
+    # is listed under warnings and pair 1 is still scored
+    dump = tmp_path / "dump"
+    shutil.copytree(trans_dump, dump)
+    flow_path = str(dump / "flow_fwd" / "000.gft")
+    save_tensor(load_tensor(flow_path) * np.float32(1e20), flow_path)
+    report_path = str(tmp_path / "m.json")
+    assert main(["metrics", "--input", str(dump), "--out", report_path]) == 0
+    report = read_json(report_path)
+    assert len(report["warnings"]) == 1
+    assert report["warnings"][0].startswith("pair 0:")
+    assert report["pairs"] > 0
+    assert report["sampson_mean"] < 1e-10
 
 
 def test_metrics_stride_validation(static_dump, tmp_path, capsys):

@@ -116,7 +116,8 @@ def _mutate_tensor(path, rng):
         factor = float(rng.choice([-1.0, 0.0, 1e-300, 1e150, 1e300]))
         save_tensor(np.clip(arr.astype(np.float64) * factor, -1e300, 1e300), path)
     else:
-        blob = bytearray(open(path, "rb").read())
+        with open(path, "rb") as f:
+            blob = bytearray(f.read())
         if kind == "header":
             blob[rng.integers(8 + 8 * arr.ndim)] = rng.integers(256)
         else:

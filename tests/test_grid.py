@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from georeward import backward_warp, bilinear_sample, load_tensor, save_tensor
+from georeward import load_tensor, save_tensor
 from georeward.errors import FormatError, GridTypeError, NumericError, ShapeError
+from georeward.grid import backward_warp, bilinear_sample
 
 
 def ramp(h, w):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from georeward import (
-    GroupRollout,
     PolicySnapshot,
     TrainerConfig,
     fm_pretrain,
@@ -18,11 +17,11 @@ from georeward import (
     surrogate_loss,
     toy_scene,
     train,
-    transition_logprob,
-    transition_mean,
     with_params,
 )
 from georeward.errors import ConfigError, TrainingError
+from georeward.grpo import GroupRollout
+from georeward.policy import transition_logprob, transition_mean
 
 
 @pytest.fixture(scope="module")
@@ -112,13 +111,6 @@ def test_advantages_need_a_group():
 
 # ---------------------------------------------------------------------------
 # snapshots and groups
-
-def test_snapshot_reference_is_frozen(pretrained):
-    snap = PolicySnapshot.from_policy(pretrained)
-    snap.theta += 1.0
-    np.testing.assert_array_equal(snap.theta_ref, params_vector(pretrained))
-    assert not np.array_equal(snap.theta, snap.theta_ref)
-
 
 def test_sample_group_shapes(pretrained):
     cfg = small_config()
@@ -224,9 +216,9 @@ def test_window_truncation_is_exact(pretrained):
 
 
 def test_first_update_matches_vanilla_policy_gradient(pretrained):
-    # at theta = theta_old the clipped surrogate's gradient must equal the
-    # plain REINFORCE estimator on the same window; checked by central
-    # differences of L(theta) = -mean(adv * logp_theta)
+    # on policy, the surrogate's gradient must equal the plain REINFORCE
+    # estimator on the same window; checked by central differences of
+    # L(theta) = -mean(adv * logp_theta)
     snap = PolicySnapshot.from_policy(pretrained)
     cfg = small_config(steps=4, grad_window=2, kl_beta=0.0)
     group = make_group(snap, cfg)
@@ -288,6 +280,15 @@ def test_train_ema_trails_the_policy(pretrained):
     move_pol = np.linalg.norm(params_vector(res.policy) - theta0)
     move_ema = np.linalg.norm(params_vector(res.ema_policy) - theta0)
     assert 0.0 < move_ema < move_pol
+
+
+def test_train_leaves_the_kl_anchor_unchanged(pretrained):
+    # train() passes `pretrained` itself as the KL reference, so it must
+    # never write into that policy's parameters
+    before = params_vector(pretrained)
+    res = train(small_config(iterations=3), pretrained, toy_scene())
+    np.testing.assert_array_equal(params_vector(pretrained), before)
+    assert not np.array_equal(params_vector(res.policy), before)
 
 
 def test_zero_lr_never_moves_and_stays_flat(pretrained):

@@ -7,21 +7,20 @@ from georeward import (
     CorrespondenceSet,
     Intrinsics,
     PoseSE3,
-    dynamic_degree,
     eight_point,
     fundamental_from_pose,
     project,
-    relative_transform,
     render_pair,
-    sample_correspondences,
     sampson_error,
 )
+from georeward.camera import relative_transform
 from georeward.errors import (
     DegeneracyError,
     InputError,
     InsufficientDataError,
     ShapeError,
 )
+from georeward.metrics import dynamic_degree, sample_correspondences
 
 K = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0)
 

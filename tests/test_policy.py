@@ -7,20 +7,12 @@ import numpy as np
 import pytest
 
 from georeward import (
-    SamplerConfig,
-    VelocityPolicy,
     fm_pretrain,
     init_policy,
-    interpolate,
-    load_policy,
     params_vector,
     rollout,
-    save_policy,
     sde_step,
-    sigma_schedule,
     time_grid,
-    transition_logprob,
-    transition_mean,
     velocity,
     velocity_grad,
     with_params,
@@ -31,6 +23,16 @@ from georeward.errors import (
     NumericError,
     ShapeError,
     TrainingError,
+)
+from georeward.policy import (
+    SamplerConfig,
+    VelocityPolicy,
+    interpolate,
+    load_policy,
+    save_policy,
+    sigma_schedule,
+    transition_logprob,
+    transition_mean,
 )
 
 

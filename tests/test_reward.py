@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from georeward import (
-    HOLE_SENTINEL,
     PoseSE3,
     RewardConfig,
     SceneSpec,
     geo_quality,
     normalized_epe,
     pair_reward,
-    r_dino,
-    r_geo,
-    reference_features,
     relative_depth_error,
     render_pair,
     render_video,
@@ -29,6 +25,7 @@ from georeward.errors import (
     NumericError,
     ShapeError,
 )
+from georeward.reward import HOLE_SENTINEL, r_dino, r_geo, reference_features
 
 
 def const_flow(h, w, dx, dy=0.0):

@@ -6,27 +6,23 @@ import numpy as np
 import pytest
 
 from georeward import (
-    ObjectSpec,
     PerturbationSpec,
     PoseSE3,
     SceneSpec,
-    bilinear_sample,
     decode_latent,
     inject_perturbation,
     latent_reward,
-    perturbation_from_dict,
     relative_depth_error,
-    relative_transform,
     render_frame,
     render_pair,
     render_video,
-    rigid_flow,
-    scene_from_dict,
     toy_scene,
-    wobble_field,
 )
 from georeward import synth
+from georeward.camera import relative_transform, rigid_flow
 from georeward.errors import ConfigError, ShapeError
+from georeward.grid import bilinear_sample
+from georeward.synth import ObjectSpec, perturbation_from_dict, scene_from_dict, wobble_field
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +110,6 @@ def test_static_scene_has_identical_frames_and_zero_flow(static_scene):
     # still leaves a few ulp of rounding behind
     np.testing.assert_allclose(pair.flow_fwd, 0.0, atol=1e-12)
     np.testing.assert_allclose(pair.flow_bwd, 0.0, atol=1e-12)
-    assert pair.flow_valid_fwd.all()
 
 
 def test_background_flow_of_translating_camera(translating_scene):
@@ -151,7 +146,7 @@ def test_flow_matches_rigid_oracle(inclined_scene):
         pair.depth_a, pair.intrinsics, pair.intrinsics,
         relative_transform(pair.pose_a, pair.pose_b),
     )
-    sel = valid & pair.flow_valid_fwd
+    sel = valid
     assert sel.all()
     np.testing.assert_allclose(pair.flow_fwd[sel], rig[sel], atol=1e-6)
 
@@ -165,7 +160,7 @@ def test_forward_backward_flow_consistency(scene_name, translating_scene, inclin
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     uv = np.stack([xs, ys], axis=-1).reshape(-1, 2)
     back, ok = bilinear_sample(pair.flow_bwd, uv + pair.flow_fwd.reshape(-1, 2))
-    sel = ok & pair.flow_valid_fwd.reshape(-1)
+    sel = ok
     resid = np.linalg.norm(back[sel] + pair.flow_fwd.reshape(-1, 2)[sel], axis=-1)
     assert resid.max() < 1e-4
 
