@@ -17,7 +17,6 @@ are zero-padded frame (or pair) indices; a real predictor and the
 synthetic renderer write the exact same shape of directory.
 """
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .camera import Intrinsics, PoseSE3
 from .errors import InputError
-from .grid import _dump_json, load_tensor, save_tensor
+from .grid import _dump_json, _load_json, load_tensor, save_tensor
 
 _REQUIRED_DIRS = ("frames", "depth", "flow_fwd", "flow_bwd")
 _OPTIONAL_DIRS = ("confidence", "features", "dynamic")
@@ -129,8 +128,7 @@ def read_bundle(in_dir) -> VideoBundle:
     cam_path = os.path.join(in_dir, "cameras.json")
     if not os.path.isfile(cam_path):
         raise InputError(f'missing "cameras.json" under {in_dir}')
-    with open(cam_path) as f:
-        cam_doc = json.load(f)
+    cam_doc = _load_json(cam_path)
     if not isinstance(cam_doc, dict):
         raise InputError(f"cameras.json must hold a JSON object, got {type(cam_doc).__name__}")
     stride = cam_doc.get("flow_stride", 1)

@@ -40,6 +40,8 @@ def _check_rotation(r, what):
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (3, 3):
         raise ShapeError(f"{what} rotation must be 3x3, got {r.shape}")
+    if not np.isfinite(r).all():
+        raise DomainError(f"{what} rotation must be finite")
     if np.abs(r.T @ r - np.eye(3)).max() > _ROT_TOL:
         raise DomainError(f"{what} rotation is not orthonormal within {_ROT_TOL}")
     if abs(np.linalg.det(r) - 1.0) > _ROT_TOL:

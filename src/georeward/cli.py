@@ -31,7 +31,7 @@ from .errors import (
     NumericError,
     TrainingError,
 )
-from .grid import _dump_json, _from_dict, _json_type_ok, save_tensor
+from .grid import _dump_json, _from_dict, _json_type_ok, _load_json, save_tensor
 from .grpo import TrainerConfig, train
 from .metrics import dynamic_degree, eight_point, sample_correspondences, sampson_error
 from .policy import fm_pretrain, init_policy, load_policy, save_policy
@@ -59,16 +59,6 @@ _DEFAULT_PRETRAIN = {
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-def _load_json(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}")
-
 
 def _config_hash(doc):
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -110,16 +100,7 @@ def cmd_score(args):
     started = time.monotonic()
     bundle = read_bundle(args.input)
     config_doc = _load_json(args.config) if args.config else {}
-    if not isinstance(config_doc, dict):
-        raise ConfigError(f"reward config must be a JSON object, got {type(config_doc).__name__}")
-    merged = dict(config_doc)
-    merged.setdefault("pair_stride", bundle.flow_stride)
-    cfg = _from_dict(RewardConfig, merged, "reward config")
-    if cfg.pair_stride != bundle.flow_stride:
-        raise ConfigError(
-            f"config pair_stride {cfg.pair_stride} does not match "
-            f"the dump's flow_stride {bundle.flow_stride}"
-        )
+    cfg = _from_dict(RewardConfig, config_doc, "reward config")
 
     score = score_video(bundle, cfg)
     _dump_json(score.report(cfg), args.out)
@@ -140,7 +121,7 @@ def cmd_score(args):
         outputs.append(args.dump_maps)
 
     _dump_json(
-        _manifest("score", merged, None, [args.input], outputs, started),
+        _manifest("score", config_doc, None, [args.input], outputs, started),
         args.out + ".manifest.json",
     )
     return 0
@@ -462,9 +443,6 @@ def main(argv=None):
         return 3
     except (GeoRewardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
 
 

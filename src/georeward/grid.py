@@ -1,5 +1,5 @@
 """Dense grids: bilinear sampling, backward warping, and the GFT tensor file,
-plus the package's JSON writer and strict JSON-document check.
+plus the package's JSON reader and writer and strict JSON-document check.
 
 Grids are plain numpy arrays in row-major, channels-last layout. Pixel
 centers sit at integer coordinates, origin top-left, x right, y down; the
@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, GridTypeError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, GridTypeError, InputError, NumericError, ShapeError
 
 _MAGIC = b"GFT1"
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
@@ -122,6 +122,22 @@ def save_tensor(grid, path):
     payload = arr.astype(_DTYPE_CODES[code], copy=False).tobytes()
     with open(path, "wb") as f:
         f.write(header + dims + payload)
+
+
+def _load_json(path):
+    """The package's one JSON reader. It is strict: the NaN, Infinity and
+    -Infinity literals that Python's parser accepts raise InputError."""
+
+    def reject(name):
+        raise InputError(f"{path}: {name} is not valid JSON")
+
+    try:
+        with open(path) as f:
+            return json.load(f, parse_constant=reject)
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}")
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}")
 
 
 def _dump_json(doc, path):

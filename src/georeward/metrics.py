@@ -168,10 +168,8 @@ def sampson_error(f, correspondences: CorrespondenceSet) -> SampsonResult:
 
 
 def dynamic_degree(flows) -> float:
-    """Mean flow magnitude in pixels over all pixels of all fields; a
+    """Mean flow magnitude in pixels over all pixels of a list of fields; a
     scene-motion proxy used for reporting, not for rewards."""
-    if isinstance(flows, np.ndarray) and flows.ndim == 3:
-        flows = [flows]
     flows = list(flows)
     if not flows:
         raise InputError("need at least one flow field")

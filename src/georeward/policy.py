@@ -7,14 +7,13 @@ sampling time, so t = 1 is pure noise. Everything runs in float64 so the
 gradient and density checks can be tight.
 """
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, ShapeError, TrainingError
-from .grid import _dump_json, load_tensor, save_tensor
+from .grid import _dump_json, _load_json, load_tensor, save_tensor
 
 
 @dataclass
@@ -299,12 +298,11 @@ def sde_step(policy, x_t, t, dt, noise_scale, z):
     return _step(policy, x_t, t, dt, sigma, z)
 
 
-def transition_logprob(x_next, mean, sigma_step, dim=None):
+def transition_logprob(x_next, mean, sigma_step):
     """Log-density of an isotropic Gaussian transition.
 
     Batched inputs (..., d) give a (...) result; sigma_step is a scalar or
-    one entry per row. `dim` overrides the dimension read from the trailing
-    axis.
+    one entry per row.
     """
     if not np.all(np.asarray(sigma_step) > 0):
         raise DomainError(f"sigma_step must be > 0 for a density, got {sigma_step}")
@@ -312,7 +310,7 @@ def transition_logprob(x_next, mean, sigma_step, dim=None):
     m = np.asarray(mean, dtype=np.float64)
     if x.shape != m.shape:
         raise ShapeError(f"x_next shape {x.shape} does not match mean {m.shape}")
-    d = int(dim) if dim is not None else (x.shape[-1] if x.ndim else 1)
+    d = x.shape[-1] if x.ndim else 1
     sq = ((x - m) ** 2).sum(axis=-1) if x.ndim else (x - m) ** 2
     out = -0.5 * d * np.log(2.0 * np.pi * sigma_step * sigma_step) - sq / (2.0 * sigma_step * sigma_step)
     return float(out) if np.ndim(out) == 0 else out
@@ -376,11 +374,9 @@ def save_policy(policy: VelocityPolicy, out_dir, meta=None):
 
 def load_policy(ckpt_dir) -> VelocityPolicy:
     path = os.path.join(ckpt_dir, "policy.json")
-    try:
-        with open(path) as f:
-            manifest = json.load(f)
-    except FileNotFoundError:
+    if not os.path.isfile(path):
         raise ConfigError(f"no policy manifest at {path}")
+    manifest = _load_json(path)
     if not isinstance(manifest, dict):
         raise ConfigError(f"{path} must hold a JSON object, got {type(manifest).__name__}")
     if manifest.get("activation") != "tanh":

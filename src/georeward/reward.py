@@ -36,7 +36,6 @@ from .grid import backward_warp, bilinear_sample
 HOLE_SENTINEL = 1.0
 
 _GATING_MODES = ("off", "soft", "hard")
-_DEPTH_WARP_MODES = ("splat", "flow")
 
 
 @dataclass(frozen=True)
@@ -46,41 +45,29 @@ class RewardConfig:
     lam: blend weight of the structural term, in [0, 1].
     eps_num: stabilizer added to both error denominators (pixels; reused
         unitlessly for depth).
-    pair_stride: frame gap between scored pairs; 1 for training, 4 for eval.
     gating: "off", "soft" (weight by confidence) or "hard" (threshold into
         the valid set).
     conf_threshold: membership threshold for hard gating.
     feature_patch: patch size of the built-in feature extractor, pixels.
-    depth_warp: "splat" reprojects source depth geometrically; "flow"
-        backward-warps it along the predicted backward flow instead. The
-        splat is exact for rigid scenes, which is why it is the default;
-        the flow variant exists for comparison and ignores the depth change
-        induced by camera motion along the optical axis.
     """
 
     lam: float = 0.5
     eps_num: float = 1.5
-    pair_stride: int = 1
     gating: str = "soft"
     conf_threshold: float = 0.5
     feature_patch: int = 8
-    depth_warp: str = "splat"
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
         if not self.eps_num > 0:
             raise ConfigError(f"eps_num must be > 0, got {self.eps_num}")
-        if self.pair_stride < 1:
-            raise ConfigError(f"pair_stride must be >= 1, got {self.pair_stride}")
         if self.gating not in _GATING_MODES:
             raise ConfigError(f"gating must be one of {_GATING_MODES}, got {self.gating!r}")
         if self.gating == "hard" and not 0.0 < self.conf_threshold < 1.0:
             raise ConfigError(f"conf_threshold must be in (0, 1), got {self.conf_threshold}")
         if self.feature_patch < 1:
             raise ConfigError(f"feature_patch must be >= 1, got {self.feature_patch}")
-        if self.depth_warp not in _DEPTH_WARP_MODES:
-            raise ConfigError(f"depth_warp must be one of {_DEPTH_WARP_MODES}, got {self.depth_warp!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -168,10 +155,10 @@ def geo_quality(epe_map, depth_err_map):
     return (1.0 - e) * (1.0 - d)
 
 
-def r_geo(q_map, omega, confidence=None, config: RewardConfig = None):
+def r_geo(q_map, omega, weights=None):
     """Weighted mean of Q over the valid set, shifted to [-1, 0].
 
-    Weights are the per-pixel confidences under soft gating and 1 otherwise.
+    Per-pixel `weights` (the confidences under soft gating), else 1 each.
     Raises EmptyMaskError when nothing is valid (all-black frames, total
     occlusion), since a mean over nothing is meaningless.
     """
@@ -181,9 +168,8 @@ def r_geo(q_map, omega, confidence=None, config: RewardConfig = None):
         raise ShapeError(f"Q/omega shapes must match, got {q.shape} vs {om.shape}")
     if not om.any():
         raise EmptyMaskError("no valid pixels in the quality aggregation")
-    cfg = config if config is not None else RewardConfig()
-    if cfg.gating == "soft" and confidence is not None:
-        w = np.asarray(confidence, dtype=np.float64)[om]
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)[om]
         total = w.sum()
         if not total > 0:
             raise EmptyMaskError("confidence weights sum to zero on the valid set")
@@ -283,8 +269,8 @@ def _require_finite(stage, *arrays):
 
 
 def _feature_term(image_a, image_b, flow_bwd, config, conf_patch, features_a, features_b):
-    """r_dino and its weight grid, via either the built-in extractor or
-    caller-supplied per-frame feature grids (warped in feature space)."""
+    """r_dino via either the built-in extractor or caller-supplied per-frame
+    feature grids (warped in feature space)."""
     if features_a is not None or features_b is not None:
         if features_a is None or features_b is None:
             raise InputError("feature grids must be supplied for both frames or neither")
@@ -312,11 +298,8 @@ def _feature_term(image_a, image_b, flow_bwd, config, conf_patch, features_a, fe
         target = reference_features(np.asarray(image_b, dtype=np.float64), config.feature_patch)
         weights = _patch_all(warp_mask, config.feature_patch).astype(np.float64)
     if conf_patch is not None:
-        cp = conf_patch
-        if cp.shape != weights.shape:
-            raise ShapeError(f"patch confidence {cp.shape} does not match weights {weights.shape}")
-        weights = weights * cp
-    return r_dino(warped, target, weights), weights
+        weights = weights * conf_patch
+    return r_dino(warped, target, weights)
 
 
 def score_pair(
@@ -359,11 +342,7 @@ def score_pair(
     epe = normalized_epe(flow_fwd, f_rig, cfg.eps_num)
     _require_finite("normalized EPE", epe)
 
-    if cfg.depth_warp == "flow":
-        dw, cov = backward_warp(d_a[..., None], np.asarray(flow_bwd, dtype=np.float64))
-        d_warp, covered = dw[..., 0], cov
-    else:
-        d_warp, covered = reproject_depth(d_a, k_a, k_b, transform)
+    d_warp, covered = reproject_depth(d_a, k_a, k_b, transform)
     _require_finite("depth reprojection", d_warp)
 
     depth_err = relative_depth_error(d_warp, d_b, cfg.eps_num, covered)
@@ -385,12 +364,12 @@ def score_pair(
     if cfg.gating == "hard" and conf is not None:
         omega = omega & (conf >= cfg.conf_threshold)
 
-    rg = r_geo(q, omega, conf if cfg.gating == "soft" else None, cfg)
+    rg = r_geo(q, omega, conf if cfg.gating == "soft" else None)
 
     conf_patch = None
     if cfg.gating == "soft" and conf is not None and features_a is None:
         conf_patch = _patch_mean(conf, cfg.feature_patch)
-    rd, _ = _feature_term(image_a, image_b, flow_bwd, cfg, conf_patch, features_a, features_b)
+    rd = _feature_term(image_a, image_b, flow_bwd, cfg, conf_patch, features_a, features_b)
 
     rp = pair_reward(rg, rd, cfg.lam)
     if not np.isfinite(rp):
@@ -405,7 +384,7 @@ def score_pair(
 
 
 def score_video(video: VideoBundle, config: RewardConfig = None):
-    """Score all (tau, tau + stride) pairs of a clip and average.
+    """Score all (tau, tau + video.flow_stride) pairs of a clip and average.
 
     video.flows_fwd[tau] must map frame tau to frame tau + stride and
     video.flows_bwd[tau] back again, so both lists hold len(video) - stride
@@ -413,15 +392,17 @@ def score_video(video: VideoBundle, config: RewardConfig = None):
     """
     cfg = config if config is not None else RewardConfig()
     n = len(video)
-    stride = cfg.pair_stride
+    stride = video.flow_stride
+    if stride < 1:
+        raise InputError(f"flow_stride must be >= 1, got {stride}")
     if n < stride + 1:
-        raise InputError(f"need at least pair_stride + 1 = {stride + 1} frames, got {n}")
+        raise InputError(f"need at least flow_stride + 1 = {stride + 1} frames, got {n}")
     if not (len(video.depths) == len(video.intrinsics) == len(video.poses) == n):
         raise InputError("frames, depths, intrinsics and poses must align")
     expected = n - stride
     if len(video.flows_fwd) != expected or len(video.flows_bwd) != expected:
         raise InputError(
-            f"need {expected} flow pairs for {n} frames at stride {stride}, "
+            f"need {expected} flow pairs for {n} frames at flow_stride {stride}, "
             f"got {len(video.flows_fwd)} forward / {len(video.flows_bwd)} backward"
         )
 

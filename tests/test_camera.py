@@ -34,6 +34,8 @@ def test_pose_rejects_non_rotation():
     refl = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(DomainError):
         PoseSE3(refl, np.zeros(3))
+    with pytest.raises(DomainError):
+        PoseSE3(np.full((3, 3), np.nan), np.zeros(3))
 
 
 def test_pose_inverse_round_trip():

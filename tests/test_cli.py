@@ -11,6 +11,7 @@ import pytest
 from georeward import load_tensor, params_vector, save_tensor
 from georeward.cli import main
 from georeward.policy import load_policy
+from georeward.reward import RewardConfig
 
 
 def write_json(path, doc):
@@ -170,7 +171,7 @@ def test_score_clean_static_video(static_dump, tmp_path):
     report = read_json(report_path)
     assert abs(report["r_video"]) < 1e-6
     assert len(report["pairs"]) == 2
-    assert report["config"]["pair_stride"] == 1
+    assert report["config"] == RewardConfig().to_dict()
 
     # the dumped maps must reproduce the scalar: soft gating with unit
     # confidence reduces to a plain mean of q over the valid region
@@ -183,11 +184,19 @@ def test_score_clean_static_video(static_dump, tmp_path):
     assert manifest["outputs"] == [report_path, maps_dir]
 
 
-def test_score_stride_mismatch(static_dump, tmp_path, capsys):
-    cfg = write_json(tmp_path / "cfg.json", {"pair_stride": 2})
-    assert main(["score", "--input", static_dump, "--config", cfg,
-                 "--out", str(tmp_path / "r.json")]) == 2
-    assert "flow_stride" in capsys.readouterr().err
+@pytest.mark.parametrize("stride", [1, 2])
+def test_score_report_config_round_trips(stride, tmp_path):
+    """score.json's config, fed back as --config, reproduces score.json."""
+    spec = write_json(tmp_path / "spec.json", {"camera_path": STATIC_PATH})
+    dump = str(tmp_path / "dump")
+    assert main(["synth", "--spec", spec, "--stride", str(stride), "--out", dump]) == 0
+    first = tmp_path / "first.json"
+    assert main(["score", "--input", dump, "--out", str(first)]) == 0
+    cfg = write_json(tmp_path / "cfg.json", read_json(first)["config"])
+    second = tmp_path / "second.json"
+    assert main(["score", "--input", dump, "--config", cfg, "--out", str(second)]) == 0
+    assert len(read_json(first)["pairs"]) == 3 - stride
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_score_rejects_bad_config(static_dump, tmp_path, capsys):
@@ -203,10 +212,11 @@ def test_score_rejects_bad_config(static_dump, tmp_path, capsys):
     assert "sharpness" in capsys.readouterr().err
 
 
-# documents that are valid JSON of the wrong shape or type, by subcommand
+# documents of the wrong shape or type, or not strict JSON, by subcommand
 BAD_SCORE_CONFIGS = {
     "score_config_type": [1],
-    "score_pair_stride_type": {"pair_stride": "1"},
+    "score_feature_patch_type": {"feature_patch": "8"},
+    "score_stale_pair_stride": {"pair_stride": 1},
 }
 BAD_SPECS = {
     "scene_depth_type": {"depth": "a"},
@@ -226,6 +236,7 @@ BAD_PRETRAIN = {
     "data_weights_type": {"data": {"kind": "coordinate_mixture", "means": [1.0], "weights": "x"}},
     "pretrain_negative_seed": {"seed": -3},
     "pretrain_batch_size": {"batch_size": 0, "iterations": 2},
+    "pretrain_nan": {"lr": float("nan"), "iterations": 2},
 }
 BAD_GRPO = {
     "trainer_field_type": {"trainer": {"group_size": "4"}},
@@ -233,6 +244,7 @@ BAD_GRPO = {
     "grpo_pretrain_type": {"pretrain": 5},
     "grpo_data_type": {"pretrain": {"data": [1]}},
     "trainer_negative_seed": {"trainer": {"seed": -1}},
+    "grpo_trainer_nan": {"trainer": {"lr": float("nan"), "iterations": 2}},
 }
 # one tensor of a copy of the 48x64 static dump swapped for a 32x32 one,
 # then read by the given subcommand
@@ -254,7 +266,11 @@ NAMED = {
     "trainer_negative_seed": "seed",
     "pretrain_negative_seed": "seed",
     "pretrain_batch_size": "batch_size",
-    "score_pair_stride_type": "must be int",
+    "score_feature_patch_type": "must be int",
+    "score_stale_pair_stride": "pair_stride",
+    "pretrain_nan": "NaN",
+    "grpo_trainer_nan": "NaN",
+    "cameras_nan": "cameras.json",
 }
 
 
@@ -266,6 +282,7 @@ NAMED = {
         "flow_stride_type",
         "intrinsics_type",
         "extrinsics_type",
+        "cameras_nan",
         *BAD_SCORE_CONFIGS,
         "tensor_name",
         *BAD_SPECS,
@@ -284,6 +301,8 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
         "flow_stride_type": dict(cameras, flow_stride="a"),
         "intrinsics_type": dict(cameras, cameras=[dict(cam0, intrinsics="abcd")]),
         "extrinsics_type": dict(cameras, cameras=[dict(cam0, extrinsics=[["a"] * 4] * 3)]),
+        "cameras_nan": dict(cameras, cameras=[dict(cam0, extrinsics=[[float("nan")] + [0.0] * 3]
+                                                      + cam0["extrinsics"][1:])]),
     }
     report = str(tmp_path / "r.json")
     out = str(tmp_path / "run")

@@ -243,14 +243,14 @@ def test_sampson_shape_check():
 # dynamic degree
 
 def test_dynamic_degree_values():
-    assert dynamic_degree(np.zeros((8, 8, 2))) == 0.0
+    assert dynamic_degree([np.zeros((8, 8, 2))]) == 0.0
     f345 = np.zeros((6, 6, 2))
     f345[..., 0] = 3.0
     f345[..., 1] = 4.0
-    assert dynamic_degree(f345) == pytest.approx(5.0, abs=1e-12)
+    assert dynamic_degree([f345]) == pytest.approx(5.0, abs=1e-12)
     half = np.zeros((2, 2, 2))
     half[0, :, 0] = 2.0
-    assert dynamic_degree(half) == pytest.approx(1.0, abs=1e-12)
+    assert dynamic_degree([half]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dynamic_degree_lists():

@@ -44,10 +44,6 @@ def test_config_validation():
         RewardConfig(eps_num=0.0)
     with pytest.raises(ConfigError):
         RewardConfig(gating="maybe")
-    with pytest.raises(ConfigError):
-        RewardConfig(pair_stride=0)
-    with pytest.raises(ConfigError):
-        RewardConfig(depth_warp="nearest")
 
 
 def test_config_to_dict_round_trip():
@@ -123,7 +119,7 @@ def test_r_geo_soft_weights_match_manual_weighted_mean():
     q = rng.uniform(0, 1, size=(6, 6))
     conf = rng.uniform(0.1, 1, size=(6, 6))
     omega = rng.uniform(size=(6, 6)) > 0.3
-    got = r_geo(q, omega, conf, RewardConfig(gating="soft"))
+    got = r_geo(q, omega, conf)
     want = float((q[omega] * conf[omega]).sum() / conf[omega].sum()) - 1.0
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -343,13 +339,6 @@ def test_non_finite_flow_names_the_stage(translating_scene):
         )
 
 
-def test_flow_mode_depth_warp_runs(static_scene, score_rendered):
-    # on a static scene the backward flow is zero, so warping depth along it
-    # reproduces the target depth and the score stays at the optimum
-    s = score_rendered(render_pair(static_scene, 0), RewardConfig(depth_warp="flow"))
-    assert abs(s.r_pair) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # score_video
 
@@ -381,7 +370,7 @@ def test_video_report_shape():
 def test_video_stride_pairs_against_direct_pair_score(score_rendered):
     spec = _walking_scene(0.05, 3)
     video = render_video(spec, stride=2)
-    vs = score_video(video, RewardConfig(pair_stride=2))
+    vs = score_video(video)
     direct = score_rendered(render_pair(spec, 0, stride=2))
     assert len(vs.pair_scores) == 1
     assert vs.pair_scores[0].r_pair == direct.r_pair
@@ -394,9 +383,15 @@ def test_video_flow_count_mismatch():
         score_video(video, RewardConfig())
 
 
+def test_video_rejects_zero_flow_stride():
+    video = dataclasses.replace(render_video(_walking_scene(0.0, 3)), flow_stride=0)
+    with pytest.raises(InputError, match="flow_stride"):
+        score_video(video)
+
+
 def test_video_too_few_frames(static_scene):
     video = render_video(static_scene)
     short = {key: getattr(video, key)[:1] for key in ("images", "depths", "confidences", "poses", "intrinsics")}
     video = dataclasses.replace(video, flows_fwd=[], flows_bwd=[], **short)
     with pytest.raises(InputError):
-        score_video(video, RewardConfig(pair_stride=2))
+        score_video(video, RewardConfig())
