@@ -6,7 +6,7 @@ use; everything else is imported from its module (georeward.synth, ...).
 """
 
 from ._version import __version__
-from .adapter import VideoBundle, read_bundle, write_bundle
+from .adapter import FramePair, VideoBundle, read_bundle, write_bundle
 from .camera import Intrinsics, PoseSE3, project
 from .errors import GeoRewardError
 from .grid import load_tensor, save_tensor

@@ -23,11 +23,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Intrinsics, PoseSE3
-from .errors import InputError
-from .grid import _dump_json, _load_json, load_tensor, save_tensor
+from .errors import ConfigError, InputError
+from .grid import _dump_json, _load_json, _numbers, load_tensor, save_tensor
 
 _REQUIRED_DIRS = ("frames", "depth", "flow_fwd", "flow_bwd")
 _OPTIONAL_DIRS = ("confidence", "features", "dynamic")
+
+
+@dataclass
+class FramePair:
+    """One frame pair: everything the pair scorer reads.
+
+    flow_fwd maps frame a to frame b and flow_bwd maps b back to a.
+    frame_a and frame_b are the frames' indices in their video. Each
+    optional per-frame map is None when absent: confidences feed the
+    gating mode, feature grids replace the built-in extractor, and dynamic
+    masks flag independently moving pixels.
+    """
+
+    image_a: np.ndarray
+    image_b: np.ndarray
+    depth_a: np.ndarray
+    depth_b: np.ndarray
+    flow_fwd: np.ndarray
+    flow_bwd: np.ndarray
+    intrinsics_a: Intrinsics
+    intrinsics_b: Intrinsics
+    pose_a: PoseSE3
+    pose_b: PoseSE3
+    frame_a: int = 0
+    frame_b: int = 1
+    confidence_a: np.ndarray = None
+    confidence_b: np.ndarray = None
+    features_a: np.ndarray = None
+    features_b: np.ndarray = None
+    dynamic_a: np.ndarray = None
+    dynamic_b: np.ndarray = None
 
 
 @dataclass
@@ -47,6 +78,34 @@ class VideoBundle:
 
     def __len__(self):
         return len(self.images)
+
+    def pair(self, tau) -> FramePair:
+        """The pair of frames (tau, tau + flow_stride), with flow file tau
+        and both frames' optional maps."""
+        a, b = tau, tau + self.flow_stride
+        optional = {}
+        for name, maps in (
+            ("confidence", self.confidences),
+            ("features", self.features),
+            ("dynamic", self.dynamic_masks),
+        ):
+            if maps is not None:
+                optional[f"{name}_a"], optional[f"{name}_b"] = maps[a], maps[b]
+        return FramePair(
+            image_a=self.images[a],
+            image_b=self.images[b],
+            depth_a=self.depths[a],
+            depth_b=self.depths[b],
+            flow_fwd=self.flows_fwd[tau],
+            flow_bwd=self.flows_bwd[tau],
+            intrinsics_a=self.intrinsics[a],
+            intrinsics_b=self.intrinsics[b],
+            pose_a=self.poses[a],
+            pose_b=self.poses[b],
+            frame_a=a,
+            frame_b=b,
+            **optional,
+        )
 
 
 def _tensor_name(index):
@@ -114,10 +173,6 @@ def _load_dir(root, name, expected, shape):
     return tensors
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def read_bundle(in_dir) -> VideoBundle:
     """Load and validate one adapter directory."""
     if not os.path.isdir(in_dir):
@@ -148,14 +203,15 @@ def read_bundle(in_dir) -> VideoBundle:
         mat = e.get("extrinsics")
         if vec is None or mat is None:
             raise InputError(f'camera {i} needs "intrinsics" and "extrinsics"')
-        if not isinstance(vec, list) or len(vec) != 4 or not all(_is_number(v) for v in vec):
+        try:
+            _numbers(vec, (4,), "intrinsics")
+        except ConfigError:
             raise InputError(f"camera {i} intrinsics must be [fx, fy, cx, cy]")
         try:
-            m = np.asarray(mat, dtype=np.float64)
-        except (TypeError, ValueError):
+            _numbers(mat, (3, 4), "extrinsics")
+        except ConfigError:
             raise InputError(f"camera {i} extrinsics must be a 3x4 matrix of numbers")
-        if m.shape != (3, 4):
-            raise InputError(f"camera {i} extrinsics must be 3x4, got {m.shape}")
+        m = np.asarray(mat, dtype=np.float64)
         intrinsics.append(Intrinsics(*[float(v) for v in vec]))
         poses.append(PoseSE3(m[:, :3], m[:, 3]))
 

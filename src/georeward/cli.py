@@ -31,19 +31,12 @@ from .errors import (
     NumericError,
     TrainingError,
 )
-from .grid import _dump_json, _from_dict, _json_type_ok, _load_json, save_tensor
+from .grid import _dump_json, _from_dict, _json_type_ok, _load_json, _numbers, save_tensor
 from .grpo import TrainerConfig, train
 from .metrics import dynamic_degree, eight_point, sample_correspondences, sampson_error
 from .policy import fm_pretrain, init_policy, load_policy, save_policy
 from .reward import RewardConfig, score_video
-from .synth import (
-    LATENT_DIM,
-    _numbers,
-    perturbation_from_dict,
-    render_video,
-    scene_from_dict,
-    toy_scene,
-)
+from .synth import LATENT_DIM, SEED_MAX, perturbation_from_dict, render_video, scene_from_dict, toy_scene
 
 _DEFAULT_PRETRAIN = {
     "dim": LATENT_DIM,
@@ -155,8 +148,8 @@ def cmd_synth(args):
     scene = scene_from_dict(spec_doc)
     perturb_doc = _parse_perturb(args.perturb)
     perturb = perturbation_from_dict(perturb_doc)
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.seed <= SEED_MAX:
+        raise ConfigError(f"--seed must be in [0, 2**63 - 1], got {args.seed}")
 
     with _locked_dir(args.out):
         write_bundle(args.out, render_video(scene, perturb, seed=args.seed, stride=args.stride))
@@ -297,6 +290,8 @@ def cmd_grpo(args):
         raise ConfigError(f"unknown grpo config keys: {', '.join(unknown)}")
     if "pretrain" in doc and "init_checkpoint" in doc:
         raise ConfigError("give either pretrain or init_checkpoint, not both")
+    if not isinstance(doc.get("init_checkpoint", ""), str):
+        raise ConfigError(f"init_checkpoint must be a string path, got {doc['init_checkpoint']!r}")
 
     tcfg = _from_dict(TrainerConfig, doc.get("trainer", {}), "trainer config")
     template = scene_from_dict(doc["scene"]) if "scene" in doc else toy_scene()
@@ -358,12 +353,11 @@ def cmd_metrics(args):
     all_errors = []
     skipped = 0
     warnings = []
-    for i, flow in enumerate(bundle.flows_fwd):
-        static = None
-        if bundle.dynamic_masks is not None:
-            static = ~(bundle.dynamic_masks[i] | bundle.dynamic_masks[i + bundle.flow_stride])
+    for i in range(len(bundle.flows_fwd)):
+        pair = bundle.pair(i)
+        static = None if pair.dynamic_a is None else ~(pair.dynamic_a | pair.dynamic_b)
         try:
-            corr = sample_correspondences(flow, args.grid_step, static)
+            corr = sample_correspondences(pair.flow_fwd, args.grid_step, static)
             res = sampson_error(eight_point(corr), corr)
         except (DegeneracyError, InsufficientDataError) as exc:
             warnings.append(f"pair {i}: {exc}")

@@ -132,10 +132,12 @@ def _load_json(path):
         raise InputError(f"{path}: {name} is not valid JSON")
 
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f, parse_constant=reject)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}")
 
@@ -155,6 +157,21 @@ def _json_type_ok(value, kind):
     if kind is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     return isinstance(value, kind)
+
+
+def _numbers(value, shape, label, kind=float):
+    """Return value once it is a (nested) JSON list of `kind` numbers of the
+    given shape; otherwise raise ConfigError naming the field."""
+    ok = isinstance(value, (list, tuple)) and len(value) == shape[0]
+    if ok and len(shape) == 1:
+        ok = all(_json_type_ok(v, kind) for v in value)
+    if not ok:
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{label} must be a list of {shape[0]} {noun}, got {value!r}")
+    if len(shape) > 1:
+        for row in value:
+            _numbers(row, shape[1:], label, kind)
+    return value
 
 
 def _from_dict(cls, doc, label):

@@ -24,7 +24,7 @@ from .policy import (
 )
 from .reward import RewardConfig, score_pair
 from .runtime import ordered_map
-from .synth import decode_latent, render_frame
+from .synth import SEED_MAX, decode_latent, render_frame
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class TrainerConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.noise_scale < 0:
             raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ConfigError(f"seed must be in [0, 2**63 - 1], got {self.seed}")
 
     def sampler(self) -> SamplerConfig:
         return SamplerConfig(steps=self.steps, noise_scale=self.noise_scale)
@@ -112,22 +112,7 @@ def latent_reward(z, template, seed=0, reward_config=None, *, frame_a=None):
     """Decode a latent and score the resulting pair; the trainer's reward.
     frame_a is passed on to decode_latent."""
     pair = decode_latent(z, template, seed=seed, frame_a=frame_a)
-    score = score_pair(
-        pair.image_a,
-        pair.image_b,
-        pair.depth_a,
-        pair.depth_b,
-        pair.intrinsics,
-        pair.intrinsics,
-        pair.pose_a,
-        pair.pose_b,
-        pair.flow_fwd,
-        pair.flow_bwd,
-        reward_config,
-        confidence_a=pair.confidence,
-        confidence_b=pair.confidence,
-    )
-    return float(score.r_pair)
+    return float(score_pair(pair, reward_config).r_pair)
 
 
 def group_advantages(rewards):

@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import runtime
-from .adapter import VideoBundle
-from .camera import Intrinsics, PoseSE3, relative_transform, reproject_depth, rigid_flow
+from .adapter import FramePair, VideoBundle
+from .camera import relative_transform, reproject_depth, rigid_flow
 from .errors import ConfigError, EmptyMaskError, InputError, NumericError, ShapeError
 from .grid import backward_warp, bilinear_sample
 
@@ -268,17 +268,18 @@ def _require_finite(stage, *arrays):
             raise NumericError(f"{stage} produced non-finite values")
 
 
-def _feature_term(image_a, image_b, flow_bwd, config, conf_patch, features_a, features_b):
-    """r_dino via either the built-in extractor or caller-supplied per-frame
+def _feature_term(pair, config, conf_patch):
+    """r_dino via either the built-in extractor or the pair's per-frame
     feature grids (warped in feature space)."""
-    if features_a is not None or features_b is not None:
-        if features_a is None or features_b is None:
+    flow_bwd = pair.flow_bwd
+    if pair.features_a is not None or pair.features_b is not None:
+        if pair.features_a is None or pair.features_b is None:
             raise InputError("feature grids must be supplied for both frames or neither")
-        fa = np.asarray(features_a, dtype=np.float64)
-        fb = np.asarray(features_b, dtype=np.float64)
+        fa = np.asarray(pair.features_a, dtype=np.float64)
+        fb = np.asarray(pair.features_b, dtype=np.float64)
         if fa.shape != fb.shape or fa.ndim != 3:
             raise ShapeError(f"feature grids must match, got {fa.shape} vs {fb.shape}")
-        h = image_a.shape[0]
+        h = pair.image_a.shape[0]
         scale = h / fa.shape[0]
         fh, fw_ = fa.shape[:2]
         centers_y, centers_x = np.mgrid[0:fh, 0:fw_].astype(np.float64)
@@ -292,54 +293,38 @@ def _feature_term(image_a, image_b, flow_bwd, config, conf_patch, features_a, fe
         weights = inb.reshape(fh, fw_).astype(np.float64)
         target = fb
     else:
-        warped_img, warp_mask = backward_warp(np.asarray(image_a, dtype=np.float64), flow_bwd)
+        warped_img, warp_mask = backward_warp(np.asarray(pair.image_a, dtype=np.float64), flow_bwd)
         _require_finite("backward warp", warped_img)
         warped = reference_features(warped_img, config.feature_patch)
-        target = reference_features(np.asarray(image_b, dtype=np.float64), config.feature_patch)
+        target = reference_features(np.asarray(pair.image_b, dtype=np.float64), config.feature_patch)
         weights = _patch_all(warp_mask, config.feature_patch).astype(np.float64)
     if conf_patch is not None:
         weights = weights * conf_patch
     return r_dino(warped, target, weights)
 
 
-def score_pair(
-    image_a,
-    image_b,
-    depth_a,
-    depth_b,
-    k_a: Intrinsics,
-    k_b: Intrinsics,
-    pose_a: PoseSE3,
-    pose_b: PoseSE3,
-    flow_fwd,
-    flow_bwd,
-    config: RewardConfig = None,
-    *,
-    confidence_a=None,
-    confidence_b=None,
-    features_a=None,
-    features_b=None,
-):
+def score_pair(pair: FramePair, config: RewardConfig = None):
     """Score one frame pair.
 
-    flow_fwd is the predicted flow a->b (compared against rigid flow);
-    flow_bwd is the predicted flow b->a and drives the appearance warp,
-    because backward sampling is the only dense, differentiable, hole-free
-    warp. Optional per-frame confidence maps feed the gating mode; optional
-    per-frame feature grids replace the built-in extractor.
+    pair.flow_fwd is the predicted flow a->b (compared against rigid flow);
+    pair.flow_bwd is the predicted flow b->a and drives the appearance
+    warp, because backward sampling is the only dense, differentiable,
+    hole-free warp. The pair's optional confidence maps feed the gating
+    mode; its optional feature grids replace the built-in extractor.
     """
     cfg = config if config is not None else RewardConfig()
-    d_a = np.asarray(depth_a, dtype=np.float64)
-    d_b = np.asarray(depth_b, dtype=np.float64)
+    d_a = np.asarray(pair.depth_a, dtype=np.float64)
+    d_b = np.asarray(pair.depth_b, dtype=np.float64)
     if d_a.shape != d_b.shape or d_a.ndim != 2:
         raise ShapeError(f"depth maps must be HxW and match, got {d_a.shape} vs {d_b.shape}")
     h, w = d_a.shape
 
-    transform = relative_transform(pose_a, pose_b)
+    k_a, k_b = pair.intrinsics_a, pair.intrinsics_b
+    transform = relative_transform(pair.pose_a, pair.pose_b)
     f_rig, rig_valid = rigid_flow(d_a, k_a, k_b, transform)
     _require_finite("rigid flow", f_rig)
 
-    epe = normalized_epe(flow_fwd, f_rig, cfg.eps_num)
+    epe = normalized_epe(pair.flow_fwd, f_rig, cfg.eps_num)
     _require_finite("normalized EPE", epe)
 
     d_warp, covered = reproject_depth(d_a, k_a, k_b, transform)
@@ -354,8 +339,9 @@ def score_pair(
     omega = rig_valid & covered & (d_b > 0)
 
     conf = None
-    if confidence_a is not None or confidence_b is not None:
-        cands = [np.asarray(c, dtype=np.float64) for c in (confidence_a, confidence_b) if c is not None]
+    sides = (pair.confidence_a, pair.confidence_b)
+    if any(c is not None for c in sides):
+        cands = [np.asarray(c, dtype=np.float64) for c in sides if c is not None]
         for c in cands:
             if c.shape != (h, w):
                 raise ShapeError(f"confidence shape {c.shape} does not match frames {(h, w)}")
@@ -367,9 +353,9 @@ def score_pair(
     rg = r_geo(q, omega, conf if cfg.gating == "soft" else None)
 
     conf_patch = None
-    if cfg.gating == "soft" and conf is not None and features_a is None:
+    if cfg.gating == "soft" and conf is not None and pair.features_a is None:
         conf_patch = _patch_mean(conf, cfg.feature_patch)
-    rd = _feature_term(image_a, image_b, flow_bwd, cfg, conf_patch, features_a, features_b)
+    rd = _feature_term(pair, cfg, conf_patch)
 
     rp = pair_reward(rg, rd, cfg.lam)
     if not np.isfinite(rp):
@@ -380,6 +366,7 @@ def score_pair(
         r_pair=rp,
         valid_fraction=float(omega.sum()) / float(h * w),
         maps={"epe": epe, "depth_err": depth_err, "q_geo": q, "omega": omega},
+        tau=pair.frame_a,
     )
 
 
@@ -406,31 +393,6 @@ def score_video(video: VideoBundle, config: RewardConfig = None):
             f"got {len(video.flows_fwd)} forward / {len(video.flows_bwd)} backward"
         )
 
-    def one(tau):
-        kwargs = {}
-        if video.confidences is not None:
-            kwargs["confidence_a"] = video.confidences[tau]
-            kwargs["confidence_b"] = video.confidences[tau + stride]
-        if video.features is not None:
-            kwargs["features_a"] = video.features[tau]
-            kwargs["features_b"] = video.features[tau + stride]
-        ps = score_pair(
-            video.images[tau],
-            video.images[tau + stride],
-            video.depths[tau],
-            video.depths[tau + stride],
-            video.intrinsics[tau],
-            video.intrinsics[tau + stride],
-            video.poses[tau],
-            video.poses[tau + stride],
-            video.flows_fwd[tau],
-            video.flows_bwd[tau],
-            cfg,
-            **kwargs,
-        )
-        ps.tau = tau
-        return ps
-
-    scores = runtime.ordered_map(one, range(expected))
+    scores = runtime.ordered_map(lambda tau: score_pair(video.pair(tau), cfg), range(expected))
     r_video = float(np.mean([p.r_pair for p in scores]))
     return VideoScore(pair_scores=scores, r_video=r_video)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adapter import VideoBundle
+from .adapter import FramePair, VideoBundle
 from .camera import Intrinsics, PoseSE3, Z_MIN
 from .errors import ConfigError, DomainError, ShapeError
-from .grid import _from_dict, _json_type_ok, bilinear_sample
+from .grid import _from_dict, _json_type_ok, _numbers, bilinear_sample
 
 _OBJ_SURF = 7  # surface id of the moving quad; background planes use 0..2
 
@@ -40,6 +40,10 @@ def _mix(z):
     z *= _M2
     z ^= z >> np.uint64(31)
     return z
+
+
+# _key hashes every seed as a signed 64-bit integer
+SEED_MAX = 2**63 - 1
 
 
 def _key(*parts):
@@ -175,6 +179,8 @@ class SceneSpec:
             raise ConfigError("camera_path must hold at least one pose")
         if self.texture_freq <= 0:
             raise ConfigError(f"texture_freq must be > 0, got {self.texture_freq}")
+        if not -SEED_MAX - 1 <= self.texture_seed <= SEED_MAX:
+            raise ConfigError(f"texture_seed must fit in a signed 64-bit integer, got {self.texture_seed}")
 
 
 @dataclass(frozen=True)
@@ -211,26 +217,6 @@ class PerturbationSpec:
             and self.object_morph == 1.0
             and self.depth_noise_rel == 0.0
         )
-
-
-@dataclass
-class RenderedPair:
-    """Everything the pair scorer consumes, plus the oracle's object masks."""
-
-    image_a: np.ndarray
-    image_b: np.ndarray
-    depth_a: np.ndarray
-    depth_b: np.ndarray
-    flow_fwd: np.ndarray
-    flow_bwd: np.ndarray
-    object_mask_a: np.ndarray
-    object_mask_b: np.ndarray
-    intrinsics: Intrinsics
-    pose_a: PoseSE3
-    pose_b: PoseSE3
-    confidence: np.ndarray
-    frame_a: int = 0
-    frame_b: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +385,14 @@ def flow_at(spec: SceneSpec, frame_a: int, frame_b: int, xy):
     return np.where(ok[..., None], uv_b - pts, 0.0)
 
 
-def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=None) -> RenderedPair:
+def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=None) -> FramePair:
     """Render frames (frame_index, frame_index + stride) with exact tensors.
 
-    frame_a, when given, must be render_frame(spec, frame_index): a caller
-    that renders many pairs from one first frame passes it to skip shading
-    it again. The pair holds it by reference.
+    The moving quad's pixels are the pair's dynamic masks, as in
+    render_video; the pair carries no confidence. frame_a, when given, must
+    be render_frame(spec, frame_index): a caller that renders many pairs
+    from one first frame passes it to skip shading it again. The pair holds
+    it by reference.
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
@@ -418,22 +406,21 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=N
     uv = np.stack(_pixel_grid(spec), axis=-1)
     flow_fwd = flow_at(spec, fa, fb, uv)
     flow_bwd = flow_at(spec, fb, fa, uv)
-    h, w = spec.resolution
-    return RenderedPair(
+    return FramePair(
         image_a=image_a,
         image_b=image_b,
         depth_a=depth_a,
         depth_b=depth_b,
         flow_fwd=flow_fwd,
         flow_bwd=flow_bwd,
-        object_mask_a=obj_a,
-        object_mask_b=obj_b,
-        intrinsics=spec.intrinsics,
+        intrinsics_a=spec.intrinsics,
+        intrinsics_b=spec.intrinsics,
         pose_a=spec.camera_path[fa],
         pose_b=spec.camera_path[fb],
-        confidence=np.ones((h, w)),
         frame_a=fa,
         frame_b=fb,
+        dynamic_a=obj_a,
+        dynamic_b=obj_b,
     )
 
 
@@ -531,7 +518,7 @@ def _noisy_depth(depth, p: PerturbationSpec, seed, frame):
     return depth
 
 
-def inject_perturbation(pair: RenderedPair, p: PerturbationSpec, seed: int) -> RenderedPair:
+def inject_perturbation(pair: FramePair, p: PerturbationSpec, seed: int) -> FramePair:
     """Deterministically corrupt a rendered pair.
 
     The first frame and the ground-truth flow stay clean (unless
@@ -547,7 +534,7 @@ def inject_perturbation(pair: RenderedPair, p: PerturbationSpec, seed: int) -> R
         flow_fwd = flow_fwd + wobble_field(pair.image_b.shape[:2], p.wobble_px, seed)
     return replace(
         pair,
-        image_b=_corrupt_image(pair.image_b, pair.object_mask_b, p, seed, 11, dframes, p.object_morph),
+        image_b=_corrupt_image(pair.image_b, pair.dynamic_b, p, seed, 11, dframes, p.object_morph),
         flow_fwd=flow_fwd,
         depth_a=_noisy_depth(pair.depth_a, p, seed, pair.frame_a),
         depth_b=_noisy_depth(pair.depth_b, p, seed, pair.frame_b),
@@ -635,7 +622,7 @@ def _squash(raw, lo, hi):
     return lo + (hi - lo) / (1.0 + np.exp(-raw))
 
 
-def decode_latent(z, template: SceneSpec, seed: int = 0, *, frame_a=None) -> RenderedPair:
+def decode_latent(z, template: SceneSpec, seed: int = 0, *, frame_a=None) -> FramePair:
     """Decode a latent 4-vector into a (possibly corrupted) rendered pair.
 
     Coordinates map monotonically to (wobble px, texture drift px, object
@@ -670,21 +657,6 @@ def decode_latent(z, template: SceneSpec, seed: int = 0, *, frame_a=None) -> Ren
 
 # ---------------------------------------------------------------------------
 # JSON scene documents
-
-def _numbers(value, shape, label, kind=float):
-    """Return value once it is a (nested) JSON list of `kind` numbers of the
-    given shape; otherwise raise ConfigError naming the field."""
-    ok = isinstance(value, (list, tuple)) and len(value) == shape[0]
-    if ok and len(shape) == 1:
-        ok = all(_json_type_ok(v, kind) for v in value)
-    if not ok:
-        noun = "integers" if kind is int else "numbers"
-        raise ConfigError(f"{label} must be a list of {shape[0]} {noun}, got {value!r}")
-    if len(shape) > 1:
-        for row in value:
-            _numbers(row, shape[1:], label, kind)
-    return value
-
 
 def _pose_from_dict(d):
     if not isinstance(d, dict) or "r" not in d or "t" not in d:

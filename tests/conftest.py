@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from georeward import PoseSE3, RewardConfig, SceneSpec, score_pair
+from georeward import PoseSE3, SceneSpec, score_pair
 
 # center-depth 2 m, fx = 100, t_x = 0.1 -> exactly 5 px of background flow,
 # so warps land on grid points and the scorer sees bit-clean inputs
@@ -58,27 +58,8 @@ def inclined_scene():
 
 @pytest.fixture
 def score_rendered():
-    """Score a RenderedPair with its own confidence on both sides."""
-
-    def _score(pair, config=None, **kwargs):
-        return score_pair(
-            pair.image_a,
-            pair.image_b,
-            pair.depth_a,
-            pair.depth_b,
-            pair.intrinsics,
-            pair.intrinsics,
-            pair.pose_a,
-            pair.pose_b,
-            pair.flow_fwd,
-            pair.flow_bwd,
-            config if config is not None else RewardConfig(),
-            confidence_a=pair.confidence,
-            confidence_b=pair.confidence,
-            **kwargs,
-        )
-
-    return _score
+    """score_pair, by the name the rendered-scene tests take it."""
+    return score_pair
 
 
 @pytest.fixture(scope="session")

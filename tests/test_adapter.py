@@ -15,6 +15,7 @@ from georeward import (
     SceneSpec,
     VideoBundle,
     read_bundle,
+    render_pair,
     render_video,
     save_tensor,
     write_bundle,
@@ -96,6 +97,46 @@ def test_rendered_video_round_trip(tmp_path):
     for i in range(2):
         np.testing.assert_array_equal(back.flows_fwd[i], video.flows_fwd[i])
         np.testing.assert_array_equal(back.flows_bwd[i], video.flows_bwd[i])
+
+
+def test_pair_cuts_frames_flows_and_maps_at_the_stride():
+    video = make_bundle(n=5, stride=2)
+    for tau in range(3):
+        pair = video.pair(tau)
+        assert (pair.frame_a, pair.frame_b) == (tau, tau + 2)
+        assert pair.flow_fwd is video.flows_fwd[tau]
+        assert pair.flow_bwd is video.flows_bwd[tau]
+        for side, frame in (("a", tau), ("b", tau + 2)):
+            assert getattr(pair, f"image_{side}") is video.images[frame]
+            assert getattr(pair, f"depth_{side}") is video.depths[frame]
+            assert getattr(pair, f"intrinsics_{side}") is video.intrinsics[frame]
+            assert getattr(pair, f"pose_{side}") is video.poses[frame]
+            assert getattr(pair, f"confidence_{side}") is video.confidences[frame]
+            assert getattr(pair, f"features_{side}") is video.features[frame]
+            assert getattr(pair, f"dynamic_{side}") is video.dynamic_masks[frame]
+
+
+def test_pair_without_optional_maps_leaves_them_none():
+    pair = make_bundle(with_optional=False).pair(1)
+    assert (pair.frame_a, pair.frame_b) == (1, 2)
+    for side in "ab":
+        for name in ("confidence", "features", "dynamic"):
+            assert getattr(pair, f"{name}_{side}") is None
+
+
+def test_rendered_pair_masks_match_the_video_pair():
+    spec = SceneSpec(
+        camera_path=tuple(PoseSE3(np.eye(3), np.array([0.04 * i, 0.0, 0.0])) for i in range(4)),
+        moving_object=ObjectSpec(center=(0.0, 0.0, 1.5), size=0.5, velocity=(0.03, 0.02, 0.0)),
+    )
+    video = render_video(spec, stride=2)
+    for tau in range(2):
+        direct = render_pair(spec, tau, stride=2)
+        cut = video.pair(tau)
+        assert direct.dynamic_a.any() and direct.dynamic_b.any()
+        assert not np.array_equal(direct.dynamic_a, direct.dynamic_b)
+        np.testing.assert_array_equal(direct.dynamic_a, cut.dynamic_a)
+        np.testing.assert_array_equal(direct.dynamic_b, cut.dynamic_b)
 
 
 def test_optional_directories_default_to_none(tmp_path):

@@ -225,6 +225,13 @@ BAD_SPECS = {
     "scene_frames_type": {"camera_path": {"kind": "linear", "frames": "x"}},
     "scene_intrinsics_keys": {"intrinsics": {"fx": 1}},
     "synth_negative_seed": {"camera_path": STATIC_PATH},
+    "synth_seed_overflow": {"camera_path": STATIC_PATH},
+    "scene_texture_seed_overflow": {"texture_seed": 2**70, "camera_path": STATIC_PATH},
+}
+# extra synth arguments of the BAD_SPECS cases that need them
+SYNTH_ARGS = {
+    "synth_negative_seed": ["--seed", "-1", "--perturb", "depth_noise_rel=0.1"],
+    "synth_seed_overflow": ["--seed", str(2**63), "--perturb", "wobble_px=1"],
 }
 BAD_PRETRAIN = {
     "pretrain_list": [1],
@@ -245,6 +252,9 @@ BAD_GRPO = {
     "grpo_data_type": {"pretrain": {"data": [1]}},
     "trainer_negative_seed": {"trainer": {"seed": -1}},
     "grpo_trainer_nan": {"trainer": {"lr": float("nan"), "iterations": 2}},
+    "trainer_seed_overflow": {"trainer": {"seed": 2**70}},
+    "grpo_init_checkpoint_int": {"init_checkpoint": 5},
+    "grpo_init_checkpoint_list": {"init_checkpoint": ["ckpt"]},
 }
 # one tensor of a copy of the 48x64 static dump swapped for a 32x32 one,
 # then read by the given subcommand
@@ -271,6 +281,13 @@ NAMED = {
     "pretrain_nan": "NaN",
     "grpo_trainer_nan": "NaN",
     "cameras_nan": "cameras.json",
+    "extrinsics_bool": "extrinsics",
+    "config_not_utf8": "cfg.json",
+    "synth_seed_overflow": "seed",
+    "scene_texture_seed_overflow": "texture_seed",
+    "trainer_seed_overflow": "seed",
+    "grpo_init_checkpoint_int": "init_checkpoint",
+    "grpo_init_checkpoint_list": "init_checkpoint",
 }
 
 
@@ -282,6 +299,7 @@ NAMED = {
         "flow_stride_type",
         "intrinsics_type",
         "extrinsics_type",
+        "extrinsics_bool",
         "cameras_nan",
         *BAD_SCORE_CONFIGS,
         "tensor_name",
@@ -290,6 +308,7 @@ NAMED = {
         *BAD_GRPO,
         *BAD_SHAPES,
         "policy_manifest_list",
+        "config_not_utf8",
     ],
 )
 def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
@@ -303,6 +322,11 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
         "extrinsics_type": dict(cameras, cameras=[dict(cam0, extrinsics=[["a"] * 4] * 3)]),
         "cameras_nan": dict(cameras, cameras=[dict(cam0, extrinsics=[[float("nan")] + [0.0] * 3]
                                                       + cam0["extrinsics"][1:])]),
+        # every camera kept, so only the booleans can fail the read
+        "extrinsics_bool": dict(cameras, cameras=[
+            dict(cam0, extrinsics=[[bool(v) for v in row] for row in cam0["extrinsics"]]),
+            *cameras["cameras"][1:],
+        ]),
     }
     report = str(tmp_path / "r.json")
     out = str(tmp_path / "run")
@@ -327,15 +351,17 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
         argv = ["score", "--input", static_dump, "--config", cfg, "--out", report]
     elif case in BAD_SPECS:
         spec = write_json(tmp_path / "spec.json", BAD_SPECS[case])
-        argv = ["synth", "--spec", spec, "--out", out]
-        if case == "synth_negative_seed":
-            argv += ["--seed", "-1", "--perturb", "depth_noise_rel=0.1"]
+        argv = ["synth", "--spec", spec, "--out", out] + SYNTH_ARGS.get(case, [])
     elif case in BAD_PRETRAIN:
         cfg = write_json(tmp_path / "cfg.json", BAD_PRETRAIN[case])
         argv = ["pretrain", "--config", cfg, "--out", out]
     elif case in BAD_GRPO:
         cfg = write_json(tmp_path / "cfg.json", BAD_GRPO[case])
         argv = ["grpo", "--config", cfg, "--out", out]
+    elif case == "config_not_utf8":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        argv = ["pretrain", "--config", str(cfg), "--out", out]
     else:
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()

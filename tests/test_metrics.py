@@ -115,7 +115,7 @@ def test_eight_point_recovers_the_true_matrix(two_plane_scene):
     corr = sample_correspondences(pair.flow_fwd, 4)
     f_hat = eight_point(corr)
     f_true = fundamental_from_pose(
-        pair.intrinsics, pair.intrinsics, relative_transform(pair.pose_a, pair.pose_b)
+        pair.intrinsics_a, pair.intrinsics_b, relative_transform(pair.pose_a, pair.pose_b)
     )
     assert abs(float((f_hat * f_true).sum())) > 0.9999
     assert np.linalg.norm(f_hat) == pytest.approx(1.0, abs=1e-12)
@@ -211,7 +211,7 @@ def test_sampson_floor_on_exact_pairs(two_plane_scene):
     pair = render_pair(two_plane_scene, 0)
     corr = sample_correspondences(pair.flow_fwd, 4)
     f_true = fundamental_from_pose(
-        pair.intrinsics, pair.intrinsics, relative_transform(pair.pose_a, pair.pose_b)
+        pair.intrinsics_a, pair.intrinsics_b, relative_transform(pair.pose_a, pair.pose_b)
     )
     assert sampson_error(f_true, corr).mean < 1e-10
 

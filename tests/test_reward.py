@@ -214,11 +214,7 @@ def test_score_bounds_on_noisy_input(translating_scene, score_rendered):
     rng = np.random.default_rng(13)
     pair = render_pair(translating_scene, 0)
     noisy = pair.flow_fwd + rng.standard_normal(pair.flow_fwd.shape)
-    s = score_pair(
-        pair.image_a, pair.image_b, pair.depth_a, pair.depth_b,
-        pair.intrinsics, pair.intrinsics, pair.pose_a, pair.pose_b,
-        noisy, pair.flow_bwd, RewardConfig(),
-    )
+    s = score_pair(dataclasses.replace(pair, flow_fwd=noisy), RewardConfig())
     assert -1.0 <= s.r_geo <= 0.0
     assert -2.0 <= s.r_dino <= 0.0
     q = s.maps["q_geo"]
@@ -236,16 +232,9 @@ def test_hard_gating_equals_manual_mask_reduction(translating_scene):
     pair = render_pair(translating_scene, 0)
     rng = np.random.default_rng(14)
     conf = rng.uniform(size=pair.depth_a.shape)
-    common = dict(
-        image_a=pair.image_a, image_b=pair.image_b,
-        depth_a=pair.depth_a, depth_b=pair.depth_b,
-        k_a=pair.intrinsics, k_b=pair.intrinsics,
-        pose_a=pair.pose_a, pose_b=pair.pose_b,
-        flow_fwd=pair.flow_fwd, flow_bwd=pair.flow_bwd,
-    )
-    hard = score_pair(config=RewardConfig(gating="hard", conf_threshold=0.5),
-                      confidence_a=conf, confidence_b=conf, **common)
-    plain = score_pair(config=RewardConfig(gating="off"), **common)
+    hard = score_pair(dataclasses.replace(pair, confidence_a=conf, confidence_b=conf),
+                      RewardConfig(gating="hard", conf_threshold=0.5))
+    plain = score_pair(pair, RewardConfig(gating="off"))
     q, omega = plain.maps["q_geo"], plain.maps["omega"]
     want = float(q[omega & (conf >= 0.5)].mean()) - 1.0
     assert hard.r_geo == pytest.approx(want, abs=1e-15)
@@ -256,17 +245,9 @@ def test_soft_gating_weights_the_quality_mean(translating_scene):
     pair = render_pair(translating_scene, 0)
     rng = np.random.default_rng(15)
     conf = rng.uniform(0.2, 1.0, size=pair.depth_a.shape)
-    soft = score_pair(
-        pair.image_a, pair.image_b, pair.depth_a, pair.depth_b,
-        pair.intrinsics, pair.intrinsics, pair.pose_a, pair.pose_b,
-        pair.flow_fwd, pair.flow_bwd, RewardConfig(gating="soft"),
-        confidence_a=conf, confidence_b=conf,
-    )
-    plain = score_pair(
-        pair.image_a, pair.image_b, pair.depth_a, pair.depth_b,
-        pair.intrinsics, pair.intrinsics, pair.pose_a, pair.pose_b,
-        pair.flow_fwd, pair.flow_bwd, RewardConfig(gating="off"),
-    )
+    soft = score_pair(dataclasses.replace(pair, confidence_a=conf, confidence_b=conf),
+                      RewardConfig(gating="soft"))
+    plain = score_pair(pair, RewardConfig(gating="off"))
     q, omega = plain.maps["q_geo"], plain.maps["omega"]
     want = float((q[omega] * conf[omega]).sum() / conf[omega].sum()) - 1.0
     assert soft.r_geo == pytest.approx(want, abs=1e-12)
@@ -277,18 +258,10 @@ def test_two_sided_confidence_is_elementwise_min(translating_scene):
     rng = np.random.default_rng(16)
     ca = rng.uniform(size=pair.depth_a.shape)
     cb = rng.uniform(size=pair.depth_a.shape)
-    both = score_pair(
-        pair.image_a, pair.image_b, pair.depth_a, pair.depth_b,
-        pair.intrinsics, pair.intrinsics, pair.pose_a, pair.pose_b,
-        pair.flow_fwd, pair.flow_bwd, RewardConfig(gating="hard"),
-        confidence_a=ca, confidence_b=cb,
-    )
-    merged = score_pair(
-        pair.image_a, pair.image_b, pair.depth_a, pair.depth_b,
-        pair.intrinsics, pair.intrinsics, pair.pose_a, pair.pose_b,
-        pair.flow_fwd, pair.flow_bwd, RewardConfig(gating="hard"),
-        confidence_a=np.minimum(ca, cb),
-    )
+    both = score_pair(dataclasses.replace(pair, confidence_a=ca, confidence_b=cb),
+                      RewardConfig(gating="hard"))
+    merged = score_pair(dataclasses.replace(pair, confidence_a=np.minimum(ca, cb)),
+                        RewardConfig(gating="hard"))
     assert both.r_geo == merged.r_geo
     assert both.r_dino == merged.r_dino
 
@@ -297,34 +270,20 @@ def test_external_features_need_both_sides(translating_scene):
     pair = render_pair(translating_scene, 0)
     feats = reference_features(pair.image_a, 8)
     with pytest.raises(InputError):
-        score_pair(
-            pair.image_a, pair.image_b, pair.depth_a, pair.depth_b,
-            pair.intrinsics, pair.intrinsics, pair.pose_a, pair.pose_b,
-            pair.flow_fwd, pair.flow_bwd, RewardConfig(),
-            features_a=feats,
-        )
+        score_pair(dataclasses.replace(pair, features_a=feats), RewardConfig())
 
 
 def test_external_features_on_clean_scene(static_scene):
     pair = render_pair(static_scene, 0)
     feats = reference_features(pair.image_a, 8)
-    s = score_pair(
-        pair.image_a, pair.image_b, pair.depth_a, pair.depth_b,
-        pair.intrinsics, pair.intrinsics, pair.pose_a, pair.pose_b,
-        pair.flow_fwd, pair.flow_bwd, RewardConfig(),
-        features_a=feats, features_b=feats,
-    )
+    s = score_pair(dataclasses.replace(pair, features_a=feats, features_b=feats), RewardConfig())
     assert abs(s.r_dino) < 1e-9
 
 
 def test_nonpositive_target_depth_empties_the_mask(translating_scene):
     pair = render_pair(translating_scene, 0)
     with pytest.raises(EmptyMaskError):
-        score_pair(
-            pair.image_a, pair.image_b, pair.depth_a, -pair.depth_b,
-            pair.intrinsics, pair.intrinsics, pair.pose_a, pair.pose_b,
-            pair.flow_fwd, pair.flow_bwd, RewardConfig(),
-        )
+        score_pair(dataclasses.replace(pair, depth_b=-pair.depth_b), RewardConfig())
 
 
 def test_non_finite_flow_names_the_stage(translating_scene):
@@ -332,11 +291,7 @@ def test_non_finite_flow_names_the_stage(translating_scene):
     bad = pair.flow_fwd.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(NumericError, match="EPE"):
-        score_pair(
-            pair.image_a, pair.image_b, pair.depth_a, pair.depth_b,
-            pair.intrinsics, pair.intrinsics, pair.pose_a, pair.pose_b,
-            bad, pair.flow_bwd, RewardConfig(),
-        )
+        score_pair(dataclasses.replace(pair, flow_fwd=bad), RewardConfig())
 
 
 # ---------------------------------------------------------------------------

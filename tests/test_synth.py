@@ -92,7 +92,7 @@ def test_texture_matches_the_per_channel_reference(shape):
 def test_render_is_deterministic(translating_scene):
     a = render_pair(translating_scene, 0)
     b = render_pair(translating_scene, 0)
-    for field in ("image_a", "image_b", "depth_a", "flow_fwd", "confidence"):
+    for field in ("image_a", "image_b", "depth_a", "flow_fwd", "flow_bwd", "dynamic_a"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
@@ -132,18 +132,18 @@ def test_moving_object_flow():
                                  velocity=(0.03, 0.0, 0.0)),
     )
     pair = render_pair(spec, 0)
-    assert pair.object_mask_a.any()
+    assert pair.dynamic_a.any()
     # interior of the mask in both frames; edge pixels change occlusion
-    inside = pair.object_mask_a & pair.object_mask_b
+    inside = pair.dynamic_a & pair.dynamic_b
     np.testing.assert_allclose(pair.flow_fwd[inside][:, 0], 2.0, atol=1e-6)
-    outside = ~(pair.object_mask_a | pair.object_mask_b)
+    outside = ~(pair.dynamic_a | pair.dynamic_b)
     np.testing.assert_allclose(pair.flow_fwd[outside], 0.0, atol=1e-12)
 
 
 def test_flow_matches_rigid_oracle(inclined_scene):
     pair = render_pair(inclined_scene, 0)
     rig, valid = rigid_flow(
-        pair.depth_a, pair.intrinsics, pair.intrinsics,
+        pair.depth_a, pair.intrinsics_a, pair.intrinsics_b,
         relative_transform(pair.pose_a, pair.pose_b),
     )
     sel = valid
@@ -168,6 +168,14 @@ def test_forward_backward_flow_consistency(scene_name, translating_scene, inclin
 def test_resolution_floor():
     with pytest.raises(ConfigError):
         SceneSpec(resolution=(16, 64))
+
+
+def test_texture_seed_spans_int64():
+    for seed in (-(2**63), 2**63 - 1):
+        render_frame(SceneSpec(texture_seed=seed), 0)
+    for seed in (-(2**63) - 1, 2**63):
+        with pytest.raises(ConfigError, match="texture_seed"):
+            SceneSpec(texture_seed=seed)
 
 
 def test_camera_path_must_cover_the_pair(translating_scene):
@@ -209,7 +217,7 @@ def test_texture_drift_spares_the_object():
     )
     pair = render_pair(spec, 0)
     out = inject_perturbation(pair, PerturbationSpec(texture_drift_px=1.5), 0)
-    obj = pair.object_mask_b
+    obj = pair.dynamic_b
     np.testing.assert_array_equal(out.image_b[obj], pair.image_b[obj])
     assert not np.array_equal(out.image_b[~obj], pair.image_b[~obj])
 
@@ -222,7 +230,7 @@ def test_morph_touches_only_the_object_region():
     pair = render_pair(spec, 0)
     out = inject_perturbation(pair, PerturbationSpec(object_morph=1.4), 0)
     assert not np.array_equal(out.image_b, pair.image_b)
-    far = ~pair.object_mask_b
+    far = ~pair.dynamic_b
     # dilate by leaving a margin: morph magnifies radially around the object
     changed = np.any(out.image_b != pair.image_b, axis=-1)
     assert (changed & far).sum() < changed.sum()
@@ -322,7 +330,7 @@ def test_decode_reuses_a_given_first_frame():
     z = np.array([0.5, -0.3, 0.8, 1.0])
     plain = decode_latent(z, template, seed=3)
     reused = decode_latent(z, template, seed=3, frame_a=render_frame(template, 0))
-    assert plain.object_mask_a.any() and plain.object_mask_b.any()
+    assert plain.dynamic_a.any() and plain.dynamic_b.any()
     for f in dataclasses.fields(plain):
         a, b = getattr(plain, f.name), getattr(reused, f.name)
         if isinstance(a, PoseSE3):
