@@ -49,7 +49,7 @@ def bilinear_sample(grid, xy):
     flag; coordinates exactly on the border are in bounds.
     """
     arr = _as_sample_grid(grid)
-    h, w, _ = arr.shape
+    h, w, c = arr.shape
     pts = np.asarray(xy, dtype=np.float64)
     single = pts.ndim == 1
     if pts.shape[-1] != 2:
@@ -65,18 +65,50 @@ def bilinear_sample(grid, xy):
     # the far border so the clamped index never contributes a wrong value.
     x0 = np.minimum(np.floor(xc), w - 2).astype(np.intp) if w > 1 else np.zeros_like(xc, dtype=np.intp)
     y0 = np.minimum(np.floor(yc), h - 2).astype(np.intp) if h > 1 else np.zeros_like(yc, dtype=np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    wx = (xc - x0)[..., None]
-    wy = (yc - y0)[..., None]
+    # weights and index reuse the clip and floor outputs in place: fewer large
+    # temporaries keep the peak memory of concurrent warps where it was
+    wx = xc
+    wx -= x0
+    wy = yc
+    wy -= y0
+    ux = 1.0 - wx
+    uy = 1.0 - wy
+    # The clamped +1 neighbour is one step right (down) unless the grid is one
+    # pixel wide (tall), so one flat index walks the four corners.
+    step_x = 1 if w > 1 else 0
+    step_y = w if h > 1 else 0
+    idx = y0
+    idx *= w
+    idx += x0
+    del x0, y0
 
-    vals = (
-        arr[y0, x0] * (1.0 - wx) * (1.0 - wy)
-        + arr[y0, x1] * wx * (1.0 - wy)
-        + arr[y1, x0] * (1.0 - wx) * wy
-        + arr[y1, x1] * wx * wy
-    )
-    vals = np.where(in_bounds[..., None], vals, 0.0)
+    # Channel-major planes make every gather and blend a contiguous row
+    # operation; the blend keeps the left-to-right order
+    # g00*(1-wx)*(1-wy) + g01*wx*(1-wy) + g10*(1-wx)*wy + g11*wx*wy.
+    dtype = np.result_type(arr.dtype, np.float64)
+    planes = np.moveaxis(arr, -1, 0).astype(dtype, order="C", copy=False).reshape(c, -1)
+    vals = np.take(planes, idx, axis=1)  # (C, ...)
+    vals *= ux
+    vals *= uy
+    idx += step_x
+    g = np.take(planes, idx, axis=1)
+    g *= wx
+    g *= uy
+    vals += g
+    idx += step_y - step_x
+    np.take(planes, idx, axis=1, out=g)
+    g *= ux
+    g *= wy
+    vals += g
+    idx += step_x
+    np.take(planes, idx, axis=1, out=g)
+    g *= wx
+    g *= wy
+    vals += g
+    del idx, g, wx, wy, ux, uy, planes
+    # assign, not multiply: a mask product would leave -0.0 under negative values
+    vals[:, ~in_bounds] = 0.0
+    vals = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
     if single:
         return vals[0], bool(in_bounds[0])
     return vals, in_bounds

@@ -120,7 +120,9 @@ def eight_point(correspondences: CorrespondenceSet) -> np.ndarray:
         ],
         axis=1,
     )
-    _, s, vt = np.linalg.svd(a)
+    # only the nine right singular vectors are needed, not an n x n U; an
+    # 8-row system still needs the full SVD, whose ninth row is its null vector
+    _, s, vt = np.linalg.svd(a, full_matrices=n < 9)
     if s[7] < _RANK_RTOL * s[0]:
         raise DegeneracyError(
             "correspondences are degenerate for the eight-point system (no parallax?)"

@@ -69,6 +69,41 @@ def _hash01(hx, iy):
     return out
 
 
+# lattice floats below this magnitude are exact integers, and so are their +1 neighbours
+_EXACT_LATTICE = 2.0**52
+
+
+def _table_corners(iu, iv, key):
+    """c00, c10, c01, c11 gathered from a (channels, ny, nx) table that hashes
+    each lattice corner of the call's bounding box once.
+
+    Returns None when the box holds more corners than the call has points
+    (sparse or wide-range coordinates), when the key is not a scalar or a
+    (channels, 1, ...) column, or when the box leaves the exact-integer range
+    of float64; the caller then hashes per point. The table holds exactly
+    the values the per-point hash computes, so both paths give the same bits.
+    """
+    key = np.asarray(key)
+    column = key.ndim == 0 or key.shape[1:] == (1,) * iu.ndim
+    if iu.size == 0 or iu.shape != iv.shape or not column:
+        return None
+    bounds = x_lo, x_hi, y_lo, y_hi = iu.min(), iu.max(), iv.min(), iv.max()
+    if not all(abs(b) < _EXACT_LATTICE for b in bounds):  # also False for NaN
+        return None
+    nx, ny = x_hi - x_lo + 2.0, y_hi - y_lo + 2.0
+    if nx * ny > iu.size:
+        return None
+    nx, ny = int(nx), int(ny)
+    ix = np.arange(int(x_lo), int(x_lo) + nx, dtype=np.int64).view(np.uint64)
+    iy = np.arange(int(y_lo), int(y_lo) + ny, dtype=np.int64).view(np.uint64)
+    hx = _mix(ix ^ key.reshape(-1, 1))
+    table = _hash01(hx[:, None, :], iy[:, None]).reshape(key.size, -1)
+    flat = (iv - y_lo).astype(np.intp) * nx
+    flat += (iu - x_lo).astype(np.intp)
+    shape = np.broadcast_shapes(key.shape, iu.shape)
+    return tuple(np.take(table, flat + step, axis=1).reshape(shape) for step in (0, 1, nx, nx + 1))
+
+
 def _value_noise(u, v, key):
     """Smoothstep-interpolated value noise, C1-continuous, range [0, 1).
 
@@ -81,14 +116,14 @@ def _value_noise(u, v, key):
     fv = v - iv
     su = fu * fu * (3.0 - 2.0 * fu)
     sv = fv * fv * (3.0 - 2.0 * fv)
-    hx0 = _mix(_lattice_bits(iu) ^ key)
-    hx1 = _mix(_lattice_bits(iu + 1) ^ key)
-    iy0 = _lattice_bits(iv)
-    iy1 = _lattice_bits(iv + 1)
-    c00 = _hash01(hx0, iy0)
-    c10 = _hash01(hx1, iy0)
-    c01 = _hash01(hx0, iy1)
-    c11 = _hash01(hx1, iy1)
+    corners = _table_corners(iu, iv, key)
+    if corners is None:
+        hx0 = _mix(_lattice_bits(iu) ^ key)
+        hx1 = _mix(_lattice_bits(iu + 1) ^ key)
+        iy0 = _lattice_bits(iv)
+        iy1 = _lattice_bits(iv + 1)
+        corners = (_hash01(hx0, iy0), _hash01(hx1, iy0), _hash01(hx0, iy1), _hash01(hx1, iy1))
+    c00, c10, c01, c11 = corners
     top = c00 + (c10 - c00) * su
     bot = c01 + (c11 - c01) * su
     return top + (bot - top) * sv
@@ -205,6 +240,10 @@ class PerturbationSpec:
     corrupt_flow: bool = False
 
     def __post_init__(self):
+        for name in ("wobble_px", "texture_drift_px", "object_morph", "depth_noise_rel"):
+            value = getattr(self, name)
+            if not -np.inf < value < np.inf:  # also False for NaN
+                raise ConfigError(f"perturbation {name} must be finite, got {value}")
         if self.wobble_px < 0 or self.texture_drift_px < 0 or self.depth_noise_rel < 0:
             raise ConfigError("perturbation amplitudes must be >= 0")
         if self.object_morph <= 0:

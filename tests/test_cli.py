@@ -227,11 +227,19 @@ BAD_SPECS = {
     "synth_negative_seed": {"camera_path": STATIC_PATH},
     "synth_seed_overflow": {"camera_path": STATIC_PATH},
     "scene_texture_seed_overflow": {"texture_seed": 2**70, "camera_path": STATIC_PATH},
+    "perturb_wobble_nan": {"camera_path": STATIC_PATH},
+    "perturb_drift_inf": {"camera_path": STATIC_PATH},
+    "perturb_morph_nan": {"camera_path": STATIC_PATH},
+    "perturb_depth_noise_inf": {"camera_path": STATIC_PATH},
 }
 # extra synth arguments of the BAD_SPECS cases that need them
 SYNTH_ARGS = {
     "synth_negative_seed": ["--seed", "-1", "--perturb", "depth_noise_rel=0.1"],
     "synth_seed_overflow": ["--seed", str(2**63), "--perturb", "wobble_px=1"],
+    "perturb_wobble_nan": ["--perturb", "wobble_px=nan"],
+    "perturb_drift_inf": ["--perturb", "texture_drift_px=inf"],
+    "perturb_morph_nan": ["--perturb", "object_morph=nan"],
+    "perturb_depth_noise_inf": ["--perturb", "depth_noise_rel=inf"],
 }
 BAD_PRETRAIN = {
     "pretrain_list": [1],
@@ -288,6 +296,10 @@ NAMED = {
     "trainer_seed_overflow": "seed",
     "grpo_init_checkpoint_int": "init_checkpoint",
     "grpo_init_checkpoint_list": "init_checkpoint",
+    "perturb_wobble_nan": "wobble_px",
+    "perturb_drift_inf": "texture_drift_px",
+    "perturb_morph_nan": "object_morph",
+    "perturb_depth_noise_inf": "depth_noise_rel",
 }
 
 

@@ -65,6 +65,63 @@ def test_single_pair_returns_scalar_flag():
     assert val.shape == (1,)
 
 
+def _bilinear_ref(arr, xy):
+    """The 2-D fancy-index formula: four (..., C) gathers blended
+    left to right, out-of-bounds samples zeroed by np.where."""
+    h, w, _ = arr.shape
+    pts = np.atleast_2d(np.asarray(xy, dtype=np.float64))
+    x, y = pts[..., 0], pts[..., 1]
+    in_bounds = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
+    xc = np.clip(x, 0.0, w - 1.0)
+    yc = np.clip(y, 0.0, h - 1.0)
+    x0 = np.minimum(np.floor(xc), w - 2).astype(np.intp) if w > 1 else np.zeros_like(xc, dtype=np.intp)
+    y0 = np.minimum(np.floor(yc), h - 2).astype(np.intp) if h > 1 else np.zeros_like(yc, dtype=np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    wx = (xc - x0)[..., None]
+    wy = (yc - y0)[..., None]
+    vals = (
+        arr[y0, x0] * (1.0 - wx) * (1.0 - wy)
+        + arr[y0, x1] * wx * (1.0 - wy)
+        + arr[y1, x0] * (1.0 - wx) * wy
+        + arr[y1, x1] * wx * wy
+    )
+    vals = np.where(in_bounds[..., None], vals, 0.0)
+    if np.ndim(xy) == 1:
+        return vals[0], bool(in_bounds[0])
+    return vals, in_bounds
+
+
+def _sample_points(rng, h, w, shape):
+    pts = np.stack([rng.uniform(-1.5, w + 0.5, shape), rng.uniform(-1.5, h + 0.5, shape)], axis=-1)
+    edges = [[0.0, 0.0], [w - 1.0, h - 1.0], [w - 1.0, 0.0], [0.0, h - 1.0], [0.5, h - 1.0],
+             [w - 1.0, 0.25], [-1e-9, 0.0], [0.0, h - 1.0 + 1e-9], [-3.0, -3.0], [w + 7.0, 1.0]]
+    flat = pts.reshape(-1, 2)
+    flat[: len(edges)] = edges[: len(flat)]
+    return pts
+
+
+@pytest.mark.parametrize("h, w", [(5, 7), (1, 6), (6, 1), (1, 1), (48, 64)])
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_bilinear_matches_the_fancy_index_reference(h, w, c, dtype):
+    rng = np.random.default_rng([h, w, c])
+    # negative values: a mask product would turn the zeroed samples into -0.0
+    grid = (rng.standard_normal((h, w, c)) * 4.0 - 1.0).astype(dtype)
+    for shape in ((40,), (3, 4), (12, 9)):
+        pts = _sample_points(rng, h, w, shape)
+        vals, ok = bilinear_sample(grid, pts)
+        want, want_ok = _bilinear_ref(grid, pts)
+        assert vals.shape == shape + (c,) and vals.dtype == want.dtype
+        assert vals.flags.c_contiguous
+        assert vals.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(ok, want_ok)
+    for pair in ((0.0, 0.0), (w - 1.0, h - 1.0), (0.3, 0.7), (-0.5, 0.0)):
+        val, flag = bilinear_sample(grid, np.array(pair))
+        want, want_flag = _bilinear_ref(grid, np.array(pair))
+        assert val.tobytes() == want.tobytes() and flag == want_flag
+
+
 def test_integer_grid_is_rejected():
     with pytest.raises(GridTypeError):
         bilinear_sample(np.ones((3, 3, 1), dtype=np.uint8), np.array([1.0, 1.0]))

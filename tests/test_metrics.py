@@ -20,6 +20,7 @@ from georeward.errors import (
     InsufficientDataError,
     ShapeError,
 )
+from georeward import metrics
 from georeward.metrics import dynamic_degree, sample_correspondences
 
 K = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0)
@@ -152,6 +153,33 @@ def test_coincident_points_are_degenerate():
     uv = np.tile([[3.0, 4.0]], (9, 1))
     with pytest.raises(DegeneracyError, match="coincident"):
         eight_point(CorrespondenceSet(uv, uv + np.linspace(0, 1, 9)[:, None]))
+
+
+def _eight_point_full_svd(corr):
+    """eight_point with the full (n x n U) SVD of the design matrix."""
+    t_a = metrics._hartley_transform(corr.uv_a)
+    t_b = metrics._hartley_transform(corr.uv_b)
+    pa = metrics._homogeneous(corr.uv_a) @ t_a.T
+    pb = metrics._homogeneous(corr.uv_b) @ t_b.T
+    a = np.stack([pb[:, 0] * pa[:, 0], pb[:, 0] * pa[:, 1], pb[:, 0],
+                  pb[:, 1] * pa[:, 0], pb[:, 1] * pa[:, 1], pb[:, 1],
+                  pa[:, 0], pa[:, 1], np.ones(len(corr))], axis=1)
+    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    assert s[7] >= metrics._RANK_RTOL * s[0]
+    u, sv, vt2 = np.linalg.svd(vt[-1].reshape(3, 3))
+    f = t_b.T @ (u @ np.diag([sv[0], sv[1], 0.0]) @ vt2) @ t_a
+    return f / np.linalg.norm(f)
+
+
+def test_eight_point_matches_the_full_svd(two_plane_scene):
+    rng = np.random.default_rng(5)
+    sets = [pose_correspondences(random_pose(rng), rng, n) for n in (8, 9, 40, 500)]
+    uv = rng.uniform(0.0, 64.0, (300, 2))
+    sets.append(CorrespondenceSet(uv, uv + rng.normal(0.0, 2.0, uv.shape)))
+    flow = render_pair(two_plane_scene, 0).flow_fwd
+    sets += [sample_correspondences(flow, step) for step in (1, 4)]
+    for corr in sets:
+        assert eight_point(corr).tobytes() == _eight_point_full_svd(corr).tobytes()
 
 
 def test_eight_point_needs_eight():

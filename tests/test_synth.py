@@ -86,6 +86,37 @@ def test_texture_matches_the_per_channel_reference(shape):
     np.testing.assert_array_equal(key, before)
 
 
+def _noise_cases():
+    rng = np.random.default_rng(7)
+    # dense: a few lattice cells under many points, so the corner table path runs
+    for shape in ((400,), (24, 31)):
+        for key in (synth._key(3, 1), synth._key(5, 2, 0, np.arange(3).reshape((3,) + (1,) * len(shape)))):
+            yield rng.uniform(-4.5, 6.0, shape), rng.uniform(-1.0, 3.0, shape), key, True
+    # every point on a lattice corner, negative rows included: the table path
+    # with zero fractions and the +1 corners on the box edge
+    xs, ys = np.meshgrid(np.arange(4.0), np.arange(-2.0, 3.0))
+    yield np.tile(xs.ravel(), 2), np.tile(ys.ravel(), 2), synth._key(9), True
+    # wide range: the box holds far more corners than there are points, so the
+    # per-point hash runs
+    yield rng.uniform(-3e3, 3e3, (301,)), rng.uniform(-2.0, 2.0, (301,)), synth._key(4), False
+
+
+@pytest.mark.parametrize("u, v, key, table", list(_noise_cases()))
+def test_value_noise_matches_the_per_point_reference(u, v, key, table):
+    with np.errstate(over="ignore"):
+        assert (synth._table_corners(np.floor(u), np.floor(v), key) is not None) == table
+        got = synth._value_noise(u, v, key)
+        want = _value_noise_ref(u, v, key)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_value_noise_of_no_points():
+    with np.errstate(over="ignore"):
+        assert synth._value_noise(np.zeros(0), np.zeros(0), synth._key(1)).shape == (0,)
+        assert synth._texture(np.zeros(0), np.zeros(0), 4.0, 0, 0).shape == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -415,3 +446,10 @@ def test_perturbation_from_dict():
     assert p.wobble_px == 1.0 and p.corrupt_flow
     with pytest.raises(ConfigError):
         perturbation_from_dict({"wobble": 1.0})
+
+
+@pytest.mark.parametrize("name", ["wobble_px", "texture_drift_px", "object_morph", "depth_noise_rel"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_perturbation_amplitudes_must_be_finite(name, value):
+    with pytest.raises(ConfigError, match=name):
+        PerturbationSpec(**{name: value})
