@@ -279,14 +279,14 @@ def _feature_term(pair, config, conf_patch):
         fb = np.asarray(pair.features_b, dtype=np.float64)
         if fa.shape != fb.shape or fa.ndim != 3:
             raise ShapeError(f"feature grids must match, got {fa.shape} vs {fb.shape}")
-        h = pair.image_a.shape[0]
-        scale = h / fa.shape[0]
+        h, w = pair.image_a.shape[:2]
         fh, fw_ = fa.shape[:2]
+        sy, sx = h / fh, w / fw_  # pixels per feature cell along each axis
         centers_y, centers_x = np.mgrid[0:fh, 0:fw_].astype(np.float64)
-        px = centers_x * scale + (scale - 1.0) / 2.0
-        py = centers_y * scale + (scale - 1.0) / 2.0
+        px = centers_x * sx + (sx - 1.0) / 2.0
+        py = centers_y * sy + (sy - 1.0) / 2.0
         fvals, _ = bilinear_sample(np.asarray(flow_bwd, dtype=np.float64), np.stack([px, py], axis=-1).reshape(-1, 2))
-        fvals = fvals.reshape(fh, fw_, 2) / scale
+        fvals = fvals.reshape(fh, fw_, 2) / np.array([sx, sy])
         coords = np.stack([centers_x + fvals[..., 0], centers_y + fvals[..., 1]], axis=-1)
         warped, inb = bilinear_sample(fa, coords.reshape(-1, 2))
         warped = warped.reshape(fh, fw_, fa.shape[2])

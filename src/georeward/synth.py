@@ -54,8 +54,17 @@ def _key(*parts):
     return k
 
 
+# float64 lattice values in [-2**63, 2**63) cast to int64 exactly
+_INT64_LATTICE = 2.0**63
+
+
 def _lattice_bits(x):
     """Integer-valued floats as the uint64 bits of their int64 values."""
+    if not np.all((x >= -_INT64_LATTICE) & (x < _INT64_LATTICE)):  # also False for NaN
+        raise DomainError(
+            "texture lattice coordinates leave the int64 range; "
+            "check the scene's texture_freq, depth, intrinsics and camera path"
+        )
     return x.astype(np.int64).view(np.uint64)
 
 
@@ -249,26 +258,18 @@ class PerturbationSpec:
         if self.object_morph <= 0:
             raise ConfigError(f"object_morph must be > 0 (1 = identity), got {self.object_morph}")
 
-    def is_noop(self):
-        return (
-            self.wobble_px == 0.0
-            and self.texture_drift_px == 0.0
-            and self.object_morph == 1.0
-            and self.depth_noise_rel == 0.0
-        )
-
 
 # ---------------------------------------------------------------------------
 # ray tracing
 
-def _camera_center(pose):
-    return -pose.r.T @ pose.t
-
-
-def _ray_dirs(spec, pose, xs, ys):
+def _pixel_rays(spec, pose):
+    """Camera center, the pixel lattice xs, ys, and each pixel's world-space
+    ray, scaled to unit depth in the camera frame."""
+    h, w = spec.resolution
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     k = spec.intrinsics
     d_cam = np.stack([(xs - k.cx) / k.fx, (ys - k.cy) / k.fy, np.ones_like(xs)], axis=-1)
-    return d_cam @ pose.r  # rows R^T d: camera rays in world coordinates
+    return -pose.r.T @ pose.t, xs, ys, d_cam @ pose.r  # rows R^T d: camera rays in world coordinates
 
 
 def _plane_s(p0, n, c, dirs):
@@ -318,16 +319,14 @@ def _surface_hits(spec, frame, c, dirs):
     return hits
 
 
-def _trace(spec, frame, xs, ys):
-    """Nearest surface along each pixel ray.
+def _trace(spec, frame):
+    """Nearest surface along each pixel ray of the frame.
 
     Returns (points_world, depth, surf_id). Raises when a ray escapes the
     backdrop or the camera sits on the geometry, both of which make the
     scene spec invalid.
     """
-    pose = spec.camera_path[frame]
-    c = _camera_center(pose)
-    dirs = _ray_dirs(spec, pose, xs, ys)
+    c, xs, _, dirs = _pixel_rays(spec, spec.camera_path[frame])
     hits = _surface_hits(spec, frame, c, dirs)
 
     best_s = np.full(xs.shape, np.inf)
@@ -372,56 +371,36 @@ def _shade(spec, frame, points, surf_id):
     return rgb
 
 
-def _pixel_grid(spec):
-    h, w = spec.resolution
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    return xs, ys
-
-
 def render_frame(spec: SceneSpec, frame: int):
     """Render one frame: (image [0,1), depth, object mask)."""
     if not 0 <= frame < len(spec.camera_path):
         raise ConfigError(f"frame {frame} outside the camera path of length {len(spec.camera_path)}")
-    xs, ys = _pixel_grid(spec)
-    points, depth, surf = _trace(spec, frame, xs, ys)
+    points, depth, surf = _trace(spec, frame)
     image = _shade(spec, frame, points, surf)
     return image, depth, surf == _OBJ_SURF
 
 
-def _correspond(spec, frame_a, frame_b, points, surf_id):
-    """Project frame-a hit points into frame b, moving object points rigidly.
+def _flow(spec, a, b, depth_a, object_a):
+    """Exact flow from frame a to frame b on the pixel lattice.
 
-    Returns (uv_b, flow-capable mask). The mask drops points that land
-    behind (or numerically at) the frame-b camera plane.
+    A ray's parameter is its depth, so c + depth_a * ray rebuilds frame a's
+    hit points bit for bit from its rendered depth; the quad's points
+    (object_a) move by the object's displacement, and all project into
+    frame b. The flow is zero where a point lands behind (or numerically at)
+    the frame-b camera plane; occlusion is not checked.
     """
-    moved = points.copy()
+    c, xs, ys, dirs = _pixel_rays(spec, spec.camera_path[a])
+    points = c + depth_a[..., None] * dirs
     obj = spec.moving_object
     if obj is not None:
-        shift = (frame_b - frame_a) * np.asarray(obj.velocity, dtype=np.float64)
-        moved[surf_id == _OBJ_SURF] += shift
-    pose_b = spec.camera_path[frame_b]
-    cam = moved @ pose_b.r.T + pose_b.t
+        points[object_a] += (b - a) * np.asarray(obj.velocity, dtype=np.float64)
+    pose_b = spec.camera_path[b]
+    cam = points @ pose_b.r.T + pose_b.t
     ok = cam[..., 2] > Z_MIN
     z = np.where(ok, cam[..., 2], 1.0)
     k = spec.intrinsics
-    uv = np.stack([k.fx * cam[..., 0] / z + k.cx, k.fy * cam[..., 1] / z + k.cy], axis=-1)
-    return uv, ok
-
-
-def flow_at(spec: SceneSpec, frame_a: int, frame_b: int, xy):
-    """Exact flow from frame_a to frame_b at continuous pixel coordinates.
-
-    The flow is zero where the corresponded point falls behind the frame_b
-    camera; occlusion is not checked. Evaluated on the pixel lattice it
-    gives the ground-truth flow grids.
-    """
-    pts = np.asarray(xy, dtype=np.float64)
-    if pts.shape[-1] != 2:
-        raise ShapeError(f"coordinates must end in an (x, y) axis, got {pts.shape}")
-    xs, ys = pts[..., 0], pts[..., 1]
-    points, _, surf = _trace(spec, frame_a, xs, ys)
-    uv_b, ok = _correspond(spec, frame_a, frame_b, points, surf)
-    return np.where(ok[..., None], uv_b - pts, 0.0)
+    flow = np.stack([k.fx * cam[..., 0] / z + k.cx - xs, k.fy * cam[..., 1] / z + k.cy - ys], axis=-1)
+    return np.where(ok[..., None], flow, 0.0)
 
 
 def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=None) -> FramePair:
@@ -442,16 +421,13 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=N
         )
     image_a, depth_a, obj_a = render_frame(spec, fa) if frame_a is None else frame_a
     image_b, depth_b, obj_b = render_frame(spec, fb)
-    uv = np.stack(_pixel_grid(spec), axis=-1)
-    flow_fwd = flow_at(spec, fa, fb, uv)
-    flow_bwd = flow_at(spec, fb, fa, uv)
     return FramePair(
         image_a=image_a,
         image_b=image_b,
         depth_a=depth_a,
         depth_b=depth_b,
-        flow_fwd=flow_fwd,
-        flow_bwd=flow_bwd,
+        flow_fwd=_flow(spec, fa, fb, depth_a, obj_a),
+        flow_bwd=_flow(spec, fb, fa, depth_b, obj_b),
         intrinsics_a=spec.intrinsics,
         intrinsics_b=spec.intrinsics,
         pose_a=spec.camera_path[fa],
@@ -465,17 +441,6 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=N
 
 # ---------------------------------------------------------------------------
 # perturbations
-
-def _sample_clamped(img, coords):
-    """Bilinear sample with border clamp; corruption paths only, the reward
-    path must keep the zero-plus-flag rule."""
-    h, w = img.shape[:2]
-    xy = coords.copy()
-    xy[..., 0] = np.clip(xy[..., 0], 0.0, w - 1.0)
-    xy[..., 1] = np.clip(xy[..., 1], 0.0, h - 1.0)
-    vals, _ = bilinear_sample(img, xy.reshape(-1, 2))
-    return vals.reshape(img.shape)
-
 
 def wobble_field(shape, amplitude_px, seed, salt=11):
     """Smooth divergence-free warp field with the given peak magnitude.
@@ -503,10 +468,15 @@ def wobble_field(shape, amplitude_px, seed, salt=11):
 
 
 def _warp_image(img, disp):
+    """Sample img at each pixel plus disp, bilinear with border clamp; for
+    the corruption paths only, the reward path must keep the zero-plus-flag
+    rule."""
     h, w = img.shape[:2]
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    coords = np.stack([xs + disp[..., 0], ys + disp[..., 1]], axis=-1)
-    return _sample_clamped(img, coords)
+    x = np.clip(xs + disp[..., 0], 0.0, w - 1.0)
+    y = np.clip(ys + disp[..., 1], 0.0, h - 1.0)
+    vals, _ = bilinear_sample(img, np.stack([x, y], axis=-1).reshape(-1, 2))
+    return vals.reshape(img.shape)
 
 
 def _drift_image(img, object_mask, shift_px):
@@ -518,7 +488,7 @@ def _drift_image(img, object_mask, shift_px):
 
 def _morph_pixels(img, object_mask, scale):
     """Radially magnify the quad's appearance around its projected center."""
-    if not object_mask.any() or scale == 1.0:
+    if not object_mask.any():
         return img
     ys_m, xs_m = np.nonzero(object_mask)
     cx = xs_m.mean()
@@ -526,13 +496,12 @@ def _morph_pixels(img, object_mask, scale):
     radius = max(xs_m.max() - xs_m.min(), ys_m.max() - ys_m.min()) / 2.0 + 1.0
     reach = radius * max(scale, 1.0) * 1.5
     h, w = img.shape[:2]
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    ys, xs = np.ogrid[0:h, 0:w]
     dx = xs - cx
     dy = ys - cy
     falloff = np.exp(-((dx * dx + dy * dy) / (reach * reach)))
     gain = (1.0 / scale - 1.0) * falloff
-    coords = np.stack([xs + dx * gain, ys + dy * gain], axis=-1)
-    return _sample_clamped(img, coords)
+    return _warp_image(img, np.stack([dx * gain, dy * gain], axis=-1))
 
 
 def _corrupt_image(img, object_mask, p: PerturbationSpec, seed, salt, drift_frames, morph):
@@ -562,11 +531,10 @@ def inject_perturbation(pair: FramePair, p: PerturbationSpec, seed: int) -> Fram
 
     The first frame and the ground-truth flow stay clean (unless
     corrupt_flow routes the wobble into the forward flow); depth noise is
-    the only corruption that touches the depth tensors. A no-op spec
-    returns the pair unchanged, bit for bit.
+    the only corruption that touches the depth tensors. Each corruption
+    skips itself at its identity amplitude, so a no-op spec returns a pair
+    holding the same arrays.
     """
-    if p.is_noop():
-        return pair
     dframes = pair.frame_b - pair.frame_a
     flow_fwd = pair.flow_fwd
     if p.wobble_px > 0 and p.corrupt_flow:
@@ -602,21 +570,21 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
         img, dep, msk = render_frame(spec, i)
         if i > 0:
             img = _corrupt_image(img, msk, p, seed, 11 + i, i, p.object_morph**i)
-            dep = _noisy_depth(dep, p, seed, i)
         images.append(img)
         depths.append(dep)
         masks.append(msk)
 
-    uv = np.stack(_pixel_grid(spec), axis=-1)
+    # the flows are built from the clean depths, then the depths take their noise
     flows_fwd, flows_bwd = [], []
     for a in range(n - stride):
         b = a + stride
-        fwd = flow_at(spec, a, b, uv)
-        bwd = flow_at(spec, b, a, uv)
+        fwd = _flow(spec, a, b, depths[a], masks[a])
         if p.wobble_px > 0 and p.corrupt_flow:
-            fwd = fwd + wobble_field(fwd.shape[:2], p.wobble_px, seed, salt=11 + b)
+            fwd += wobble_field(fwd.shape[:2], p.wobble_px, seed, salt=11 + b)
         flows_fwd.append(fwd)
-        flows_bwd.append(bwd)
+        flows_bwd.append(_flow(spec, b, a, depths[b], masks[b]))
+    for i in range(1, n):
+        depths[i] = _noisy_depth(depths[i], p, seed, i)
 
     h, w = spec.resolution
     return VideoBundle(

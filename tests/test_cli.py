@@ -37,6 +37,7 @@ def read_lines(path):
 
 STATIC_PATH = {"kind": "linear", "velocity": [0.0, 0.0, 0.0], "frames": 3}
 TRANS_PATH = {"kind": "linear", "velocity": [0.1, 0.0, 0.0], "frames": 3}
+PAIR_PATH = {"kind": "linear", "velocity": [0.0, 0.0, 0.0], "frames": 2}
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +232,11 @@ BAD_SPECS = {
     "perturb_drift_inf": {"camera_path": STATIC_PATH},
     "perturb_morph_nan": {"camera_path": STATIC_PATH},
     "perturb_depth_noise_inf": {"camera_path": STATIC_PATH},
+    # texture coordinates beyond the int64 lattice
+    "scene_texture_freq_huge": {"texture_freq": 1e300, "camera_path": PAIR_PATH},
+    "scene_depth_huge": {"depth": 1e300, "camera_path": PAIR_PATH},
+    "scene_intrinsics_tiny": {"intrinsics": [1e-300, 1e-300, 0, 0], "camera_path": PAIR_PATH},
+    "scene_velocity_huge": {"camera_path": {**PAIR_PATH, "velocity": [1e300, 0.0, 0.0]}},
 }
 # extra synth arguments of the BAD_SPECS cases that need them
 SYNTH_ARGS = {
@@ -300,6 +306,10 @@ NAMED = {
     "perturb_drift_inf": "texture_drift_px",
     "perturb_morph_nan": "object_morph",
     "perturb_depth_noise_inf": "depth_noise_rel",
+    "scene_texture_freq_huge": "texture lattice",
+    "scene_depth_huge": "texture lattice",
+    "scene_intrinsics_tiny": "texture lattice",
+    "scene_velocity_huge": "texture lattice",
 }
 
 

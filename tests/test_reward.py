@@ -280,6 +280,23 @@ def test_external_features_on_clean_scene(static_scene):
     assert abs(s.r_dino) < 1e-9
 
 
+@pytest.mark.parametrize("grid", [(6, 8), (6, 4), (12, 4), (3, 8)])
+def test_external_feature_cells_are_sized_per_axis(translating_scene, grid):
+    # features linear in the cell-center pixel position, frame b's shifted by
+    # the true backward flow (-5 px in x): the warped grid matches exactly
+    # only when the flow is sampled and scaled with each axis's cell size
+    pair = render_pair(translating_scene, 0)
+    h, w = pair.depth_a.shape
+    fh, fw = grid
+    ys, xs = np.mgrid[0:fh, 0:fw].astype(np.float64)
+    px = xs * (w / fw) + (w / fw - 1.0) / 2.0
+    py = ys * (h / fh) + (h / fh - 1.0) / 2.0
+    feats_a = np.stack([px, py, np.ones_like(px)], axis=-1)
+    feats_b = np.stack([px - 5.0, py, np.ones_like(px)], axis=-1)
+    s = score_pair(dataclasses.replace(pair, features_a=feats_a, features_b=feats_b), RewardConfig())
+    assert abs(s.r_dino) < 1e-12
+
+
 def test_nonpositive_target_depth_empties_the_mask(translating_scene):
     pair = render_pair(translating_scene, 0)
     with pytest.raises(EmptyMaskError):

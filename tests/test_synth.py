@@ -19,7 +19,7 @@ from georeward import (
     toy_scene,
 )
 from georeward import synth
-from georeward.camera import relative_transform, rigid_flow
+from georeward.camera import Z_MIN, relative_transform, rigid_flow
 from georeward.errors import ConfigError, ShapeError
 from georeward.grid import bilinear_sample
 from georeward.synth import ObjectSpec, perturbation_from_dict, scene_from_dict, wobble_field
@@ -194,6 +194,94 @@ def test_forward_backward_flow_consistency(scene_name, translating_scene, inclin
     sel = ok
     resid = np.linalg.norm(back[sel] + pair.flow_fwd.reshape(-1, 2)[sel], axis=-1)
     assert resid.max() < 1e-4
+
+
+def _rotation(ax, ay, az):
+    cx, sx, cy, sy, cz, sz = np.cos(ax), np.sin(ax), np.cos(ay), np.sin(ay), np.cos(az), np.sin(az)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    return rz @ ry @ rx
+
+
+def _flow_ref(spec, a, b):
+    """The old tracer path: re-trace frame a's rays, move the quad's hit
+    points, project them into frame b. Returns (flow, in front of camera b)."""
+    points, _, surf = synth._trace(spec, a)
+    h, w = spec.resolution
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    moved = points.copy()
+    obj = spec.moving_object
+    if obj is not None:
+        moved[surf == synth._OBJ_SURF] += (b - a) * np.asarray(obj.velocity, dtype=np.float64)
+    pose_b = spec.camera_path[b]
+    cam = moved @ pose_b.r.T + pose_b.t
+    ok = cam[..., 2] > Z_MIN
+    z = np.where(ok, cam[..., 2], 1.0)
+    k = spec.intrinsics
+    uv = np.stack([k.fx * cam[..., 0] / z + k.cx, k.fy * cam[..., 1] / z + k.cy], axis=-1)
+    return np.where(ok[..., None], uv - np.stack([xs, ys], axis=-1), 0.0), ok
+
+
+# a rotating, translating camera and a quad that moves toward it fast enough
+# to pass behind it by frame 3
+_ORACLE_PATH = tuple(
+    PoseSE3(_rotation(0.02 * i, -0.03 * i, 0.01 * i), np.array([0.04 * i, -0.01 * i, 0.03 * i]))
+    for i in range(5)
+)
+_ORACLE_QUAD = ObjectSpec(center=(0.1, 0.05, 1.3), size=0.35, velocity=(0.03, -0.02, -0.6))
+_ORACLE_SCENES = {
+    "plane": SceneSpec(camera_path=_ORACLE_PATH, moving_object=_ORACLE_QUAD),
+    "inclined": SceneSpec(geometry="inclined", normal=(0.2, -0.1, 1.0), camera_path=_ORACLE_PATH,
+                          moving_object=_ORACLE_QUAD),
+    "two_plane": SceneSpec(geometry="two_plane", camera_path=_ORACLE_PATH, moving_object=_ORACLE_QUAD),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("scene_name", sorted(_ORACLE_SCENES))
+def test_flow_matches_the_retracing_reference(scene_name, stride):
+    spec = _ORACLE_SCENES[scene_name]
+    video = render_video(spec, PerturbationSpec(wobble_px=0.5, depth_noise_rel=0.1), seed=1, stride=stride)
+    behind = 0
+    for a in range(len(_ORACLE_PATH) - stride):
+        b = a + stride
+        fwd, ok = _flow_ref(spec, a, b)
+        bwd, _ = _flow_ref(spec, b, a)
+        behind += int((~ok).sum())
+        for pair in (render_pair(spec, a, stride), render_pair(spec, a, stride, frame_a=render_frame(spec, a))):
+            assert pair.flow_fwd.tobytes() == fwd.tobytes()
+            assert pair.flow_bwd.tobytes() == bwd.tobytes()
+        assert video.flows_fwd[a].tobytes() == fwd.tobytes()
+        assert video.flows_bwd[a].tobytes() == bwd.tobytes()
+    # the pair (1, 3) sends the quad behind the camera
+    assert (behind > 0) == (stride == 2)
+
+
+def test_each_frame_is_traced_once(monkeypatch):
+    spec = _ORACLE_SCENES["two_plane"]
+    trace = synth._trace
+    calls = []
+
+    def counting_trace(spec, frame):
+        calls.append(frame)
+        return trace(spec, frame)
+
+    monkeypatch.setattr(synth, "_trace", counting_trace)
+    render_video(spec, PerturbationSpec(depth_noise_rel=0.1))
+    assert calls == [0, 1, 2, 3, 4]
+    calls.clear()
+    render_pair(spec, 1, 2)
+    assert calls == [1, 3]
+    first = render_frame(spec, 1)
+    calls.clear()
+    render_pair(spec, 1, 2, frame_a=first)
+    assert calls == [3]
+    template = dataclasses.replace(spec, camera_path=_ORACLE_PATH[2:3])
+    first = render_frame(template, 0)
+    calls.clear()
+    decode_latent(np.array([0.5, -0.3, 0.8, 1.0]), template, frame_a=first)
+    assert calls == [1]
 
 
 def test_resolution_floor():
