@@ -3,6 +3,10 @@
 GEOFLOW_THREADS caps internal parallelism for the whole package:
 unset or 0 means auto (one thread per core, capped at 8), 1 disables
 threading, any other positive integer is used as-is.
+
+ordered_map runs render_video's frames and then its flow pairs, the
+pairs score_video scores, and the rollouts and latent rewards of one GRPO
+group.
 """
 
 import os

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import runtime
 from .adapter import FramePair, VideoBundle
 from .camera import Intrinsics, PoseSE3, Z_MIN
 from .errors import ConfigError, DomainError, ShapeError
@@ -217,7 +218,11 @@ class SceneSpec:
         if self.geometry == "two_plane" and self.depth2 <= self.depth:
             raise ConfigError(f"far plane must lie behind the near one, got {self.depth2} <= {self.depth}")
         n = np.asarray(self.normal, dtype=np.float64)
-        if n.shape != (3,) or np.linalg.norm(n) == 0 or n[2] <= 0:
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(n)  # also inf or NaN when an entry is
+        if not np.isfinite(norm):
+            raise ConfigError(f"plane normal must have finite entries and a finite norm, got {self.normal}")
+        if n.shape != (3,) or norm == 0 or n[2] <= 0:
             raise ConfigError(f"plane normal must be a 3-vector with positive z, got {self.normal}")
         if len(self.camera_path) == 0:
             raise ConfigError("camera_path must hold at least one pose")
@@ -548,6 +553,31 @@ def inject_perturbation(pair: FramePair, p: PerturbationSpec, seed: int) -> Fram
     )
 
 
+def _ordered_arrays(task, count, layout):
+    """Run task(0), ..., task(count - 1) on the runtime pool; each returns a
+    tuple of arrays with the (shape, dtype) pairs of `layout`. Returns one
+    list per tuple position.
+
+    On the pool, each task copies its arrays into ones this thread allocated
+    first: an array allocated on a worker pins that worker's malloc arena,
+    and with it the task's temporaries (about 20% more peak memory for a
+    9-frame 256x320 video). Run serially, the tasks keep their own arrays,
+    because allocating every output first leaves the temporaries on top of
+    the heap, where malloc returns their pages after each task and the next
+    task faults them in again (about 30% slower).
+    """
+    if runtime.thread_count() == 1:
+        return [list(column) for column in zip(*runtime.ordered_map(task, range(count)))]
+    outputs = [[np.empty(shape, dtype) for _ in range(count)] for shape, dtype in layout]
+
+    def run(i):
+        for out, array in zip(outputs, task(i)):
+            out[i][...] = array
+
+    runtime.ordered_map(run, range(count))
+    return outputs
+
+
 def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 0, stride: int = 1) -> VideoBundle:
     """Render every frame of the camera path, corrupted per frame.
 
@@ -565,28 +595,28 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     if n < stride + 1:
         raise ConfigError(f"camera path has {n} frames; need at least stride + 1 = {stride + 1}")
 
-    images, depths, masks = [], [], []
-    for i in range(n):
+    def frame(i):
         img, dep, msk = render_frame(spec, i)
         if i > 0:
             img = _corrupt_image(img, msk, p, seed, 11 + i, i, p.object_morph**i)
-        images.append(img)
-        depths.append(dep)
-        masks.append(msk)
+        return img, dep, msk
+
+    h, w = spec.resolution
+    layout = [((h, w, 3), np.float64), ((h, w), np.float64), ((h, w), bool)]
+    images, depths, masks = _ordered_arrays(frame, n, layout)
 
     # the flows are built from the clean depths, then the depths take their noise
-    flows_fwd, flows_bwd = [], []
-    for a in range(n - stride):
+    def flow_pair(a):
         b = a + stride
         fwd = _flow(spec, a, b, depths[a], masks[a])
         if p.wobble_px > 0 and p.corrupt_flow:
             fwd += wobble_field(fwd.shape[:2], p.wobble_px, seed, salt=11 + b)
-        flows_fwd.append(fwd)
-        flows_bwd.append(_flow(spec, b, a, depths[b], masks[b]))
+        return fwd, _flow(spec, b, a, depths[b], masks[b])
+
+    flows_fwd, flows_bwd = _ordered_arrays(flow_pair, n - stride, [((h, w, 2), np.float64)] * 2)
     for i in range(1, n):
         depths[i] = _noisy_depth(depths[i], p, seed, i)
 
-    h, w = spec.resolution
     return VideoBundle(
         images=images,
         depths=depths,
@@ -682,7 +712,11 @@ def _path_from_json(doc):
             raise ConfigError(f"camera_path frames must be an integer >= 1, got {frames!r}")
         vel = _numbers(doc.get("velocity", (0.0, 0.0, 0.0)), (3,), "camera_path velocity")
         vel = np.asarray(vel, dtype=np.float64)
-        return tuple(PoseSE3(np.eye(3), i * vel) for i in range(frames))
+        with np.errstate(over="ignore"):
+            ts = [i * vel for i in range(frames)]
+        if not np.isfinite(ts).all():
+            raise ConfigError(f"camera_path velocity {vel.tolist()} over {frames} frames leaves the finite range")
+        return tuple(PoseSE3(np.eye(3), t) for t in ts)
     if not isinstance(doc, list):
         raise ConfigError(f"camera_path must be an object or a list of poses, got {doc!r}")
     return tuple(_pose_from_dict(p) for p in doc)

@@ -237,6 +237,11 @@ BAD_SPECS = {
     "scene_depth_huge": {"depth": 1e300, "camera_path": PAIR_PATH},
     "scene_intrinsics_tiny": {"intrinsics": [1e-300, 1e-300, 0, 0], "camera_path": PAIR_PATH},
     "scene_velocity_huge": {"camera_path": {**PAIR_PATH, "velocity": [1e300, 0.0, 0.0]}},
+    # float overflow in the scene's own numbers
+    "scene_normal_overflow_inclined": {"geometry": "inclined", "normal": [1e308, 1e308, 1],
+                                       "camera_path": PAIR_PATH},
+    "scene_normal_overflow_plane": {"geometry": "plane", "normal": [1e308, 1e308, 1], "camera_path": PAIR_PATH},
+    "scene_path_velocity_overflow": {"camera_path": {**STATIC_PATH, "velocity": [1e308, 0.0, 0.0]}},
 }
 # extra synth arguments of the BAD_SPECS cases that need them
 SYNTH_ARGS = {
@@ -310,6 +315,9 @@ NAMED = {
     "scene_depth_huge": "texture lattice",
     "scene_intrinsics_tiny": "texture lattice",
     "scene_velocity_huge": "texture lattice",
+    "scene_normal_overflow_inclined": "normal",
+    "scene_normal_overflow_plane": "normal",
+    "scene_path_velocity_overflow": "camera_path velocity",
 }
 
 
@@ -593,6 +601,13 @@ def test_score_is_thread_count_invariant(trans_dump, tmp_path, monkeypatch):
         assert main(["score", "--input", trans_dump, "--out", str(path)]) == 0
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_synth_rejects_a_bad_thread_count(tmp_path, monkeypatch, capsys):
+    spec = write_json(tmp_path / "spec.json", {"camera_path": STATIC_PATH})
+    monkeypatch.setenv("GEOFLOW_THREADS", "x")
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "dump")]) == 2
+    assert "GEOFLOW_THREADS" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,7 @@
 """Ray-traced scenes, ground-truth flow, perturbations, latent decoding."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -268,8 +269,14 @@ def test_each_frame_is_traced_once(monkeypatch):
         return trace(spec, frame)
 
     monkeypatch.setattr(synth, "_trace", counting_trace)
+    monkeypatch.setenv("GEOFLOW_THREADS", "1")
     render_video(spec, PerturbationSpec(depth_noise_rel=0.1))
     assert calls == [0, 1, 2, 3, 4]
+    calls.clear()
+    # on the pool, frames start in any order
+    monkeypatch.setenv("GEOFLOW_THREADS", "4")
+    render_video(spec, PerturbationSpec(depth_noise_rel=0.1))
+    assert sorted(calls) == [0, 1, 2, 3, 4]
     calls.clear()
     render_pair(spec, 1, 2)
     assert calls == [1, 3]
@@ -282,6 +289,38 @@ def test_each_frame_is_traced_once(monkeypatch):
     calls.clear()
     decode_latent(np.array([0.5, -0.3, 0.8, 1.0]), template, frame_a=first)
     assert calls == [1]
+
+
+_VIDEO_FIELDS = ("images", "depths", "flows_fwd", "flows_bwd", "dynamic_masks", "confidences")
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        PerturbationSpec(wobble_px=1.0, texture_drift_px=0.5, object_morph=1.1, depth_noise_rel=0.05),
+        PerturbationSpec(wobble_px=1.0, corrupt_flow=True),
+    ],
+    ids=["frames", "corrupt_flow"],
+)
+def test_render_video_is_thread_count_invariant(perturb, stride, monkeypatch):
+    spec = _ORACLE_SCENES["two_plane"]
+    monkeypatch.setenv("GEOFLOW_THREADS", "1")
+    serial = render_video(spec, perturb, seed=3, stride=stride)
+    # more workers than cores, switching often, so the tasks interleave
+    monkeypatch.setenv("GEOFLOW_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = render_video(spec, perturb, seed=3, stride=stride)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in _VIDEO_FIELDS:
+        arrays = getattr(serial, name), getattr(pooled, name)
+        assert len(arrays[0]) == len(arrays[1]) > 0
+        for a, b in zip(*arrays):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_resolution_floor():
@@ -527,6 +566,25 @@ def test_scene_from_dict_explicit_path():
 def test_scene_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         scene_from_dict({"geometry": "plane", "wobble": 2.0})
+
+
+@pytest.mark.parametrize(
+    "normal",
+    [(float("inf"), 0.0, 1.0), (0.0, float("nan"), 1.0), (1e308, 1e308, 1.0)],
+    ids=["inf", "nan", "norm_overflow"],
+)
+@pytest.mark.parametrize("geometry", ["plane", "inclined"])
+def test_scene_normal_must_be_finite(geometry, normal):
+    with pytest.raises(ConfigError, match="normal"):
+        SceneSpec(geometry=geometry, normal=normal)
+
+
+def test_linear_path_must_stay_finite():
+    doc = {"camera_path": {"kind": "linear", "frames": 3, "velocity": [1e308, 0.0, 0.0]}}
+    with pytest.raises(ConfigError, match="camera_path velocity"):
+        scene_from_dict(doc)
+    doc["camera_path"]["frames"] = 2
+    assert scene_from_dict(doc).camera_path[1].t[0] == 1e308
 
 
 def test_perturbation_from_dict():
