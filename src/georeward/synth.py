@@ -555,23 +555,33 @@ def inject_perturbation(pair: FramePair, p: PerturbationSpec, seed: int) -> Fram
 
 def _ordered_arrays(task, count, layout):
     """Run task(0), ..., task(count - 1) on the runtime pool; each returns a
-    tuple of arrays with the (shape, dtype) pairs of `layout`. Returns one
-    list per tuple position.
+    tuple of arrays with exactly the (shape, dtype) pairs of `layout`, so
+    the result cannot depend on the thread count. Returns one list per
+    tuple position.
 
-    On the pool, each task copies its arrays into ones this thread allocated
-    first: an array allocated on a worker pins that worker's malloc arena,
-    and with it the task's temporaries (about 20% more peak memory for a
-    9-frame 256x320 video). Run serially, the tasks keep their own arrays,
-    because allocating every output first leaves the temporaries on top of
-    the heap, where malloc returns their pages after each task and the next
-    task faults them in again (about 30% slower).
+    On the pool, each task's arrays are copied into arrays this thread
+    allocated first: an array allocated on a worker pins that worker's
+    malloc arena, and with it the task's temporaries. With one worker (by
+    the test ordered_map uses) the tasks run on this thread and keep their
+    own arrays, because outputs allocated first ran the serial render 1.3x
+    slower (BENCH_12.json, "allocation").
     """
-    if runtime.thread_count() == 1:
-        return [list(column) for column in zip(*runtime.ordered_map(task, range(count)))]
+
+    def checked(i):
+        arrays = task(i)
+        for array, (shape, dtype) in zip(arrays, layout, strict=True):
+            if array.shape != shape or array.dtype != dtype:
+                raise ShapeError(
+                    f"task {i} returned {array.dtype} {array.shape}, expected {np.dtype(dtype)} {shape}"
+                )
+        return arrays
+
+    if min(runtime.thread_count(), count) <= 1:
+        return [list(column) for column in zip(*runtime.ordered_map(checked, range(count)))]
     outputs = [[np.empty(shape, dtype) for _ in range(count)] for shape, dtype in layout]
 
     def run(i):
-        for out, array in zip(outputs, task(i)):
+        for out, array in zip(outputs, checked(i)):
             out[i][...] = array
 
     runtime.ordered_map(run, range(count))

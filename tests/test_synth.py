@@ -294,7 +294,7 @@ def test_each_frame_is_traced_once(monkeypatch):
 _VIDEO_FIELDS = ("images", "depths", "flows_fwd", "flows_bwd", "dynamic_masks", "confidences")
 
 
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 4])  # 4: one flow pair, which runs serially
 @pytest.mark.parametrize(
     "perturb",
     [
@@ -321,6 +321,17 @@ def test_render_video_is_thread_count_invariant(perturb, stride, monkeypatch):
         for a, b in zip(*arrays):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ordered_arrays_refuses_to_cast_or_broadcast(threads, monkeypatch):
+    monkeypatch.setenv("GEOFLOW_THREADS", threads)
+    layout = [((2, 3), np.float64)]
+    out = synth._ordered_arrays(lambda i: (np.full((2, 3), float(i)),), 2, layout)
+    assert [a.tolist() for a in out[0]] == [[[0.0] * 3] * 2, [[1.0] * 3] * 2]
+    for wrong in (np.zeros((2, 3), np.float32), np.zeros(3)):
+        with pytest.raises(ShapeError, match="expected float64 \\(2, 3\\)"):
+            synth._ordered_arrays(lambda i: (wrong,), 2, layout)
 
 
 def test_resolution_floor():
