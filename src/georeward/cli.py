@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 
+from . import runtime
 from ._version import __version__
 from .adapter import read_bundle, write_bundle
 from .errors import (
@@ -60,18 +61,34 @@ def _config_hash(doc):
 
 @contextlib.contextmanager
 def _locked_dir(path):
+    """Hold `path/.lock`, which records this process's pid, around the body.
+
+    A directory this call created is removed again when the body raises
+    before writing anything into it.
+    """
+    created = not os.path.isdir(path)
     os.makedirs(path, exist_ok=True)
     lock = os.path.join(path, ".lock")
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise InputError(f"output directory {path} is locked by another run (remove {lock} if stale)")
-    os.close(fd)
+        owner = ""
+        with contextlib.suppress(OSError, ValueError):
+            with open(lock) as f:
+                owner = f" (pid {int(f.read())})"
+        raise InputError(f"output directory {path} is locked by another run{owner} (remove {lock} if stale)")
+    done = False
     try:
+        with os.fdopen(fd, "w") as f:
+            f.write(str(os.getpid()))
         yield
+        done = True
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(lock)
+        if created and not done:
+            with contextlib.suppress(OSError):  # not empty: keep what the run wrote
+                os.rmdir(path)
 
 
 def _manifest(command, config_doc, seed, inputs, outputs, started):
@@ -430,6 +447,7 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    runtime.retain_heap()
     try:
         return args.func(args)
     except (NumericError, TrainingError) as exc:

@@ -7,8 +7,15 @@ threading, any other positive integer is used as-is.
 ordered_map runs render_video's frames and then its flow pairs, the
 pairs score_video scores, and the rollouts and latent rewards of one GRPO
 group.
+
+retain_heap keeps one malloc heap for the process. Only the CLI calls
+it, because it owns its process; importing the package leaves the
+host's allocator alone. With one heap the pool workers share one arena,
+so the arrays they allocate are kept as they are, with no copy into
+arrays the caller allocated (BENCH_13.json).
 """
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -47,3 +54,32 @@ def ordered_map(fn, items):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+_RETAIN_BYTES = 32 << 20  # glibc's largest mmap threshold on 64-bit hosts
+
+
+def retain_heap():
+    """Keep freed memory in one malloc heap for the rest of the process.
+
+    glibc otherwise hands each frame's freed temporaries back to the
+    kernel and faults them in again for the next frame. This asks for one
+    arena for every thread, and for blocks below 32 MiB to be neither
+    mapped nor trimmed on their own. All three are needed: a fixed
+    threshold turns off glibc's dynamic mmap threshold, and per-thread
+    arenas grow peak memory. Does nothing where the C library has no
+    mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+    mallopt(_M_MMAP_THRESHOLD, _RETAIN_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _RETAIN_BYTES)

@@ -559,12 +559,11 @@ def _ordered_arrays(task, count, layout):
     the result cannot depend on the thread count. Returns one list per
     tuple position.
 
-    On the pool, each task's arrays are copied into arrays this thread
-    allocated first: an array allocated on a worker pins that worker's
-    malloc arena, and with it the task's temporaries. With one worker (by
-    the test ordered_map uses) the tasks run on this thread and keep their
-    own arrays, because outputs allocated first ran the serial render 1.3x
-    slower (BENCH_12.json, "allocation").
+    The tasks keep the arrays they allocate at every thread count. Under
+    the CLI every worker shares one malloc arena (runtime.retain_heap), so
+    a worker's arrays pin no arena of their own; a library caller's pool
+    keeps per-worker arenas and pays some peak memory for not copying
+    (BENCH_13.json, "library").
     """
 
     def checked(i):
@@ -576,16 +575,7 @@ def _ordered_arrays(task, count, layout):
                 )
         return arrays
 
-    if min(runtime.thread_count(), count) <= 1:
-        return [list(column) for column in zip(*runtime.ordered_map(checked, range(count)))]
-    outputs = [[np.empty(shape, dtype) for _ in range(count)] for shape, dtype in layout]
-
-    def run(i):
-        for out, array in zip(outputs, checked(i)):
-            out[i][...] = array
-
-    runtime.ordered_map(run, range(count))
-    return outputs
+    return [list(column) for column in zip(*runtime.ordered_map(checked, range(count)))]
 
 
 def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 0, stride: int = 1) -> VideoBundle:

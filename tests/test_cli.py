@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from georeward import load_tensor, params_vector, save_tensor
+from georeward import cli, load_tensor, params_vector, runtime, save_tensor
 from georeward.cli import main
 from georeward.policy import load_policy
 from georeward.reward import RewardConfig
@@ -153,6 +153,51 @@ def test_synth_respects_the_lock(tmp_path, capsys):
     (out / ".lock").touch()
     assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
     assert "locked" in capsys.readouterr().err
+
+
+def test_lock_records_the_pid_while_the_command_runs(tmp_path, monkeypatch):
+    spec = write_json(tmp_path / "spec.json", {"camera_path": STATIC_PATH})
+    out = tmp_path / "dump"
+    seen = []
+    real = cli.write_bundle
+
+    def write_bundle(root, video):
+        seen.append(Path(root, ".lock").read_text())
+        return real(root, video)
+
+    monkeypatch.setattr(cli, "write_bundle", write_bundle)
+    assert main(["synth", "--spec", spec, "--out", str(out)]) == 0
+    assert seen == [str(os.getpid())]
+    assert not (out / ".lock").exists()
+
+
+def test_lock_message_names_the_holding_pid(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", {"camera_path": STATIC_PATH})
+    out = tmp_path / "locked"
+    out.mkdir()
+    (out / ".lock").write_text("4242")
+    assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
+    assert "locked by another run (pid 4242)" in capsys.readouterr().err
+
+
+def test_escaping_ray_leaves_no_output_directory(tmp_path, capsys):
+    # the second camera looks along +x, parallel to the plane, so its rays escape
+    side = {"r": [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]], "t": [0.0, 0.0, 0.0]}
+    front = {"r": np.eye(3).tolist(), "t": [0.0, 0.0, 0.0]}
+    spec = write_json(tmp_path / "spec.json", {"camera_path": [front, side]})
+    out = tmp_path / "dump"
+    assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
+    assert "escape" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_synth_keeps_a_directory_it_did_not_create(tmp_path, monkeypatch):
+    spec = write_json(tmp_path / "spec.json", {"camera_path": STATIC_PATH})
+    out = tmp_path / "dump"
+    out.mkdir()
+    monkeypatch.setenv("GEOFLOW_THREADS", "x")
+    assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_synth_unknown_scene_field(tmp_path, capsys):
@@ -608,6 +653,16 @@ def test_synth_rejects_a_bad_thread_count(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GEOFLOW_THREADS", "x")
     assert main(["synth", "--spec", spec, "--out", str(tmp_path / "dump")]) == 2
     assert "GEOFLOW_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "dump").exists()
+
+
+def test_main_retains_the_heap_once_per_invocation(static_dump, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(runtime, "retain_heap", lambda: calls.append(1))
+    assert main(["score", "--input", static_dump, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+    assert main(["score", "--input", str(tmp_path / "missing"), "--out", str(tmp_path / "m.json")]) == 2
+    assert len(calls) == 2
 
 
 def test_version_flag(capsys):
