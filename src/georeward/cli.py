@@ -186,10 +186,18 @@ def cmd_synth(args):
 # ---------------------------------------------------------------------------
 # pretrain / grpo
 
+_DATA_KEYS = {"normal": {"kind", "mean", "std"}, "coordinate_mixture": {"kind", "means", "std", "weights"}}
+
+
 def _data_sampler(doc, dim):
     kind = doc.get("kind", "normal")
     if not isinstance(kind, str):
         raise ConfigError(f"data kind must be a string, got {kind!r}")
+    if kind not in _DATA_KEYS:
+        raise ConfigError(f"unknown data kind {kind!r}")
+    unknown = sorted(set(doc) - _DATA_KEYS[kind])
+    if unknown:
+        raise ConfigError(f"unknown data keys for kind {kind}: {', '.join(unknown)}")
     if kind == "normal":
         mean, std = doc.get("mean", 0.0), doc.get("std", 1.0)
         for key, value in (("mean", mean), ("std", std)):
@@ -200,30 +208,28 @@ def _data_sampler(doc, dim):
         if np.any(std <= 0):
             raise ConfigError("data std must be > 0")
         return lambda rng, n: mean + std * rng.standard_normal((n, dim))
-    if kind == "coordinate_mixture":
-        means = doc.get("means")
-        if not isinstance(means, list) or not means:
-            raise ConfigError(f'coordinate_mixture needs a non-empty "means" list, got {means!r}')
-        means = np.asarray(_numbers(means, (len(means),), "data means"), dtype=np.float64)
-        std = doc.get("std", 1.0)
-        if not _json_type_ok(std, float):
-            raise ConfigError(f"data std must be a number, got {std!r}")
-        std = float(std)
-        if std <= 0:
-            raise ConfigError("data std must be > 0")
-        weights = doc.get("weights")
-        if weights is not None:
-            weights = np.asarray(_numbers(weights, (means.size,), "data weights"), dtype=np.float64)
-            if np.any(weights < 0) or weights.sum() <= 0:
-                raise ConfigError("data weights must be nonnegative with a positive sum")
-            weights = weights / weights.sum()
+    means = doc.get("means")
+    if not isinstance(means, list) or not means:
+        raise ConfigError(f'coordinate_mixture needs a non-empty "means" list, got {means!r}')
+    means = np.asarray(_numbers(means, (len(means),), "data means"), dtype=np.float64)
+    std = doc.get("std", 1.0)
+    if not _json_type_ok(std, float):
+        raise ConfigError(f"data std must be a number, got {std!r}")
+    std = float(std)
+    if std <= 0:
+        raise ConfigError("data std must be > 0")
+    weights = doc.get("weights")
+    if weights is not None:
+        weights = np.asarray(_numbers(weights, (means.size,), "data weights"), dtype=np.float64)
+        if np.any(weights < 0) or weights.sum() <= 0:
+            raise ConfigError("data weights must be nonnegative with a positive sum")
+        weights = weights / weights.sum()
 
-        def sample(rng, n):
-            idx = rng.choice(means.size, size=(n, dim), p=weights)
-            return means[idx] + std * rng.standard_normal((n, dim))
+    def sample(rng, n):
+        idx = rng.choice(means.size, size=(n, dim), p=weights)
+        return means[idx] + std * rng.standard_normal((n, dim))
 
-        return sample
-    raise ConfigError(f"unknown data kind {kind!r}")
+    return sample
 
 
 def _run_pretrain(doc):
@@ -322,6 +328,8 @@ def cmd_grpo(args):
         else:
             pretrained, _, pretrain_resolved = _run_pretrain(doc.get("pretrain", {}))
             inputs = [args.config] if args.config else []
+        if pretrained.dim != LATENT_DIM:
+            raise ConfigError(f"policy dim {pretrained.dim} does not match the latent dimension {LATENT_DIM}")
 
         metrics_path = os.path.join(args.out, "metrics.jsonl")
         resolved = {

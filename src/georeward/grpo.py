@@ -135,9 +135,10 @@ def sample_group(
     terminal decodes.
 
     eps_init is drawn from rng first (one shared draw when sync_noise, G
-    draws otherwise); per-member SDE noise then comes from rng.spawn(G), so
-    serial and threaded execution consume identical streams. frame_a is
-    passed on to every latent_reward call.
+    draws otherwise); per-member SDE noise then comes from rng.spawn(G).
+    Each member's rollout and latent_reward run as one task of a single
+    ordered_map, so serial and threaded execution consume identical
+    streams. frame_a is passed on to every latent_reward call.
     """
     g = config.group_size
     policy_old = snapshot.policy_old()
@@ -150,25 +151,20 @@ def sample_group(
         eps_init = [rng.standard_normal(d) for _ in range(g)]
     streams = rng.spawn(g)
 
-    results = ordered_map(
-        lambda i: rollout(policy_old, eps_init[i], sampler, streams[i]), range(g)
-    )
-    x0s = np.stack([x0 for _, x0 in results])
+    def member(i):
+        steps, x0 = rollout(policy_old, eps_init[i], sampler, streams[i])
+        reward = latent_reward(x0, template, seed=config.seed, reward_config=reward_config, frame_a=frame_a)
+        return steps, x0, reward
+
     try:
-        rewards = np.array(
-            ordered_map(
-                lambda x0: latent_reward(
-                    x0, template, seed=config.seed, reward_config=reward_config, frame_a=frame_a
-                ),
-                list(x0s),
-            )
-        )
+        trajectories, x0s, rewards = zip(*ordered_map(member, range(g)))
     except EmptyMaskError as exc:
         raise TrainingError(f"degenerate decode left no valid pixels to score: {exc}")
+    rewards = np.array(rewards)
     return GroupRollout(
         eps_init=eps_init,
-        trajectories=[steps for steps, _ in results],
-        x0s=x0s,
+        trajectories=list(trajectories),
+        x0s=np.stack(x0s),
         rewards=rewards,
         advantages=group_advantages(rewards),
     )

@@ -224,11 +224,9 @@ def reference_features(image, patch: int):
     h, w, _ = img.shape
     if patch > min(h, w):
         raise ConfigError(f"patch {patch} exceeds image sides {h}x{w}")
-    hp, wp = h // patch * patch, w // patch * patch
-    img = img[:hp, :wp]
-    ph, pw = hp // patch, wp // patch
-
-    blocks = img.reshape(ph, patch, pw, patch, 3)
+    blocks = _blocks(img, patch)
+    ph, _, pw, _, _ = blocks.shape
+    img = img[: ph * patch, : pw * patch]  # the gradients see the same crop
     mean = blocks.mean(axis=(1, 3))
     std = blocks.std(axis=(1, 3))
 
@@ -248,18 +246,11 @@ def reference_features(image, patch: int):
     return np.concatenate([mean, std, hist], axis=-1)
 
 
-def _patch_all(mask, patch):
-    h, w = mask.shape
-    hp, wp = h // patch * patch, w // patch * patch
-    m = mask[:hp, :wp].reshape(hp // patch, patch, wp // patch, patch)
-    return m.all(axis=(1, 3))
-
-
-def _patch_mean(values, patch):
-    h, w = values.shape
-    hp, wp = h // patch * patch, w // patch * patch
-    v = values[:hp, :wp].reshape(hp // patch, patch, wp // patch, patch)
-    return v.mean(axis=(1, 3))
+def _blocks(a, patch):
+    """The patch x patch blocks of `a`, cropped down to whole blocks:
+    shape (H // patch, patch, W // patch, patch) plus a's trailing axes."""
+    ph, pw = a.shape[0] // patch, a.shape[1] // patch
+    return a[: ph * patch, : pw * patch].reshape(ph, patch, pw, patch, *a.shape[2:])
 
 
 def _require_finite(stage, *arrays):
@@ -297,7 +288,7 @@ def _feature_term(pair, config, conf_patch):
         _require_finite("backward warp", warped_img)
         warped = reference_features(warped_img, config.feature_patch)
         target = reference_features(np.asarray(pair.image_b, dtype=np.float64), config.feature_patch)
-        weights = _patch_all(warp_mask, config.feature_patch).astype(np.float64)
+        weights = _blocks(warp_mask, config.feature_patch).all(axis=(1, 3)).astype(np.float64)
     if conf_patch is not None:
         weights = weights * conf_patch
     return r_dino(warped, target, weights)
@@ -354,7 +345,7 @@ def score_pair(pair: FramePair, config: RewardConfig = None):
 
     conf_patch = None
     if cfg.gating == "soft" and conf is not None and pair.features_a is None:
-        conf_patch = _patch_mean(conf, cfg.feature_patch)
+        conf_patch = _blocks(conf, cfg.feature_patch).mean(axis=(1, 3))
     rd = _feature_term(pair, cfg, conf_patch)
 
     rp = pair_reward(rg, rd, cfg.lam)

@@ -4,15 +4,17 @@ GEOFLOW_THREADS caps internal parallelism for the whole package:
 unset or 0 means auto (one thread per core, capped at 8), 1 disables
 threading, any other positive integer is used as-is.
 
-ordered_map runs render_video's frames and then its flow pairs, the
-pairs score_video scores, and the rollouts and latent rewards of one GRPO
-group.
+ordered_map is the package's one fan-out. It runs four stages:
+render_video's frames, render_video's flow pairs, score_video's pairs,
+and the members of a GRPO group (each member's rollout and latent
+reward as one task).
 
 retain_heap keeps one malloc heap for the process. Only the CLI calls
 it, because it owns its process; importing the package leaves the
 host's allocator alone. With one heap the pool workers share one arena,
-so the arrays they allocate are kept as they are, with no copy into
-arrays the caller allocated (BENCH_13.json).
+so arrays a worker allocates and returns pin no arena of their own; in
+a library caller's process they can, which costs peak memory
+(BENCH_13.json, "library").
 """
 
 import ctypes

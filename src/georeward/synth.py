@@ -553,31 +553,6 @@ def inject_perturbation(pair: FramePair, p: PerturbationSpec, seed: int) -> Fram
     )
 
 
-def _ordered_arrays(task, count, layout):
-    """Run task(0), ..., task(count - 1) on the runtime pool; each returns a
-    tuple of arrays with exactly the (shape, dtype) pairs of `layout`, so
-    the result cannot depend on the thread count. Returns one list per
-    tuple position.
-
-    The tasks keep the arrays they allocate at every thread count. Under
-    the CLI every worker shares one malloc arena (runtime.retain_heap), so
-    a worker's arrays pin no arena of their own; a library caller's pool
-    keeps per-worker arenas and pays some peak memory for not copying
-    (BENCH_13.json, "library").
-    """
-
-    def checked(i):
-        arrays = task(i)
-        for array, (shape, dtype) in zip(arrays, layout, strict=True):
-            if array.shape != shape or array.dtype != dtype:
-                raise ShapeError(
-                    f"task {i} returned {array.dtype} {array.shape}, expected {np.dtype(dtype)} {shape}"
-                )
-        return arrays
-
-    return [list(column) for column in zip(*runtime.ordered_map(checked, range(count)))]
-
-
 def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 0, stride: int = 1) -> VideoBundle:
     """Render every frame of the camera path, corrupted per frame.
 
@@ -587,6 +562,10 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     carries one unit of the configured corruption. Flow files at index i
     map frame i to frame i + stride; the moving quad's pixels are the
     bundle's dynamic masks.
+
+    The frames, then the flow pairs, are rendered on runtime.ordered_map.
+    Each task is pure and returns the arrays it allocated, so the bundle
+    is the same at every thread count.
     """
     p = perturb if perturb is not None else PerturbationSpec()
     n = len(spec.camera_path)
@@ -601,9 +580,7 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
             img = _corrupt_image(img, msk, p, seed, 11 + i, i, p.object_morph**i)
         return img, dep, msk
 
-    h, w = spec.resolution
-    layout = [((h, w, 3), np.float64), ((h, w), np.float64), ((h, w), bool)]
-    images, depths, masks = _ordered_arrays(frame, n, layout)
+    images, depths, masks = map(list, zip(*runtime.ordered_map(frame, range(n))))
 
     # the flows are built from the clean depths, then the depths take their noise
     def flow_pair(a):
@@ -613,7 +590,7 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
             fwd += wobble_field(fwd.shape[:2], p.wobble_px, seed, salt=11 + b)
         return fwd, _flow(spec, b, a, depths[b], masks[b])
 
-    flows_fwd, flows_bwd = _ordered_arrays(flow_pair, n - stride, [((h, w, 2), np.float64)] * 2)
+    flows_fwd, flows_bwd = map(list, zip(*runtime.ordered_map(flow_pair, range(n - stride))))
     for i in range(1, n):
         depths[i] = _noisy_depth(depths[i], p, seed, i)
 
@@ -625,7 +602,7 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
         intrinsics=[spec.intrinsics] * n,
         poses=list(spec.camera_path),
         flow_stride=stride,
-        confidences=[np.ones((h, w)) for _ in range(n)],
+        confidences=[np.ones(spec.resolution) for _ in range(n)],
         dynamic_masks=masks,
     )
 

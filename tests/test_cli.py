@@ -305,6 +305,8 @@ BAD_PRETRAIN = {
     "data_mean_length": {"data": {"kind": "normal", "mean": [1, 2]}},
     "data_means_type": {"data": {"kind": "coordinate_mixture", "means": "ab"}},
     "data_weights_type": {"data": {"kind": "coordinate_mixture", "means": [1.0], "weights": "x"}},
+    "data_normal_unknown_key": {"data": {"kind": "normal", "stdev": 0.0}},
+    "data_mixture_unknown_key": {"data": {"kind": "coordinate_mixture", "means": [1.0], "mean": 0.0}},
     "pretrain_negative_seed": {"seed": -3},
     "pretrain_batch_size": {"batch_size": 0, "iterations": 2},
     "pretrain_nan": {"lr": float("nan"), "iterations": 2},
@@ -333,6 +335,8 @@ NAMED = {
     "data_mean_length": "mean",
     "data_means_type": "means",
     "data_weights_type": "weights",
+    "data_normal_unknown_key": "kind normal: stdev",
+    "data_mixture_unknown_key": "kind coordinate_mixture: mean",
     "tensor_name": "007.gft",
     "dynamic_shape": "dynamic/000.gft",
     "frame_shape": "frames/001.gft",
@@ -534,6 +538,23 @@ def test_grpo_config_errors(tmp_path, capsys):
     cfg = write_json(tmp_path / "c.json", {"sprockets": 1})
     assert main(["grpo", "--config", cfg, "--out", str(tmp_path / "o3")]) == 2
     assert "sprockets" in capsys.readouterr().err
+
+
+def test_grpo_rejects_a_policy_of_the_wrong_dim(tmp_path, capsys):
+    small = dict(TINY_PRETRAIN, iterations=5, dim=3)
+    pre_cfg = write_json(tmp_path / "pre.json", small)
+    pre_out = tmp_path / "pre"
+    assert main(["pretrain", "--config", pre_cfg, "--out", str(pre_out)]) == 0
+    trainer = dict(TINY_TRAINER, iterations=2)
+    docs = {
+        "pretrain": {"trainer": trainer, "pretrain": small},
+        "checkpoint": {"trainer": trainer, "init_checkpoint": str(pre_out / "checkpoint")},
+    }
+    for name, doc in docs.items():
+        cfg, out = write_json(tmp_path / f"{name}.json", doc), tmp_path / name
+        assert main(["grpo", "--config", cfg, "--out", str(out)]) == 2
+        assert "policy dim 3 does not match the latent dimension 4" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_grpo_zero_noise_fails_cleanly(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Group sampling, the on-policy surrogate, and the full training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from georeward import (
     train,
     with_params,
 )
+from georeward import grpo
 from georeward.errors import ConfigError, TrainingError
 from georeward.grpo import GroupRollout
 from georeward.policy import transition_logprob, transition_mean
@@ -146,6 +148,34 @@ def test_sample_group_threads_do_not_change_the_draw(pretrained, monkeypatch):
     threaded = make_group(snap, small_config())
     np.testing.assert_array_equal(serial.rewards, threaded.rewards)
     np.testing.assert_array_equal(serial.x0s, threaded.x0s)
+    assert len(serial.trajectories) == len(threaded.trajectories) == 4
+    for a_steps, b_steps in zip(serial.trajectories, threaded.trajectories, strict=True):
+        assert len(a_steps) == len(b_steps) == 6
+        for a, b in zip(a_steps, b_steps):
+            for f in dataclasses.fields(a):
+                va, vb = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(va, np.ndarray):
+                    assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), f.name
+                else:
+                    assert va == vb, f.name
+
+
+def test_sample_group_maps_each_member_once(pretrained, monkeypatch):
+    calls = {"ordered_map": 0, "rollout": 0, "latent_reward": 0}
+
+    def counting(name):
+        original = getattr(grpo, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(grpo, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    make_group(PolicySnapshot.from_policy(pretrained), small_config(group_size=3))
+    assert calls == {"ordered_map": 1, "rollout": 3, "latent_reward": 3}
 
 
 def test_latent_reward_matches_group_rewards(pretrained):

@@ -323,17 +323,6 @@ def test_render_video_is_thread_count_invariant(perturb, stride, monkeypatch):
             assert a.tobytes() == b.tobytes(), name
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_ordered_arrays_refuses_to_cast_or_broadcast(threads, monkeypatch):
-    monkeypatch.setenv("GEOFLOW_THREADS", threads)
-    layout = [((2, 3), np.float64)]
-    out = synth._ordered_arrays(lambda i: (np.full((2, 3), float(i)),), 2, layout)
-    assert [a.tolist() for a in out[0]] == [[[0.0] * 3] * 2, [[1.0] * 3] * 2]
-    for wrong in (np.zeros((2, 3), np.float32), np.zeros(3)):
-        with pytest.raises(ShapeError, match="expected float64 \\(2, 3\\)"):
-            synth._ordered_arrays(lambda i: (wrong,), 2, layout)
-
-
 def test_resolution_floor():
     with pytest.raises(ConfigError):
         SceneSpec(resolution=(16, 64))
