@@ -183,9 +183,11 @@ def _dump_json(doc, path):
 
 
 def _json_type_ok(value, kind):
-    # JSON true/false load as bool, which Python also counts as an int
+    # JSON true/false load as bool, which Python also counts as an int; an
+    # int must also fit numpy's int64, or it reaches numpy as a shape or
+    # count that it cannot hold
     if kind is int:
-        return isinstance(value, int) and not isinstance(value, bool)
+        return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
     if kind is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     return isinstance(value, kind)

@@ -23,7 +23,7 @@ from .policy import (
     with_params,
 )
 from .reward import RewardConfig, score_pair
-from .runtime import ordered_map
+from .runtime import Tasks, ordered_map
 from .synth import SEED_MAX, decode_latent, render_frame
 
 
@@ -138,7 +138,8 @@ def sample_group(
     draws otherwise); per-member SDE noise then comes from rng.spawn(G).
     Each member's rollout and latent_reward run as one task of a single
     ordered_map, so serial and threaded execution consume identical
-    streams. frame_a is passed on to every latent_reward call.
+    streams; each task covers template.resolution pixels. frame_a is
+    passed on to every latent_reward call.
     """
     g = config.group_size
     policy_old = snapshot.policy_old()
@@ -156,8 +157,9 @@ def sample_group(
         reward = latent_reward(x0, template, seed=config.seed, reward_config=reward_config, frame_a=frame_a)
         return steps, x0, reward
 
+    h, w = template.resolution
     try:
-        trajectories, x0s, rewards = zip(*ordered_map(member, range(g)))
+        trajectories, x0s, rewards = zip(*ordered_map(member, Tasks(range(g), h * w)))
     except EmptyMaskError as exc:
         raise TrainingError(f"degenerate decode left no valid pixels to score: {exc}")
     rewards = np.array(rewards)

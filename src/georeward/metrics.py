@@ -50,7 +50,10 @@ def sample_correspondences(flow_fwd, grid_step, static_mask=None) -> Corresponde
     if grid_step < 1:
         raise InputError(f"grid_step must be >= 1, got {grid_step}")
     h, w = flow.shape[:2]
-    ys, xs = np.mgrid[0:h:grid_step, 0:w:grid_step]
+    # any step of at least max(h, w) keeps the one point (0, 0); clamping
+    # keeps a huge step out of numpy's C long
+    step = min(grid_step, max(h, w))
+    ys, xs = np.mgrid[0:h:step, 0:w:step]
     ys, xs = ys.ravel(), xs.ravel()
     uv_a = np.stack([xs, ys], axis=1).astype(np.float64)
     uv_b = uv_a + flow[ys, xs]

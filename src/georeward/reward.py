@@ -330,12 +330,18 @@ def score_pair(pair: FramePair, config: RewardConfig = None):
     omega = rig_valid & covered & (d_b > 0)
 
     conf = None
-    sides = (pair.confidence_a, pair.confidence_b)
-    if any(c is not None for c in sides):
-        cands = [np.asarray(c, dtype=np.float64) for c in sides if c is not None]
-        for c in cands:
-            if c.shape != (h, w):
-                raise ShapeError(f"confidence shape {c.shape} does not match frames {(h, w)}")
+    cands = []
+    for side, c in (("a", pair.confidence_a), ("b", pair.confidence_b)):
+        if c is None:
+            continue
+        c = np.asarray(c, dtype=np.float64)
+        if c.shape != (h, w):
+            raise ShapeError(f"confidence shape {c.shape} does not match frames {(h, w)}")
+        # NaN fails both comparisons
+        if not (c.min() >= 0.0 and c.max() <= 1.0):
+            raise InputError(f"confidence_{side} must lie in [0, 1], got [{c.min()}, {c.max()}]")
+        cands.append(c)
+    if cands:
         conf = cands[0] if len(cands) == 1 else np.minimum(cands[0], cands[1])
 
     if cfg.gating == "hard" and conf is not None:
@@ -384,6 +390,7 @@ def score_video(video: VideoBundle, config: RewardConfig = None):
             f"got {len(video.flows_fwd)} forward / {len(video.flows_bwd)} backward"
         )
 
-    scores = runtime.ordered_map(lambda tau: score_pair(video.pair(tau), cfg), range(expected))
+    tasks = runtime.Tasks(range(expected), np.size(video.depths[0]))
+    scores = runtime.ordered_map(lambda tau: score_pair(video.pair(tau), cfg), tasks)
     r_video = float(np.mean([p.r_pair for p in scores]))
     return VideoScore(pair_scores=scores, r_video=r_video)

@@ -7,7 +7,16 @@ threading, any other positive integer is used as-is.
 ordered_map is the package's one fan-out. It runs four stages:
 render_video's frames, render_video's flow pairs, score_video's pairs,
 and the members of a GRPO group (each member's rollout and latent
-reward as one task).
+reward as one task). Each stage hands it a Tasks, which carries the
+pixels one task covers, and ordered_map runs the stage serially when
+that is below _POOL_MIN_PIXELS, so GEOFLOW_THREADS is a cap rather than
+a count. Threads pay off only when a task's numpy calls are long enough
+to amortise the GIL handoffs between them. On a 2-core host, 2 workers
+took 1.23-1.73x the serial time at 3072 px per task and 0.95-1.32x at
+6912 px, but 0.70-0.99x at 12288 px and 0.62-0.87x at 20480 px, over a
+GRPO group, render_video and score_video (tools/pool_sweep.py;
+BENCH_16.json, "sweep"). So the 48x64 trainer, toy renders and toy
+scores run serially and every 256x320 stage keeps its pool.
 
 retain_heap keeps one malloc heap for the process. Only the CLI calls
 it, because it owns its process; importing the package leaves the
@@ -20,10 +29,14 @@ a library caller's process they can, which costs peak memory
 import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
 _ENV_VAR = "GEOFLOW_THREADS"
+# Smallest task, in pixels, that ordered_map runs on the pool; the
+# pool/serial crossover of the sweep lies between 6912 and 12288 px.
+_POOL_MIN_PIXELS = 8192
 
 
 def thread_count() -> int:
@@ -43,16 +56,25 @@ def thread_count() -> int:
     return n
 
 
-def ordered_map(fn, items):
-    """Map `fn` over `items`, preserving order.
+@dataclass(frozen=True)
+class Tasks:
+    """The inputs of one ordered_map stage and the pixels each task covers."""
 
-    Runs on a thread pool when GEOFLOW_THREADS allows more than one worker.
-    Every `fn` call must be pure, so the result is identical to the serial
-    map regardless of worker count.
+    items: object  # any iterable
+    pixels: int
+
+
+def ordered_map(fn, tasks):
+    """Map `fn` over `tasks.items`, preserving order.
+
+    Runs on a thread pool when GEOFLOW_THREADS allows more than one worker
+    and each task covers at least _POOL_MIN_PIXELS pixels. Every `fn` call
+    must be pure, so the result is identical to the serial map regardless
+    of worker count.
     """
-    items = list(items)
+    items = list(tasks.items)
     workers = min(thread_count(), len(items))
-    if workers <= 1:
+    if workers <= 1 or tasks.pixels < _POOL_MIN_PIXELS:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

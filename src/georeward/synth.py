@@ -563,9 +563,10 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     map frame i to frame i + stride; the moving quad's pixels are the
     bundle's dynamic masks.
 
-    The frames, then the flow pairs, are rendered on runtime.ordered_map.
-    Each task is pure and returns the arrays it allocated, so the bundle
-    is the same at every thread count.
+    The frames, then the flow pairs, are rendered on runtime.ordered_map,
+    each task covering one frame's pixels. Each task is pure and returns
+    the arrays it allocated, so the bundle is the same at every thread
+    count.
     """
     p = perturb if perturb is not None else PerturbationSpec()
     n = len(spec.camera_path)
@@ -573,6 +574,7 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
         raise ConfigError(f"stride must be >= 1, got {stride}")
     if n < stride + 1:
         raise ConfigError(f"camera path has {n} frames; need at least stride + 1 = {stride + 1}")
+    pixels = spec.resolution[0] * spec.resolution[1]
 
     def frame(i):
         img, dep, msk = render_frame(spec, i)
@@ -580,7 +582,7 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
             img = _corrupt_image(img, msk, p, seed, 11 + i, i, p.object_morph**i)
         return img, dep, msk
 
-    images, depths, masks = map(list, zip(*runtime.ordered_map(frame, range(n))))
+    images, depths, masks = map(list, zip(*runtime.ordered_map(frame, runtime.Tasks(range(n), pixels))))
 
     # the flows are built from the clean depths, then the depths take their noise
     def flow_pair(a):
@@ -590,7 +592,8 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
             fwd += wobble_field(fwd.shape[:2], p.wobble_px, seed, salt=11 + b)
         return fwd, _flow(spec, b, a, depths[b], masks[b])
 
-    flows_fwd, flows_bwd = map(list, zip(*runtime.ordered_map(flow_pair, range(n - stride))))
+    pairs = runtime.Tasks(range(n - stride), pixels)
+    flows_fwd, flows_bwd = map(list, zip(*runtime.ordered_map(flow_pair, pairs)))
     for i in range(1, n):
         depths[i] = _noisy_depth(depths[i], p, seed, i)
 

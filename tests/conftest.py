@@ -7,11 +7,12 @@ collection hook marks every test in test_acceptance.py `acceptance`.
 """
 
 import re
+import threading
 
 import numpy as np
 import pytest
 
-from georeward import PoseSE3, SceneSpec, score_pair
+from georeward import Intrinsics, PoseSE3, SceneSpec, score_pair
 
 # center-depth 2 m, fx = 100, t_x = 0.1 -> exactly 5 px of background flow,
 # so warps land on grid points and the scorer sees bit-clean inputs
@@ -54,6 +55,34 @@ def inclined_scene():
         normal=(0.2, -0.1, 1.0),
         camera_path=(PoseSE3.identity(), _shifted_pose()),
     )
+
+
+@pytest.fixture(scope="session")
+def pooled_fields():
+    """SceneSpec fields for 96x128 frames with the default intrinsics
+    doubled: 12288 px per task, enough for runtime.ordered_map to run its
+    stages on the pool, where the default 48x64 (3072 px) runs serially."""
+    return {"resolution": (96, 128), "intrinsics": Intrinsics(200.0, 200.0, 63.5, 47.5)}
+
+
+@pytest.fixture
+def watch_threads(monkeypatch):
+    """watch(module, name) wraps module.name so every call records whether
+    it ran off the thread that called watch; off_main[name] lists those
+    flags in call order."""
+    caller = threading.get_ident()
+    off_main = {}
+
+    def watch(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            off_main.setdefault(name, []).append(threading.get_ident() != caller)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    return watch, off_main
 
 
 @pytest.fixture

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from georeward import cli, load_tensor, params_vector, runtime, save_tensor
+from georeward import cli, grpo, load_tensor, params_vector, reward, runtime, save_tensor, synth
 from georeward.cli import main
+from georeward.errors import ConfigError
+from georeward.grid import _from_dict, _json_type_ok
+from georeward.grpo import TrainerConfig
 from georeward.policy import load_policy
 from georeward.reward import RewardConfig
 
@@ -310,6 +313,10 @@ BAD_PRETRAIN = {
     "pretrain_negative_seed": {"seed": -3},
     "pretrain_batch_size": {"batch_size": 0, "iterations": 2},
     "pretrain_nan": {"lr": float("nan"), "iterations": 2},
+    # integers beyond int64 would reach numpy as a shape or a count
+    "pretrain_iterations_huge": {"iterations": 10**30},
+    "pretrain_dim_huge": {"dim": 10**30},
+    "pretrain_batch_size_huge": {"batch_size": 10**30},
 }
 BAD_GRPO = {
     "trainer_field_type": {"trainer": {"group_size": "4"}},
@@ -319,6 +326,7 @@ BAD_GRPO = {
     "trainer_negative_seed": {"trainer": {"seed": -1}},
     "grpo_trainer_nan": {"trainer": {"lr": float("nan"), "iterations": 2}},
     "trainer_seed_overflow": {"trainer": {"seed": 2**70}},
+    "trainer_steps_huge": {"trainer": {"steps": 10**30}},
     "grpo_init_checkpoint_int": {"init_checkpoint": 5},
     "grpo_init_checkpoint_list": {"init_checkpoint": ["ckpt"]},
 }
@@ -354,6 +362,10 @@ NAMED = {
     "synth_seed_overflow": "seed",
     "scene_texture_seed_overflow": "texture_seed",
     "trainer_seed_overflow": "seed",
+    "pretrain_iterations_huge": "iterations",
+    "pretrain_dim_huge": "dim",
+    "pretrain_batch_size_huge": "batch_size",
+    "trainer_steps_huge": "steps",
     "grpo_init_checkpoint_int": "init_checkpoint",
     "grpo_init_checkpoint_list": "init_checkpoint",
     "perturb_wobble_nan": "wobble_px",
@@ -451,6 +463,30 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert NAMED.get(case, "") in err
+
+
+def test_trainer_group_size_beyond_int64_is_rejected():
+    # checked on the config alone: a trainer run with this group size would
+    # try to draw that many members
+    with pytest.raises(ConfigError, match="group_size"):
+        _from_dict(TrainerConfig, {"group_size": 10**30}, "trainer config")
+    assert _json_type_ok(2**63 - 1, int) and _json_type_ok(-(2**63), int)
+    assert not _json_type_ok(2**63, int) and not _json_type_ok(-(2**63) - 1, int)
+
+
+def test_score_rejects_confidence_outside_unit_range(static_dump, tmp_path, capsys):
+    dump = tmp_path / "dump"
+    shutil.copytree(static_dump, dump)
+    conf_path = str(dump / "confidence" / "001.gft")
+    conf = load_tensor(conf_path)
+    conf[5, 7] = -0.25
+    save_tensor(conf, conf_path)
+    report = tmp_path / "r.json"
+    assert main(["score", "--input", str(dump), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    # frame 1 is the b side of pair 0, the first pair scored
+    assert err.startswith("error:") and "confidence_b" in err and "[0, 1]" in err
+    assert not report.exists()
 
 
 def test_score_incomplete_dump(tmp_path, capsys):
@@ -622,6 +658,17 @@ def test_metrics_skips_pairs_without_enough_correspondences(trans_dump, tmp_path
     assert report["sampson_mean"] < 1e-10
 
 
+def test_metrics_grid_step_beyond_c_long_keeps_one_point(trans_dump, tmp_path):
+    # every step of at least max(h, w) samples the lattice at (0, 0) alone
+    reports = []
+    for step in (10**30, 10000):
+        path = tmp_path / f"m{step}.json"
+        assert main(["metrics", "--input", trans_dump, "--grid-step", str(step), "--out", str(path)]) == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+    assert "only 1 usable correspondences" in reports[0].decode()
+
+
 def test_metrics_stride_validation(static_dump, tmp_path, capsys):
     # the default stride is the dump's flow_stride
     assert main(["metrics", "--input", static_dump,
@@ -659,14 +706,80 @@ def test_metrics_dynamic_masks_rescue_the_floor(object_dump, tmp_path):
 # ---------------------------------------------------------------------------
 # cross-cutting
 
-def test_score_is_thread_count_invariant(trans_dump, tmp_path, monkeypatch):
-    reports = []
-    for threads in ("1", "8"):
+@pytest.fixture(scope="module")
+def pooled_scene(pooled_fields):
+    """The 96x128 fields in scene-document form."""
+    k = pooled_fields["intrinsics"]
+    return {"resolution": list(pooled_fields["resolution"]), "intrinsics": [k.fx, k.fy, k.cx, k.cy]}
+
+
+@pytest.fixture(scope="module")
+def pooled_dump(pooled_scene, tmp_path_factory):
+    root = tmp_path_factory.mktemp("pooled")
+    spec = write_json(
+        root / "spec.json", {"geometry": "two_plane", "camera_path": TRANS_PATH, **pooled_scene}
+    )
+    out = str(root / "dump")
+    assert main(["synth", "--spec", spec, "--out", out]) == 0
+    return out
+
+
+def test_score_is_thread_count_invariant(pooled_dump, tmp_path, watch_threads, monkeypatch):
+    watch, off_main = watch_threads
+
+    def report(threads):
         monkeypatch.setenv("GEOFLOW_THREADS", threads)
         path = tmp_path / f"r{threads}.json"
-        assert main(["score", "--input", trans_dump, "--out", str(path)]) == 0
-        reports.append(path.read_bytes())
-    assert reports[0] == reports[1]
+        assert main(["score", "--input", pooled_dump, "--out", str(path)]) == 0
+        return path.read_bytes()
+
+    serial = report("1")
+    watch(reward, "score_pair")
+    assert report("8") == serial
+    assert off_main["score_pair"] == [True, True]
+
+
+def test_cli_reports_are_thread_count_invariant_on_the_pool(pooled_scene, tmp_path, watch_threads, monkeypatch):
+    """Criterion 10 at 96x128, where synth, score and grpo run every
+    ordered_map stage on the pool (at 48x64 they run serially)."""
+    spec = write_json(
+        tmp_path / "spec.json", {"geometry": "two_plane", "camera_path": TRANS_PATH, **pooled_scene}
+    )
+    toy = {"depth": 2.0, "moving_object": {"center": [0.0, 0.0, 1.5], "size": 0.4}}
+    grpo_cfg = write_json(tmp_path / "grpo.json", {
+        "trainer": {"iterations": 2, "seed": 0},
+        "pretrain": {"iterations": 100, "hidden": 8},
+        "scene": {**toy, **pooled_scene},
+    })
+    a, b = tmp_path / "threads1", tmp_path / "threads8"
+
+    def run(threads, root):
+        monkeypatch.setenv("GEOFLOW_THREADS", threads)
+        root.mkdir()
+        assert main(["synth", "--spec", spec, "--out", str(root / "dump")]) == 0
+        # both scoring runs read the first dump so their inputs match
+        assert main(["score", "--input", str(a / "dump"), "--out", str(root / "score.json")]) == 0
+        assert main(["grpo", "--config", grpo_cfg, "--out", str(root / "grpo")]) == 0
+
+    run("1", a)
+    watch, off_main = watch_threads
+    for module, name in ((synth, "render_frame"), (synth, "_flow"), (reward, "score_pair"), (grpo, "latent_reward")):
+        watch(module, name)
+    run("8", b)
+
+    # every call ran off the calling thread: synth's frames and flow pairs,
+    # score's 2 pairs and the 2 groups of 4 members, whose decodes render too
+    assert sorted(off_main) == ["_flow", "latent_reward", "render_frame", "score_pair"]
+    assert all(all(flags) for flags in off_main.values())
+    assert len(off_main["score_pair"]) == 2 and len(off_main["latent_reward"]) == 8
+    files = [os.path.join("dump", sub, name)
+             for sub in ("frames", "depth", "flow_fwd", "flow_bwd", "confidence", "dynamic")
+             for name in sorted(os.listdir(a / "dump" / sub))]
+    files += ["dump/cameras.json", "score.json", "grpo/metrics.jsonl", "grpo/config.json"]
+    files += [os.path.join("grpo", ckpt, name) for ckpt in ("checkpoint", "checkpoint_ema")
+              for name in sorted(os.listdir(a / "grpo" / ckpt))]
+    for rel in files:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), f"{rel} differs"
 
 
 def test_synth_rejects_a_bad_thread_count(tmp_path, monkeypatch, capsys):

@@ -46,9 +46,9 @@ def small_config(**kw):
     return TrainerConfig(**base)
 
 
-def make_group(snapshot, config, seed=0):
+def make_group(snapshot, config, seed=0, template=None):
     rng = np.random.default_rng([config.seed, seed])
-    return sample_group(snapshot, toy_scene(), config, rng)
+    return sample_group(snapshot, template or toy_scene(), config, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +140,16 @@ def test_zero_noise_with_sync_collapses_the_group(pretrained):
     np.testing.assert_array_equal(group.advantages, np.zeros(4))
 
 
-def test_sample_group_threads_do_not_change_the_draw(pretrained, monkeypatch):
+def test_sample_group_threads_do_not_change_the_draw(pretrained, pooled_fields, watch_threads, monkeypatch):
     snap = PolicySnapshot.from_policy(pretrained)
+    template = dataclasses.replace(toy_scene(), **pooled_fields)
     monkeypatch.setenv("GEOFLOW_THREADS", "1")
-    serial = make_group(snap, small_config())
+    serial = make_group(snap, small_config(), template=template)
     monkeypatch.setenv("GEOFLOW_THREADS", "4")
-    threaded = make_group(snap, small_config())
+    watch, off_main = watch_threads
+    watch(grpo, "latent_reward")
+    threaded = make_group(snap, small_config(), template=template)
+    assert off_main["latent_reward"] == [True] * 4
     np.testing.assert_array_equal(serial.rewards, threaded.rewards)
     np.testing.assert_array_equal(serial.x0s, threaded.x0s)
     assert len(serial.trajectories) == len(threaded.trajectories) == 4

@@ -266,6 +266,20 @@ def test_two_sided_confidence_is_elementwise_min(translating_scene):
     assert both.r_dino == merged.r_dino
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("bad", [-1e-9, 1.5, float("nan")])
+def test_confidence_outside_the_unit_range_is_rejected(translating_scene, side, bad):
+    pair = render_pair(translating_scene, 0)
+    conf = np.ones(pair.depth_a.shape)
+    conf[3, 4] = bad
+    # the range is checked whatever the gating mode
+    for gating in ("off", "soft", "hard"):
+        with pytest.raises(InputError, match=f"confidence_{side} must lie in \\[0, 1\\]"):
+            score_pair(dataclasses.replace(pair, **{f"confidence_{side}": conf}), RewardConfig(gating=gating))
+    conf[3, 4] = 0.0
+    assert np.isfinite(score_pair(dataclasses.replace(pair, **{f"confidence_{side}": conf})).r_pair)
+
+
 def test_external_features_need_both_sides(translating_scene):
     pair = render_pair(translating_scene, 0)
     feats = reference_features(pair.image_a, 8)

@@ -1,15 +1,53 @@
-"""runtime.retain_heap tunes the C allocator only where it can, and only
-the CLI calls it."""
+"""runtime.ordered_map pools only tasks large enough to gain from it;
+runtime.retain_heap tunes the C allocator only where it can, and only the
+CLI calls it."""
 
 import ctypes
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from georeward import runtime
+
+
+def _thread_of(i):
+    return threading.get_ident()
+
+
+def test_tasks_below_the_threshold_run_on_the_calling_thread(monkeypatch):
+    monkeypatch.setenv("GEOFLOW_THREADS", "4")
+    tasks = runtime.Tasks(range(6), runtime._POOL_MIN_PIXELS - 1)
+    assert runtime.ordered_map(_thread_of, tasks) == [threading.get_ident()] * 6
+
+
+def test_tasks_at_the_threshold_run_on_pool_threads(monkeypatch):
+    monkeypatch.setenv("GEOFLOW_THREADS", "2")
+    threads = runtime.ordered_map(_thread_of, runtime.Tasks(range(6), runtime._POOL_MIN_PIXELS))
+    assert len(threads) == 6 and threading.get_ident() not in threads
+
+
+def test_pool_still_obeys_the_thread_cap(monkeypatch):
+    monkeypatch.setenv("GEOFLOW_THREADS", "1")
+    tasks = runtime.Tasks(range(3), 10 * runtime._POOL_MIN_PIXELS)
+    assert runtime.ordered_map(_thread_of, tasks) == [threading.get_ident()] * 3
+
+
+def test_pooled_results_keep_item_order(monkeypatch):
+    monkeypatch.setenv("GEOFLOW_THREADS", "2")
+
+    def late_first(i):
+        # the first items finish last
+        time.sleep(0.01 * (5 - i))
+        return i * i
+
+    assert runtime.ordered_map(late_first, runtime.Tasks(range(6), runtime._POOL_MIN_PIXELS)) == [
+        0, 1, 4, 9, 16, 25
+    ]
 
 
 class _NoMallopt:
@@ -35,10 +73,12 @@ import os
 os.environ["GEOFLOW_THREADS"] = "2"
 import numpy as np
 import georeward
-from georeward import PoseSE3, SceneSpec, runtime
+from georeward import Intrinsics, PoseSE3, SceneSpec, runtime
 runtime.retain_heap = lambda: opened.append("retain_heap")
 path = (PoseSE3.identity(), PoseSE3(np.eye(3), np.array([0.1, 0.0, 0.0])))
-georeward.render_video(SceneSpec(camera_path=path))
+# 96x128, so the frames render on the pool
+pooled = {"resolution": (96, 128), "intrinsics": Intrinsics(200.0, 200.0, 63.5, 47.5)}
+georeward.render_video(SceneSpec(camera_path=path, **pooled))
 assert None not in opened and "retain_heap" not in opened, opened
 """
 

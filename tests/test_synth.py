@@ -259,7 +259,7 @@ def test_flow_matches_the_retracing_reference(scene_name, stride):
     assert (behind > 0) == (stride == 2)
 
 
-def test_each_frame_is_traced_once(monkeypatch):
+def test_each_frame_is_traced_once(pooled_fields, monkeypatch):
     spec = _ORACLE_SCENES["two_plane"]
     trace = synth._trace
     calls = []
@@ -275,7 +275,7 @@ def test_each_frame_is_traced_once(monkeypatch):
     calls.clear()
     # on the pool, frames start in any order
     monkeypatch.setenv("GEOFLOW_THREADS", "4")
-    render_video(spec, PerturbationSpec(depth_noise_rel=0.1))
+    render_video(dataclasses.replace(spec, **pooled_fields), PerturbationSpec(depth_noise_rel=0.1))
     assert sorted(calls) == [0, 1, 2, 3, 4]
     calls.clear()
     render_pair(spec, 1, 2)
@@ -303,18 +303,23 @@ _VIDEO_FIELDS = ("images", "depths", "flows_fwd", "flows_bwd", "dynamic_masks", 
     ],
     ids=["frames", "corrupt_flow"],
 )
-def test_render_video_is_thread_count_invariant(perturb, stride, monkeypatch):
-    spec = _ORACLE_SCENES["two_plane"]
+def test_render_video_is_thread_count_invariant(perturb, stride, pooled_fields, watch_threads, monkeypatch):
+    spec = dataclasses.replace(_ORACLE_SCENES["two_plane"], **pooled_fields)
     monkeypatch.setenv("GEOFLOW_THREADS", "1")
     serial = render_video(spec, perturb, seed=3, stride=stride)
     # more workers than cores, switching often, so the tasks interleave
     monkeypatch.setenv("GEOFLOW_THREADS", "4")
+    watch, off_main = watch_threads
+    watch(synth, "render_frame")
+    watch(synth, "_flow")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         pooled = render_video(spec, perturb, seed=3, stride=stride)
     finally:
         sys.setswitchinterval(interval)
+    assert off_main["render_frame"] == [True] * 5
+    assert set(off_main["_flow"]) == {stride < 4}
     for name in _VIDEO_FIELDS:
         arrays = getattr(serial, name), getattr(pooled, name)
         assert len(arrays[0]) == len(arrays[1]) > 0
