@@ -1,5 +1,7 @@
 """Pinhole projection, SE(3) poses, rigid flow, and depth reprojection.
 
+`rigid_flow` projects each pixel once; `reproject_depth` splats its targets.
+
 Conventions used throughout the package:
   * poses are world-to-camera, x_cam = R @ x_world + t, units in meters;
   * +z points forward, so depth is the camera-frame z coordinate;
@@ -119,63 +121,51 @@ def project(points, k: Intrinsics):
     return np.stack([u, v], axis=-1)
 
 
-def _moved_lattice(depth, k_src: Intrinsics, transform: PoseSE3):
-    """Unproject every pixel of an HxW depth map and apply `transform`.
+def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
+    """Flow induced by camera motion over a static scene, from one projection.
 
-    Returns (uv, moved, valid, zs): the (x, y) pixel lattice, the moved
-    camera-frame points, validity (finite D > 0 and moved z > Z_MIN), and
-    the moved z with invalid pixels set to 1 so callers may divide by it.
+    flow(u) = project(T(unproject(u, D(u)))) - u. Returns (flow, valid,
+    target, z): validity (finite D > 0 and moved z > Z_MIN), the projected
+    (x, y) of every pixel, and the moved z with invalid pixels set to 1 so
+    that `target` stays finite. Invalid pixels carry zero flow; no exception
+    is raised for them. `reproject_depth` splats `target` and `z`.
     """
     d = np.asarray(depth, dtype=np.float64)
     if d.ndim != 2:
         raise ShapeError(f"depth must be HxW, got shape {d.shape}")
     h, w = d.shape
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    uv = np.stack([xs, ys], axis=-1)
 
     valid = np.isfinite(d) & (d > 0)
     ds = np.where(valid, d, 1.0)  # placeholder depth, masked out by valid
-    pts = np.stack(
-        [ds * (uv[..., 0] - k_src.cx) / k_src.fx, ds * (uv[..., 1] - k_src.cy) / k_src.fy, ds],
-        axis=-1,
-    )
+    pts = np.stack([ds * (xs - k_src.cx) / k_src.fx, ds * (ys - k_src.cy) / k_src.fy, ds], axis=-1)
     moved = pts @ transform.r.T + transform.t
-    z = moved[..., 2]
-    valid &= z > Z_MIN
-    return uv, moved, valid, np.where(valid, z, 1.0)
-
-
-def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
-    """Flow induced by camera motion over a static scene.
-
-    flow(u) = project(T(unproject(u, D(u)))) - u. Pixels with D(u) <= 0 or a
-    transformed z <= Z_MIN are reported invalid and carry zero flow; no
-    exception is raised for them.
-    """
-    uv, moved, valid, zs = _moved_lattice(depth, k_src, transform)
-    u2 = k_dst.fx * moved[..., 0] / zs + k_dst.cx
-    v2 = k_dst.fy * moved[..., 1] / zs + k_dst.cy
-    flow = np.stack([u2, v2], axis=-1) - uv
+    valid &= moved[..., 2] > Z_MIN
+    z = np.where(valid, moved[..., 2], 1.0)
+    target = np.stack(
+        [k_dst.fx * moved[..., 0] / z + k_dst.cx, k_dst.fy * moved[..., 1] / z + k_dst.cy], axis=-1
+    )
+    flow = target - np.stack([xs, ys], axis=-1)
     flow[~valid] = 0.0
-    return flow, valid
+    return flow, valid, target, z
 
 
-def reproject_depth(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
-    """Forward-splat source depth into the target view.
+def reproject_depth(target, z, valid):
+    """Forward-splat the moved depths of `rigid_flow` into the target view.
 
-    Each valid source pixel contributes its post-transform z at the nearest
-    target cell; collisions keep the smallest z (z-buffer). Returns
-    (warped_depth, covered) where covered(u) is False at holes, i.e. target
-    cells no source pixel reached. The min-reduction makes the result
-    independent of traversal order, so parallel splatting stays deterministic.
+    Each valid source pixel contributes its moved z at the target cell
+    nearest its projection, floor(target + 0.5); collisions keep the
+    smallest z (z-buffer). Returns (warped_depth, covered) where covered(u)
+    is False at holes, i.e. target cells no source pixel reached. The
+    min-reduction makes the result independent of traversal order, so
+    parallel splatting stays deterministic.
     """
-    uv, moved, valid, zs = _moved_lattice(depth, k_src, transform)
-    h, w = uv.shape[:2]
-    ix = np.floor(k_dst.fx * moved[..., 0] / zs + k_dst.cx + 0.5).astype(np.int64)
-    iy = np.floor(k_dst.fy * moved[..., 1] / zs + k_dst.cy + 0.5).astype(np.int64)
-    valid &= (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    h, w = valid.shape
+    ix = np.floor(target[..., 0] + 0.5).astype(np.int64)
+    iy = np.floor(target[..., 1] + 0.5).astype(np.int64)
+    hit = valid & (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
 
     buf = np.full((h, w), np.inf)
-    np.minimum.at(buf, (iy[valid], ix[valid]), zs[valid])
+    np.minimum.at(buf, (iy[hit], ix[hit]), z[hit])
     covered = np.isfinite(buf)
     return np.where(covered, buf, 0.0), covered

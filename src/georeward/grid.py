@@ -185,11 +185,17 @@ def _dump_json(doc, path):
 def _json_type_ok(value, kind):
     # JSON true/false load as bool, which Python also counts as an int; an
     # int must also fit numpy's int64, or it reaches numpy as a shape or
-    # count that it cannot hold
+    # count that it cannot hold, and a float field's int must fit a float
     if kind is int:
         return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
     if kind is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return False
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
     return isinstance(value, kind)
 
 

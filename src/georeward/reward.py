@@ -312,13 +312,14 @@ def score_pair(pair: FramePair, config: RewardConfig = None):
 
     k_a, k_b = pair.intrinsics_a, pair.intrinsics_b
     transform = relative_transform(pair.pose_a, pair.pose_b)
-    f_rig, rig_valid = rigid_flow(d_a, k_a, k_b, transform)
+    f_rig, rig_valid, target, z = rigid_flow(d_a, k_a, k_b, transform)
     _require_finite("rigid flow", f_rig)
 
     epe = normalized_epe(pair.flow_fwd, f_rig, cfg.eps_num)
     _require_finite("normalized EPE", epe)
 
-    d_warp, covered = reproject_depth(d_a, k_a, k_b, transform)
+    d_warp, covered = reproject_depth(target, z, rig_valid)
+    del target, z  # lattice-sized; not held through the feature term
     _require_finite("depth reprojection", d_warp)
 
     depth_err = relative_depth_error(d_warp, d_b, cfg.eps_num, covered)

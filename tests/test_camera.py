@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from georeward import Intrinsics, PoseSE3, project
-from georeward.camera import relative_transform, reproject_depth, rigid_flow, unproject
+from georeward.camera import Z_MIN, relative_transform, reproject_depth, rigid_flow, unproject
 from georeward.errors import DomainError
 
 K100 = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0)
@@ -16,6 +16,11 @@ def random_pose(rng, t_scale=0.5):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return PoseSE3(q, t_scale * rng.standard_normal(3))
+
+
+def splat(depth, k_src, k_dst, transform):
+    _, valid, target, z = rigid_flow(depth, k_src, k_dst, transform)
+    return reproject_depth(target, z, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +132,7 @@ def test_project_rejects_points_behind_camera():
 
 def test_rigid_flow_identity_transform_is_zero():
     depth = np.full((8, 10), 2.0)
-    flow, valid = rigid_flow(depth, K100, K100, PoseSE3.identity())
+    flow, valid = rigid_flow(depth, K100, K100, PoseSE3.identity())[:2]
     assert valid.all()
     np.testing.assert_allclose(flow, 0.0, atol=1e-12)
 
@@ -136,7 +141,7 @@ def test_rigid_flow_translating_plane_is_constant():
     # fx * t_x / z = 100 * 0.1 / 2 = 5 px everywhere on a fronto plane
     depth = np.full((8, 10), 2.0)
     move = PoseSE3(np.eye(3), np.array([0.1, 0.0, 0.0]))
-    flow, valid = rigid_flow(depth, K100, K100, move)
+    flow, valid = rigid_flow(depth, K100, K100, move)[:2]
     assert valid.all()
     np.testing.assert_allclose(flow[..., 0], 5.0, atol=1e-6)
     np.testing.assert_allclose(flow[..., 1], 0.0, atol=1e-6)
@@ -145,7 +150,7 @@ def test_rigid_flow_translating_plane_is_constant():
 def test_rigid_flow_marks_bad_depth_invalid():
     depth = np.full((4, 4), 2.0)
     depth[1, 2] = -1.0
-    flow, valid = rigid_flow(depth, K100, K100, PoseSE3.identity())
+    flow, valid = rigid_flow(depth, K100, K100, PoseSE3.identity())[:2]
     assert not valid[1, 2]
     np.testing.assert_array_equal(flow[1, 2], [0.0, 0.0])
     assert valid.sum() == 15
@@ -154,7 +159,7 @@ def test_rigid_flow_marks_bad_depth_invalid():
 def test_rigid_flow_marks_points_pushed_behind_camera():
     depth = np.full((4, 4), 2.0)
     move = PoseSE3(np.eye(3), np.array([0.0, 0.0, -2.0]))
-    flow, valid = rigid_flow(depth, K100, K100, move)
+    flow, valid = rigid_flow(depth, K100, K100, move)[:2]
     assert not valid.any()
     assert not flow.any()
 
@@ -165,7 +170,7 @@ def test_rigid_flow_marks_points_pushed_behind_camera():
 def test_reproject_identity_covers_everything():
     rng = np.random.default_rng(10)
     depth = rng.uniform(1.0, 3.0, size=(6, 8))
-    warped, covered = reproject_depth(depth, K100, K100, PoseSE3.identity())
+    warped, covered = splat(depth, K100, K100, PoseSE3.identity())
     assert covered.all()
     np.testing.assert_allclose(warped, depth, atol=1e-12)
 
@@ -175,7 +180,7 @@ def test_reproject_forward_motion_shifts_depth():
     # at z = 1.5 in the new frame, whatever cells the splat reaches
     depth = np.full((20, 20), 2.0)
     move = PoseSE3(np.eye(3), np.array([0.0, 0.0, -0.5]))
-    warped, covered = reproject_depth(depth, K100, K100, move)
+    warped, covered = splat(depth, K100, K100, move)
     assert covered.any()
     assert np.allclose(warped[covered], 1.5, atol=1e-12)
 
@@ -184,7 +189,7 @@ def test_reproject_pan_leaves_holes():
     depth = np.full((16, 64), 2.0)
     k = Intrinsics(fx=100.0, fy=100.0, cx=31.5, cy=7.5)
     move = PoseSE3(np.eye(3), np.array([0.64, 0.0, 0.0]))
-    warped, covered = reproject_depth(depth, k, k, move)
+    warped, covered = splat(depth, k, k, move)
     # every source splats exactly 32 px to the right
     assert not covered[:, :32].any()
     assert covered[:, 32:].all()
@@ -196,7 +201,91 @@ def test_reproject_zbuffer_keeps_nearest():
     k = Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
     move = PoseSE3(np.eye(3), np.array([-1.0, 0.0, 0.0]))
     # both pixels land in cell (0, 0): (0,0,2) -> u = -0.5 and (1,0,1) -> u = 0
-    warped, covered = reproject_depth(depth, k, k, move)
+    warped, covered = splat(depth, k, k, move)
     assert covered[0, 0]
     assert not covered[0, 1]
     assert warped[0, 0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# one projection per pair, against the two-pass reference
+
+def _reference_lattice(depth, k_src, transform):
+    # the former camera._moved_lattice, which both stages used to run
+    d = np.asarray(depth, dtype=np.float64)
+    h, w = d.shape
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    uv = np.stack([xs, ys], axis=-1)
+    valid = np.isfinite(d) & (d > 0)
+    ds = np.where(valid, d, 1.0)
+    pts = np.stack(
+        [ds * (uv[..., 0] - k_src.cx) / k_src.fx, ds * (uv[..., 1] - k_src.cy) / k_src.fy, ds],
+        axis=-1,
+    )
+    moved = pts @ transform.r.T + transform.t
+    z = moved[..., 2]
+    valid &= z > Z_MIN
+    return uv, moved, valid, np.where(valid, z, 1.0)
+
+
+def _reference_rigid_flow(depth, k_src, k_dst, transform):
+    uv, moved, valid, zs = _reference_lattice(depth, k_src, transform)
+    u2 = k_dst.fx * moved[..., 0] / zs + k_dst.cx
+    v2 = k_dst.fy * moved[..., 1] / zs + k_dst.cy
+    flow = np.stack([u2, v2], axis=-1) - uv
+    flow[~valid] = 0.0
+    return flow, valid
+
+
+def _reference_reproject_depth(depth, k_src, k_dst, transform):
+    uv, moved, valid, zs = _reference_lattice(depth, k_src, transform)
+    h, w = uv.shape[:2]
+    ix = np.floor(k_dst.fx * moved[..., 0] / zs + k_dst.cx + 0.5).astype(np.int64)
+    iy = np.floor(k_dst.fy * moved[..., 1] / zs + k_dst.cy + 0.5).astype(np.int64)
+    valid &= (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    buf = np.full((h, w), np.inf)
+    np.minimum.at(buf, (iy[valid], ix[valid]), zs[valid])
+    covered = np.isfinite(buf)
+    return np.where(covered, buf, 0.0), covered
+
+
+def _turn(angle, axis):
+    c, s = np.cos(angle), np.sin(angle)
+    i, j = [a for a in range(3) if a != axis]
+    r = np.eye(3)
+    r[i, i], r[i, j], r[j, i], r[j, j] = c, -s, s, c
+    return r
+
+
+@pytest.mark.parametrize(
+    "r, t",
+    [
+        (np.eye(3), [0.0, 0.0, 0.0]),
+        (np.eye(3), [0.07, -0.03, 0.0]),
+        (_turn(0.05, 1) @ _turn(-0.03, 0), [0.08, 0.02, -0.1]),
+        # pushes the near points behind the camera
+        (_turn(0.02, 2), [0.0, 0.0, -1.2]),
+        # pushes most targets off the image
+        (_turn(0.3, 1), [1.5, -0.4, 0.2]),
+    ],
+)
+def test_one_projection_matches_the_two_pass_reference(r, t):
+    rng = np.random.default_rng(11)
+    depth = rng.uniform(0.6, 3.0, size=(24, 32))
+    depth[2, 3], depth[5, 7], depth[9, 1] = np.nan, np.inf, -np.inf
+    depth[4, 20], depth[11, 30], depth[17, 12] = 0.0, -1.0, -0.25
+    k_src = Intrinsics(fx=30.0, fy=32.0, cx=15.5, cy=11.5)
+    k_dst = Intrinsics(fx=27.5, fy=29.0, cx=16.25, cy=10.75)
+    move = PoseSE3(r, np.array(t))
+
+    flow, valid, target, z = rigid_flow(depth, k_src, k_dst, move)
+    warped, covered = reproject_depth(target, z, valid)
+    ref_flow, ref_valid = _reference_rigid_flow(depth, k_src, k_dst, move)
+    ref_warped, ref_covered = _reference_reproject_depth(depth, k_src, k_dst, move)
+
+    # the splat leaves the caller's validity alone
+    assert valid.tobytes() == ref_valid.tobytes()
+    assert flow.tobytes() == ref_flow.tobytes()
+    assert warped.tobytes() == ref_warped.tobytes()
+    assert covered.tobytes() == ref_covered.tobytes()
+    assert np.isfinite(target).all() and np.isfinite(z).all()

@@ -266,6 +266,8 @@ BAD_SCORE_CONFIGS = {
     "score_config_type": [1],
     "score_feature_patch_type": {"feature_patch": "8"},
     "score_stale_pair_stride": {"pair_stride": 1},
+    # an int beyond the float range in a float field
+    "score_eps_num_overflow": {"eps_num": 10**400},
 }
 BAD_SPECS = {
     "scene_depth_type": {"depth": "a"},
@@ -290,6 +292,7 @@ BAD_SPECS = {
                                        "camera_path": PAIR_PATH},
     "scene_normal_overflow_plane": {"geometry": "plane", "normal": [1e308, 1e308, 1], "camera_path": PAIR_PATH},
     "scene_path_velocity_overflow": {"camera_path": {**STATIC_PATH, "velocity": [1e308, 0.0, 0.0]}},
+    "scene_depth_int_overflow": {"depth": 10**400, "camera_path": PAIR_PATH},
 }
 # extra synth arguments of the BAD_SPECS cases that need them
 SYNTH_ARGS = {
@@ -317,6 +320,7 @@ BAD_PRETRAIN = {
     "pretrain_iterations_huge": {"iterations": 10**30},
     "pretrain_dim_huge": {"dim": 10**30},
     "pretrain_batch_size_huge": {"batch_size": 10**30},
+    "pretrain_lr_int_overflow": {"lr": 10**400, "iterations": 2},
 }
 BAD_GRPO = {
     "trainer_field_type": {"trainer": {"group_size": "4"}},
@@ -329,6 +333,7 @@ BAD_GRPO = {
     "trainer_steps_huge": {"trainer": {"steps": 10**30}},
     "grpo_init_checkpoint_int": {"init_checkpoint": 5},
     "grpo_init_checkpoint_list": {"init_checkpoint": ["ckpt"]},
+    "trainer_lr_int_overflow": {"trainer": {"lr": 10**400, "iterations": 2}},
 }
 # one tensor of a copy of the 48x64 static dump swapped for a 32x32 one,
 # then read by the given subcommand
@@ -379,6 +384,10 @@ NAMED = {
     "scene_normal_overflow_inclined": "normal",
     "scene_normal_overflow_plane": "normal",
     "scene_path_velocity_overflow": "camera_path velocity",
+    "score_eps_num_overflow": "eps_num",
+    "scene_depth_int_overflow": "depth",
+    "pretrain_lr_int_overflow": "lr",
+    "trainer_lr_int_overflow": "lr",
 }
 
 
@@ -463,6 +472,7 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert NAMED.get(case, "") in err
+    assert not os.path.exists(out)
 
 
 def test_trainer_group_size_beyond_int64_is_rejected():

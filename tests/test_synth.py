@@ -177,7 +177,7 @@ def test_flow_matches_rigid_oracle(inclined_scene):
     rig, valid = rigid_flow(
         pair.depth_a, pair.intrinsics_a, pair.intrinsics_b,
         relative_transform(pair.pose_a, pair.pose_b),
-    )
+    )[:2]
     sel = valid
     assert sel.all()
     np.testing.assert_allclose(pair.flow_fwd[sel], rig[sel], atol=1e-6)
