@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Intrinsics, PoseSE3
-from .errors import ConfigError, InputError
-from .grid import _dump_json, _load_json, _numbers, load_tensor, save_tensor
+from .errors import ConfigError, FormatError, InputError
+from .grid import _dump_json, _load_json, _numbers, load_tensor, save_tensor, tensor_shape
 
 _REQUIRED_DIRS = ("frames", "depth", "flow_fwd", "flow_bwd")
 _OPTIONAL_DIRS = ("confidence", "features", "dynamic")
@@ -146,15 +146,26 @@ def write_bundle(out_dir, bundle: VideoBundle):
     _dump_json(doc, os.path.join(out_dir, "cameras.json"))
 
 
-def _load_dir(root, name, expected, shape):
-    """Load the `expected` tensors of one directory, or None if it is absent.
+def _read(reader, root, name, file_name):
+    try:
+        return reader(os.path.join(root, name, file_name))
+    except FormatError as exc:
+        exc.args = (f'"{name}/{file_name}" under {root}: {exc}',)  # name the file, keep the field
+        raise
+
+
+def _load_dir(root, name, expected, shape, load=True):
+    """Check the `expected` tensors of one directory; returns (tensors or
+    None if the directory is absent, the shape they share).
 
     Every tensor must have `shape`; a None axis takes the first tensor's
-    size, so all tensors of one directory share one shape.
+    size, so all tensors of one directory share one shape. Without `load`
+    only each file's header and payload length are checked, and the list
+    holds shapes in place of arrays.
     """
     d = os.path.join(root, name)
     if not os.path.isdir(d):
-        return None
+        return None, shape
     names = sorted(n for n in os.listdir(d) if n.endswith(".gft"))
     if len(names) != expected:
         raise InputError(f'"{name}/" holds {len(names)} tensors, expected {expected}')
@@ -162,19 +173,24 @@ def _load_dir(root, name, expected, shape):
     bad = sorted(set(names) - set(want))
     if bad:
         raise InputError(f'"{name}/" under {root} holds {bad[0]}; tensors must be named {want[0]} to {want[-1]}')
-    tensors = [load_tensor(os.path.join(d, n)) for n in names]
-    first = tensors[0].shape
+    if load:
+        tensors = [_read(load_tensor, root, name, n) for n in names]
+        shapes = [t.shape for t in tensors]
+    else:
+        tensors = shapes = [_read(tensor_shape, root, name, n) for n in names]
+    first = shapes[0]
     if len(first) == len(shape):
         shape = tuple(f if s is None else s for s, f in zip(shape, first))
-    for n, t in zip(names, tensors):
-        if t.shape != shape:
-            text = "x".join("?" if s is None else str(s) for s in shape)
-            raise InputError(f'"{name}/{n}" under {root} has shape {t.shape}, expected {text}')
-    return tensors
+    for n, s in zip(names, shapes):
+        if s != shape:
+            text = "x".join("?" if a is None else str(a) for a in shape)
+            raise InputError(f'"{name}/{n}" under {root} has shape {s}, expected {text}')
+    return tensors, shape
 
 
-def read_bundle(in_dir) -> VideoBundle:
-    """Load and validate one adapter directory."""
+def _read_cameras(in_dir):
+    """Check the directory layout and cameras.json; returns (intrinsics,
+    poses, flow_stride)."""
     if not os.path.isdir(in_dir):
         raise InputError(f"not a directory: {in_dir}")
     for name in _REQUIRED_DIRS:
@@ -218,30 +234,66 @@ def read_bundle(in_dir) -> VideoBundle:
     n = len(entries)
     if n < stride + 1:
         raise InputError(f"{n} frames cannot support flow_stride {stride}")
-    images = _load_dir(in_dir, "frames", n, (None, None, 3))
-    h, w, _ = images[0].shape
-    depths = _load_dir(in_dir, "depth", n, (h, w))
-    flows_fwd = _load_dir(in_dir, "flow_fwd", n - stride, (h, w, 2))
-    flows_bwd = _load_dir(in_dir, "flow_bwd", n - stride, (h, w, 2))
-    confidences = _load_dir(in_dir, "confidence", n, (h, w))
-    features = _load_dir(in_dir, "features", n, (None, None, None))
-    dynamic = _load_dir(in_dir, "dynamic", n, (h, w))
+    return intrinsics, poses, stride
 
+
+def _read_tensors(in_dir, n, stride, load):
+    """Check every tensor directory of an n-frame video, in one order, and
+    load the payloads of the directories named in `load`; returns
+    {directory: tensors (shapes when not loaded) or None if absent}."""
+    out = {}
+    out["frames"], (h, w, _) = _load_dir(in_dir, "frames", n, (None, None, 3), "frames" in load)
+    for name, count, shape in (
+        ("depth", n, (h, w)),
+        ("flow_fwd", n - stride, (h, w, 2)),
+        ("flow_bwd", n - stride, (h, w, 2)),
+        ("confidence", n, (h, w)),
+        ("features", n, (None, None, None)),
+        ("dynamic", n, (h, w)),
+    ):
+        out[name], _ = _load_dir(in_dir, name, count, shape, name in load)
+    return out
+
+
+def read_bundle(in_dir) -> VideoBundle:
+    """Load and validate one adapter directory."""
+    intrinsics, poses, stride = _read_cameras(in_dir)
+    t = _read_tensors(in_dir, len(poses), stride, _REQUIRED_DIRS + _OPTIONAL_DIRS)
     images = [
         img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else np.asarray(img, dtype=np.float64)
-        for img in images
+        for img in t["frames"]
     ]
+    dynamic = t["dynamic"]
     if dynamic is not None:
         dynamic = [d.astype(bool) for d in dynamic]
     return VideoBundle(
         images=images,
-        depths=[np.asarray(d, dtype=np.float64) for d in depths],
-        flows_fwd=[np.asarray(f, dtype=np.float64) for f in flows_fwd],
-        flows_bwd=[np.asarray(f, dtype=np.float64) for f in flows_bwd],
+        depths=[np.asarray(d, dtype=np.float64) for d in t["depth"]],
+        flows_fwd=[np.asarray(f, dtype=np.float64) for f in t["flow_fwd"]],
+        flows_bwd=[np.asarray(f, dtype=np.float64) for f in t["flow_bwd"]],
         intrinsics=intrinsics,
         poses=poses,
         flow_stride=stride,
-        confidences=confidences,
-        features=features,
+        confidences=t["confidence"],
+        features=t["features"],
         dynamic_masks=dynamic,
     )
+
+
+def read_flows(in_dir):
+    """The forward flows and dynamic masks of one adapter directory, for
+    epipolar metrics; returns (flows_fwd, dynamic masks or None,
+    flow_stride).
+
+    Runs every structural check read_bundle runs (cameras.json, the
+    required directories, tensor names and counts, and each tensor's
+    header, payload length and shape) but reads payloads only for flow_fwd
+    and dynamic. So a NaN inside a frame, depth, backward-flow or
+    confidence payload, which read_bundle rejects, passes here.
+    """
+    _, poses, stride = _read_cameras(in_dir)
+    t = _read_tensors(in_dir, len(poses), stride, ("flow_fwd", "dynamic"))
+    dynamic = t["dynamic"]
+    if dynamic is not None:
+        dynamic = [d.astype(bool) for d in dynamic]
+    return [np.asarray(f, dtype=np.float64) for f in t["flow_fwd"]], dynamic, stride

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import runtime
 from ._version import __version__
-from .adapter import read_bundle, write_bundle
+from .adapter import read_bundle, read_flows, write_bundle
 from .errors import (
     ConfigError,
     DegeneracyError,
@@ -32,7 +32,7 @@ from .errors import (
     NumericError,
     TrainingError,
 )
-from .grid import _dump_json, _from_dict, _json_type_ok, _load_json, _numbers, save_tensor
+from .grid import _dump_json, _from_dict, _json_type_ok, _load_json, _numbers, _shown, save_tensor
 from .grpo import TrainerConfig, train
 from .metrics import dynamic_degree, eight_point, sample_correspondences, sampson_error
 from .policy import fm_pretrain, init_policy, load_policy, save_policy
@@ -241,7 +241,7 @@ def _run_pretrain(doc):
     for key, value in doc.items():
         kind = type(_DEFAULT_PRETRAIN[key])
         if not _json_type_ok(value, kind):
-            raise ConfigError(f"pretrain key {key} must be {kind.__name__}, got {value!r}")
+            raise ConfigError(f"pretrain key {key} must be {kind.__name__}, got {_shown(value)}")
     merged = dict(_DEFAULT_PRETRAIN)
     merged.update(doc)
     if merged["seed"] < 0:
@@ -364,25 +364,24 @@ def cmd_grpo(args):
 
 def cmd_metrics(args):
     started = time.monotonic()
-    bundle = read_bundle(args.input)
-    n = len(bundle)
-    stride = bundle.flow_stride if args.stride is None else args.stride
+    flows, dynamic, flow_stride = read_flows(args.input)
+    n = len(flows) + flow_stride
+    stride = flow_stride if args.stride is None else args.stride
     if stride > n - 1:
         raise ConfigError(f"stride {stride} needs at least {stride + 1} frames, got {n}")
-    if stride != bundle.flow_stride:
+    if stride != flow_stride:
         raise ConfigError(
-            f"stride {stride} does not match the dump's flow_stride {bundle.flow_stride}; "
+            f"stride {stride} does not match the dump's flow_stride {flow_stride}; "
             "re-synthesize with the matching stride"
         )
 
     all_errors = []
     skipped = 0
     warnings = []
-    for i in range(len(bundle.flows_fwd)):
-        pair = bundle.pair(i)
-        static = None if pair.dynamic_a is None else ~(pair.dynamic_a | pair.dynamic_b)
+    for i, flow in enumerate(flows):
+        static = None if dynamic is None else ~(dynamic[i] | dynamic[i + stride])
         try:
-            corr = sample_correspondences(pair.flow_fwd, args.grid_step, static)
+            corr = sample_correspondences(flow, args.grid_step, static)
             res = sampson_error(eight_point(corr), corr)
         except (DegeneracyError, InsufficientDataError) as exc:
             warnings.append(f"pair {i}: {exc}")
@@ -394,7 +393,7 @@ def cmd_metrics(args):
         "sampson_mean": float(np.concatenate(all_errors).mean()) if all_errors else None,
         "pairs": int(sum(e.size for e in all_errors)),
         "skipped": skipped,
-        "dynamic_degree": dynamic_degree(bundle.flows_fwd),
+        "dynamic_degree": dynamic_degree(flows),
     }
     if warnings:
         report["warnings"] = warnings

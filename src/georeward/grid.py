@@ -18,6 +18,8 @@ GFT file layout (little-endian):
 
 import dataclasses
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -114,6 +116,15 @@ def bilinear_sample(grid, xy):
     return vals, in_bounds
 
 
+def _xy_norm(v):
+    """Euclidean norm over a trailing (x, y) axis: the bits of
+    np.linalg.norm(v, axis=-1), without a reduction whose inner loop is two
+    wide."""
+    s = v[..., 0] * v[..., 0]
+    s += v[..., 1] * v[..., 1]
+    return np.sqrt(s)
+
+
 def backward_warp(source, backward_flow):
     """Warp `source` so that warped(u) = source(u + flow(u)).
 
@@ -158,19 +169,26 @@ def save_tensor(grid, path):
 
 def _load_json(path):
     """The package's one JSON reader. It is strict: the NaN, Infinity and
-    -Infinity literals that Python's parser accepts raise InputError."""
+    -Infinity literals that Python's parser accepts, and number literals
+    that overflow a float (1e400), raise InputError."""
 
     def reject(name):
         raise InputError(f"{path}: {name} is not valid JSON")
 
+    def finite(text):
+        value = float(text)
+        if math.isinf(value):
+            raise InputError(f"{path}: number {_shown(text)} overflows a float")
+        return value
+
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f, parse_constant=reject)
+            return json.load(f, parse_constant=reject, parse_float=finite)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
         raise InputError(f"invalid JSON in {path}: {exc}")
 
 
@@ -180,6 +198,16 @@ def _dump_json(doc, path):
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _shown(value, limit=60):
+    """repr(value) for an error message, cut to about `limit` characters:
+    a JSON number may have hundreds of digits."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past Python's int-to-str digit limit
+        return f"an int of {value.bit_length()} bits"
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 def _json_type_ok(value, kind):
@@ -207,7 +235,7 @@ def _numbers(value, shape, label, kind=float):
         ok = all(_json_type_ok(v, kind) for v in value)
     if not ok:
         noun = "integers" if kind is int else "numbers"
-        raise ConfigError(f"{label} must be a list of {shape[0]} {noun}, got {value!r}")
+        raise ConfigError(f"{label} must be a list of {shape[0]} {noun}, got {_shown(value)}")
     if len(shape) > 1:
         for row in value:
             _numbers(row, shape[1:], label, kind)
@@ -226,19 +254,20 @@ def _from_dict(cls, doc, label):
     for key, value in doc.items():
         kind = fields[key]
         if kind in (int, float, bool, str) and not _json_type_ok(value, kind):
-            raise ConfigError(f"{label} key {key} must be {kind.__name__}, got {value!r}")
+            raise ConfigError(f"{label} key {key} must be {kind.__name__}, got {_shown(value)}")
     return cls(**doc)
 
 
-def load_tensor(path):
-    """Read a GFT file back into a numpy array (native byte order)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 8:
-        raise FormatError("header", f"file too short ({len(blob)} bytes)")
-    if blob[:4] != _MAGIC:
-        raise FormatError("magic", f"expected {_MAGIC!r}, got {blob[:4]!r}")
-    code, rank, reserved = struct.unpack("<BBH", blob[4:8])
+def _read_header(f):
+    """Check a GFT header against the size of open file `f` and leave `f`
+    at the payload; returns the payload's (dtype, shape)."""
+    size = os.fstat(f.fileno()).st_size
+    if size < 8:
+        raise FormatError("header", f"file too short ({size} bytes)")
+    head = f.read(8)
+    if head[:4] != _MAGIC:
+        raise FormatError("magic", f"expected {_MAGIC!r}, got {head[:4]!r}")
+    code, rank, reserved = struct.unpack("<BBH", head[4:8])
     if code not in _DTYPE_CODES:
         raise FormatError("dtype", f"unknown dtype code {code}")
     if not 1 <= rank <= 8:
@@ -247,23 +276,39 @@ def load_tensor(path):
         raise FormatError("reserved", f"reserved bytes must be zero, got {reserved}")
 
     dims_end = 8 + 8 * rank
-    if len(blob) < dims_end:
+    if size < dims_end:
         raise FormatError("dims", "header truncated before the dims block")
-    dims = np.frombuffer(blob[8:dims_end], dtype="<u8")
-    if (dims == 0).any():
-        raise FormatError("dims", f"zero-sized axis in dims {dims.tolist()}")
-    count = int(np.prod(dims, dtype=object))
+    dims = [int(d) for d in np.frombuffer(f.read(8 * rank), dtype="<u8")]
+    if 0 in dims:
+        raise FormatError("dims", f"zero-sized axis in dims {dims}")
+    count = math.prod(dims)
     if count > _MAX_ELEMENTS:
-        raise FormatError("dims", f"dims {dims.tolist()} overflow the element budget")
+        raise FormatError("dims", f"dims {dims} overflow the element budget")
 
     dtype = _DTYPE_CODES[code]
     expected = count * dtype.itemsize
-    actual = len(blob) - dims_end
+    actual = size - dims_end
     if actual != expected:
         raise FormatError("payload length", f"expected {expected} bytes, got {actual}")
+    return dtype, tuple(dims)
 
-    arr = np.frombuffer(blob[dims_end:], dtype=dtype).reshape(dims.astype(np.intp))
-    arr = arr.astype(arr.dtype.newbyteorder("="), copy=True)
+
+def tensor_shape(path):
+    """The shape of a GFT file, after every check load_tensor makes on its
+    header and payload length; the payload itself is not read."""
+    with open(path, "rb") as f:
+        return _read_header(f)[1]
+
+
+def load_tensor(path):
+    """Read a GFT file back into a numpy array (native byte order)."""
+    with open(path, "rb") as f:
+        dtype, shape = _read_header(f)
+        arr = np.empty(shape, dtype=dtype)
+        got = f.readinto(arr)
+    if got != arr.nbytes:  # the file shrank after its size was read
+        raise FormatError("payload length", f"expected {arr.nbytes} bytes, got {got}")
+    arr = arr.astype(arr.dtype.newbyteorder("="), copy=False)
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise FormatError("payload", "payload contains non-finite values")
     return arr

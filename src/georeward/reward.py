@@ -28,7 +28,7 @@ from . import runtime
 from .adapter import FramePair, VideoBundle
 from .camera import relative_transform, reproject_depth, rigid_flow
 from .errors import ConfigError, EmptyMaskError, InputError, NumericError, ShapeError
-from .grid import backward_warp, bilinear_sample
+from .grid import _xy_norm, backward_warp, bilinear_sample
 
 # Hole pixels in the depth-error map carry this finite sentinel. They are
 # excluded from Omega, so the value only matters for dumped diagnostics,
@@ -122,8 +122,8 @@ def normalized_epe(f_pred, f_rig, eps: float):
         raise ShapeError(f"flow shapes must match and end in 2, got {fp.shape} vs {fr.shape}")
     if not eps > 0:
         raise ConfigError(f"eps must be > 0, got {eps}")
-    num = np.linalg.norm(fp - fr, axis=-1)
-    den = np.linalg.norm(fp, axis=-1) + np.linalg.norm(fr, axis=-1) + eps
+    num = _xy_norm(fp - fr)
+    den = _xy_norm(fp) + _xy_norm(fr) + eps
     return num / den
 
 
@@ -220,15 +220,26 @@ def reference_features(image, patch: int):
     if img.dtype == np.uint8:
         img = img.astype(np.float64) / 255.0
     else:
-        img = img.astype(np.float64)
+        img = np.ascontiguousarray(img, dtype=np.float64)
     h, w, _ = img.shape
     if patch > min(h, w):
         raise ConfigError(f"patch {patch} exceeds image sides {h}x{w}")
     blocks = _blocks(img, patch)
     ph, _, pw, _, _ = blocks.shape
     img = img[: ph * patch, : pw * patch]  # the gradients see the same crop
-    mean = blocks.mean(axis=(1, 3))
-    std = blocks.std(axis=(1, 3))
+    # A patch-major copy (patch, patch, ph, pw, 3): summing over the two
+    # leading axes adds each patch's pixels in the order numpy's
+    # blocks.mean/std(axis=(1, 3)) does, so the bits match, but with
+    # (ph, pw, 3)-wide inner loops instead of 3-wide ones. It must be a
+    # copy: at patch 1 the transpose is already contiguous, and the
+    # in-place steps below would write into the caller's image.
+    tiles = blocks.transpose(1, 3, 0, 2, 4).copy()
+    area = patch * patch
+    mean = tiles.sum(axis=(0, 1)) / area
+    tiles -= mean
+    tiles *= tiles
+    std = np.sqrt(tiles.sum(axis=(0, 1)) / area)
+    del tiles
 
     lum = img @ np.array([0.299, 0.587, 0.114])
     gy, gx = np.gradient(lum)

@@ -20,7 +20,7 @@ from . import runtime
 from .adapter import FramePair, VideoBundle
 from .camera import Intrinsics, PoseSE3, Z_MIN
 from .errors import ConfigError, DomainError, ShapeError
-from .grid import _from_dict, _json_type_ok, _numbers, bilinear_sample
+from .grid import _from_dict, _json_type_ok, _numbers, _xy_norm, bilinear_sample
 
 _OBJ_SURF = 7  # surface id of the moving quad; background planes use 0..2
 
@@ -464,7 +464,7 @@ def wobble_field(shape, amplitude_px, seed, salt=11):
     vx = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / 2.0
     vy = -(psi[1:-1, 2:] - psi[1:-1, :-2]) / 2.0
     field_ = np.stack([vx, vy], axis=-1)
-    peak = np.linalg.norm(field_, axis=-1).max()
+    peak = _xy_norm(field_).max()
     if peak > 0 and amplitude_px > 0:
         field_ = field_ * (amplitude_px / peak)
     else:

@@ -20,6 +20,7 @@ from georeward import (
     save_tensor,
     write_bundle,
 )
+from georeward.adapter import read_flows
 from georeward.errors import InputError
 from georeward.synth import ObjectSpec
 
@@ -242,22 +243,44 @@ def test_camera_entry_validation(tmp_path):
         read_bundle(tmp_path / "v")
 
 
-@pytest.mark.parametrize(
-    "name,shape",
-    [
-        ("frames/001.gft", (12, 16)),
-        ("frames/002.gft", (12, 8, 3)),
-        ("depth/000.gft", (12, 16, 1)),
-        ("flow_fwd/001.gft", (12, 16, 3)),
-        ("flow_bwd/000.gft", (16, 12, 2)),
-        ("confidence/002.gft", (6, 16)),
-        ("dynamic/001.gft", (12, 15)),
-        ("features/000.gft", (3, 20)),
-        ("features/002.gft", (3, 4, 6)),
-    ],
-)
+SHAPE_MISMATCHES = [
+    ("frames/001.gft", (12, 16)),
+    ("frames/002.gft", (12, 8, 3)),
+    ("depth/000.gft", (12, 16, 1)),
+    ("flow_fwd/001.gft", (12, 16, 3)),
+    ("flow_bwd/000.gft", (16, 12, 2)),
+    ("confidence/002.gft", (6, 16)),
+    ("dynamic/001.gft", (12, 15)),
+    ("features/000.gft", (3, 20)),
+    ("features/002.gft", (3, 4, 6)),
+]
+
+
+@pytest.mark.parametrize("name,shape", SHAPE_MISMATCHES)
 def test_tensor_shape_mismatch(tmp_path, name, shape):
     write_bundle(tmp_path / "v", make_bundle())
     save_tensor(np.zeros(shape), str(tmp_path / "v" / name))
     with pytest.raises(InputError, match=f'"{name}" under .* has shape {re.escape(str(shape))}'):
         read_bundle(tmp_path / "v")
+
+
+@pytest.mark.parametrize("name,shape", SHAPE_MISMATCHES)
+def test_read_flows_checks_every_shape(tmp_path, name, shape):
+    write_bundle(tmp_path / "v", make_bundle())
+    save_tensor(np.zeros(shape), str(tmp_path / "v" / name))
+    with pytest.raises(InputError, match=f'"{name}" under .* has shape {re.escape(str(shape))}'):
+        read_flows(tmp_path / "v")
+
+
+@pytest.mark.parametrize("stride,with_optional", [(1, True), (2, False)])
+def test_read_flows_matches_read_bundle(tmp_path, stride, with_optional):
+    write_bundle(tmp_path / "v", make_bundle(n=4, stride=stride, with_optional=with_optional))
+    flows, dynamic, flow_stride = read_flows(tmp_path / "v")
+    bundle = read_bundle(tmp_path / "v")
+    assert flow_stride == bundle.flow_stride == stride
+    assert [f.tobytes() for f in flows] == [f.tobytes() for f in bundle.flows_fwd]
+    if with_optional:
+        assert [d.dtype for d in dynamic] == [np.dtype(bool)] * 4
+        assert [d.tobytes() for d in dynamic] == [d.tobytes() for d in bundle.dynamic_masks]
+    else:
+        assert dynamic is None and bundle.dynamic_masks is None

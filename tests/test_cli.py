@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,18 @@ from georeward.policy import load_policy
 from georeward.reward import RewardConfig
 
 
+# string values that write_json emits as these raw number literals, which
+# json.dump cannot write: a float literal beyond the float range, and an int
+# literal longer than Python's int-parsing digit limit
+RAW_LITERALS = {"<1e400>": "1e400", "<5000 digits>": "1" * 5000}
+
+
 def write_json(path, doc):
+    text = json.dumps(doc)
+    for marker, literal in RAW_LITERALS.items():
+        text = text.replace(json.dumps(marker), literal)
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(text)
     return str(path)
 
 
@@ -268,6 +278,8 @@ BAD_SCORE_CONFIGS = {
     "score_stale_pair_stride": {"pair_stride": 1},
     # an int beyond the float range in a float field
     "score_eps_num_overflow": {"eps_num": 10**400},
+    # a float literal beyond the float range, which Python parses as inf
+    "score_eps_num_float_overflow": {"eps_num": "<1e400>"},
 }
 BAD_SPECS = {
     "scene_depth_type": {"depth": "a"},
@@ -293,6 +305,7 @@ BAD_SPECS = {
     "scene_normal_overflow_plane": {"geometry": "plane", "normal": [1e308, 1e308, 1], "camera_path": PAIR_PATH},
     "scene_path_velocity_overflow": {"camera_path": {**STATIC_PATH, "velocity": [1e308, 0.0, 0.0]}},
     "scene_depth_int_overflow": {"depth": 10**400, "camera_path": PAIR_PATH},
+    "scene_intrinsics_int_overflow": {"intrinsics": [10**400, 1.0, 2.0, 3.0], "camera_path": PAIR_PATH},
 }
 # extra synth arguments of the BAD_SPECS cases that need them
 SYNTH_ARGS = {
@@ -321,6 +334,10 @@ BAD_PRETRAIN = {
     "pretrain_dim_huge": {"dim": 10**30},
     "pretrain_batch_size_huge": {"batch_size": 10**30},
     "pretrain_lr_int_overflow": {"lr": 10**400, "iterations": 2},
+    "pretrain_lr_float_overflow": {"lr": "<1e400>", "iterations": 2},
+    "pretrain_momentum_float_overflow": {"momentum": "<1e400>", "iterations": 2},
+    "pretrain_lr_int_digits": {"lr": "<5000 digits>", "iterations": 2},
+    "data_means_int_overflow": {"data": {"kind": "coordinate_mixture", "means": [10**400]}},
 }
 BAD_GRPO = {
     "trainer_field_type": {"trainer": {"group_size": "4"}},
@@ -334,12 +351,36 @@ BAD_GRPO = {
     "grpo_init_checkpoint_int": {"init_checkpoint": 5},
     "grpo_init_checkpoint_list": {"init_checkpoint": ["ckpt"]},
     "trainer_lr_int_overflow": {"trainer": {"lr": 10**400, "iterations": 2}},
+    "trainer_lr_float_overflow": {"trainer": {"lr": "<1e400>", "iterations": 2}},
 }
 # one tensor of a copy of the 48x64 static dump swapped for a 32x32 one,
 # then read by the given subcommand
 BAD_SHAPES = {
     "dynamic_shape": (["metrics", "--stride", "1"], "dynamic/000.gft", (32, 32), np.uint8),
     "frame_shape": (["score"], "frames/001.gft", (32, 32, 3), np.float32),
+    # metrics reads only these headers, not their payloads
+    "metrics_frame_shape": (["metrics"], "frames/001.gft", (32, 32, 3), np.float32),
+    "metrics_depth_shape": (["metrics"], "depth/002.gft", (48, 64, 1), np.float64),
+    "metrics_flow_bwd_shape": (["metrics"], "flow_bwd/000.gft", (48, 64, 3), np.float64),
+    "metrics_confidence_shape": (["metrics"], "confidence/000.gft", (64, 48), np.float64),
+}
+# one tensor of a copy of the static dump cut short by 4 bytes, then read by
+# the given subcommand
+TRUNCATED = {
+    "score_flow_fwd_truncated": (["score"], "flow_fwd/001.gft"),
+    "metrics_frame_truncated": (["metrics"], "frames/002.gft"),
+    "metrics_depth_truncated": (["metrics"], "depth/000.gft"),
+    "metrics_flow_bwd_truncated": (["metrics"], "flow_bwd/001.gft"),
+    "metrics_confidence_truncated": (["metrics"], "confidence/001.gft"),
+}
+# cases whose offending value has hundreds of digits: the message must stay short
+LONG_VALUES = {
+    "score_eps_num_overflow",
+    "scene_depth_int_overflow",
+    "scene_intrinsics_int_overflow",
+    "pretrain_lr_int_overflow",
+    "data_means_int_overflow",
+    "trainer_lr_int_overflow",
 }
 # what the message must name, for cases that pin it
 NAMED = {
@@ -388,6 +429,18 @@ NAMED = {
     "scene_depth_int_overflow": "depth",
     "pretrain_lr_int_overflow": "lr",
     "trainer_lr_int_overflow": "lr",
+    "scene_intrinsics_int_overflow": "intrinsics",
+    "data_means_int_overflow": "means",
+    "score_eps_num_float_overflow": "cfg.json: number '1e400' overflows a float",
+    "pretrain_lr_float_overflow": "cfg.json: number '1e400' overflows a float",
+    "pretrain_momentum_float_overflow": "cfg.json: number '1e400' overflows a float",
+    "trainer_lr_float_overflow": "cfg.json: number '1e400' overflows a float",
+    "pretrain_lr_int_digits": "cfg.json",
+    "metrics_frame_shape": "frames/001.gft",
+    "metrics_depth_shape": "depth/002.gft",
+    "metrics_flow_bwd_shape": "flow_bwd/000.gft",
+    "metrics_confidence_shape": "confidence/000.gft",
+    **{case: name for case, (_, name) in TRUNCATED.items()},
 }
 
 
@@ -407,6 +460,7 @@ NAMED = {
         *BAD_PRETRAIN,
         *BAD_GRPO,
         *BAD_SHAPES,
+        *TRUNCATED,
         "policy_manifest_list",
         "config_not_utf8",
     ],
@@ -446,6 +500,13 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
         shutil.copytree(static_dump, dump)
         save_tensor(np.zeros(shape, dtype=dtype), str(dump / name))
         argv = command + ["--input", str(dump), "--out", report]
+    elif case in TRUNCATED:
+        command, name = TRUNCATED[case]
+        dump = tmp_path / "dump"
+        shutil.copytree(static_dump, dump)
+        blob = (dump / name).read_bytes()
+        (dump / name).write_bytes(blob[:-4])
+        argv = command + ["--input", str(dump), "--out", report]
     elif case in BAD_SCORE_CONFIGS:
         cfg = write_json(tmp_path / "cfg.json", BAD_SCORE_CONFIGS[case])
         argv = ["score", "--input", static_dump, "--config", cfg, "--out", report]
@@ -473,6 +534,8 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
     assert err.startswith("error:")
     assert NAMED.get(case, "") in err
     assert not os.path.exists(out)
+    if case in LONG_VALUES:
+        assert len(err) < 200
 
 
 def test_trainer_group_size_beyond_int64_is_rejected():
@@ -482,6 +545,14 @@ def test_trainer_group_size_beyond_int64_is_rejected():
         _from_dict(TrainerConfig, {"group_size": 10**30}, "trainer config")
     assert _json_type_ok(2**63 - 1, int) and _json_type_ok(-(2**63), int)
     assert not _json_type_ok(2**63, int) and not _json_type_ok(-(2**63) - 1, int)
+
+
+def test_config_errors_cut_long_values():
+    # a library caller can pass an int too long for repr itself
+    for value in (10**400, 10**5000, [10**400] * 3):
+        with pytest.raises(ConfigError, match="eps_num") as exc:
+            _from_dict(RewardConfig, {"eps_num": value}, "reward config")
+        assert len(str(exc.value)) < 150
 
 
 def test_score_rejects_confidence_outside_unit_range(static_dump, tmp_path, capsys):
@@ -711,6 +782,26 @@ def test_metrics_dynamic_masks_rescue_the_floor(object_dump, tmp_path):
     assert "warnings" not in masked
     assert masked["sampson_mean"] < 1e-10
     assert bare["sampson_mean"] > 1e-3
+
+
+def test_metrics_reads_no_frame_payload(trans_dump, tmp_path, capsys):
+    # score reads every payload and rejects a NaN in a frame; metrics checks
+    # that frame's header and size but loads only the flow_fwd and dynamic
+    # payloads, so it reports on the dump as if the frame were clean
+    dump = tmp_path / "dump"
+    shutil.copytree(trans_dump, dump)
+    frame = dump / "frames" / "001.gft"
+    blob = bytearray(frame.read_bytes())
+    assert blob[4] == 1  # f32 frames
+    blob[-4:] = struct.pack("<f", float("nan"))
+    frame.write_bytes(bytes(blob))
+    assert main(["score", "--input", str(dump), "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert "frames/001.gft" in err and "non-finite" in err
+    clean, dirty = tmp_path / "clean.json", tmp_path / "dirty.json"
+    assert main(["metrics", "--input", trans_dump, "--out", str(clean)]) == 0
+    assert main(["metrics", "--input", str(dump), "--out", str(dirty)]) == 0
+    assert dirty.read_bytes() == clean.read_bytes()
 
 
 # ---------------------------------------------------------------------------

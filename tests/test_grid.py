@@ -7,7 +7,7 @@ import pytest
 
 from georeward import load_tensor, save_tensor
 from georeward.errors import FormatError, GridTypeError, NumericError, ShapeError
-from georeward.grid import backward_warp, bilinear_sample
+from georeward.grid import _xy_norm, backward_warp, bilinear_sample, tensor_shape
 
 
 def ramp(h, w):
@@ -198,6 +198,14 @@ def test_warp_shape_mismatch():
         backward_warp(np.ones((4, 4, 1)), np.zeros((4, 5, 2)))
 
 
+def test_xy_norm_matches_linalg_norm():
+    vals = [0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 0.75, -3.0, 1e154, 1e200, -1e200, 1.7e308]
+    xy = np.array(np.meshgrid(vals, vals)).reshape(2, -1).T  # every (x, y) combination
+    with np.errstate(over="ignore", under="ignore"):  # 1e200 squared is inf on both sides
+        for v in (xy, xy.reshape(11, 11, 2), xy[::-1]):
+            assert _xy_norm(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # tensor files
 
@@ -233,27 +241,112 @@ def _header(magic=b"GFT1", dtype=2, rank=1, reserved=0, dims=(4,)):
     return out
 
 
-@pytest.mark.parametrize(
-    "blob,field",
-    [
-        (b"GFT", "header"),
-        (_header(magic=b"GFT2") + b"\0" * 32, "magic"),
-        (_header(dtype=9) + b"\0" * 32, "dtype"),
-        (_header(rank=0) + b"\0" * 32, "rank"),
-        (_header(rank=9) + b"\0" * 32, "rank"),
-        (_header(reserved=1) + b"\0" * 32, "reserved"),
-        (_header(dims=(0,)), "dims"),
-        (_header(rank=2, dims=(4,)), "dims"),
-        (_header(dtype=1) + b"\0" * 12, "payload length"),
-        (_header() + struct.pack("<4d", 1.0, 2.0, np.nan, 4.0), "payload"),
-    ],
-)
+BAD_BLOBS = [
+    (b"GFT", "header"),
+    (_header(magic=b"GFT2") + b"\0" * 32, "magic"),
+    (_header(dtype=9) + b"\0" * 32, "dtype"),
+    (_header(rank=0) + b"\0" * 32, "rank"),
+    (_header(rank=9) + b"\0" * 32, "rank"),
+    (_header(reserved=1) + b"\0" * 32, "reserved"),
+    (_header(dims=(0,)), "dims"),
+    (_header(rank=2, dims=(4,)), "dims"),
+    (_header(dtype=1) + b"\0" * 12, "payload length"),
+    (_header() + struct.pack("<4d", 1.0, 2.0, np.nan, 4.0), "payload"),
+    (b"", "header"),
+    (b"GFT1\x02\x01\x00", "header"),
+    (_header(rank=3, dims=(2, 0, 1)), "dims"),
+    (_header(rank=2, dims=(1 << 40, 1 << 40)), "dims"),
+    (_header(), "payload length"),
+    (_header() + b"\0" * 31, "payload length"),
+    (_header() + b"\0" * 33, "payload length"),  # trailing bytes
+    (_header(dtype=3, dims=(5,)) + b"\1" * 4, "payload length"),
+    (_header(dtype=1) + struct.pack("<4f", 1.0, np.inf, 0.0, 0.0), "payload"),
+]
+
+
+@pytest.mark.parametrize("blob,field", BAD_BLOBS)
 def test_malformed_files_name_the_broken_field(tmp_path, blob, field):
     path = tmp_path / "bad.gft"
     path.write_bytes(blob)
     with pytest.raises(FormatError) as exc:
         load_tensor(path)
     assert exc.value.field == field
+
+
+def _blob_load_tensor(path):
+    """load_tensor as it was before it read the payload in place: one
+    f.read() of the file, then a copy. The oracle for its checks, their
+    order and their messages."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if len(blob) < 8:
+        raise FormatError("header", f"file too short ({len(blob)} bytes)")
+    if blob[:4] != b"GFT1":
+        raise FormatError("magic", f"expected {b'GFT1'!r}, got {blob[:4]!r}")
+    code, rank, reserved = struct.unpack("<BBH", blob[4:8])
+    dtypes = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
+    if code not in dtypes:
+        raise FormatError("dtype", f"unknown dtype code {code}")
+    if not 1 <= rank <= 8:
+        raise FormatError("rank", f"rank must be 1..8, got {rank}")
+    if reserved != 0:
+        raise FormatError("reserved", f"reserved bytes must be zero, got {reserved}")
+    dims_end = 8 + 8 * rank
+    if len(blob) < dims_end:
+        raise FormatError("dims", "header truncated before the dims block")
+    dims = np.frombuffer(blob[8:dims_end], dtype="<u8")
+    if (dims == 0).any():
+        raise FormatError("dims", f"zero-sized axis in dims {dims.tolist()}")
+    count = int(np.prod(dims, dtype=object))
+    if count > 2**48:
+        raise FormatError("dims", f"dims {dims.tolist()} overflow the element budget")
+    expected = count * dtypes[code].itemsize
+    actual = len(blob) - dims_end
+    if actual != expected:
+        raise FormatError("payload length", f"expected {expected} bytes, got {actual}")
+    arr = np.frombuffer(blob[dims_end:], dtype=dtypes[code]).reshape(dims.astype(np.intp))
+    arr = arr.astype(arr.dtype.newbyteorder("="), copy=True)
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise FormatError("payload", "payload contains non-finite values")
+    return arr
+
+
+def _raised(fn, path):
+    with pytest.raises(FormatError) as exc:
+        fn(path)
+    return exc.value.field, str(exc.value)
+
+
+@pytest.mark.parametrize("blob,field", BAD_BLOBS)
+def test_load_tensor_fails_like_the_blob_reader(tmp_path, blob, field):
+    path = tmp_path / "bad.gft"
+    path.write_bytes(blob)
+    want = _raised(_blob_load_tensor, path)
+    assert want[0] == field
+    assert _raised(load_tensor, path) == want
+    if field == "payload":  # the one check that needs the payload itself
+        assert tensor_shape(path) == (4,)
+    else:
+        assert _raised(tensor_shape, path) == want
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array([-0.0, 5e-324, 1e308], dtype=np.float64),
+        np.random.default_rng(4).standard_normal((256, 320, 3)).astype(np.float32),
+        np.arange(96, dtype=np.uint8).reshape(2, 3, 4, 4),
+        np.zeros((1,) * 8, dtype=np.float64),
+    ],
+)
+def test_load_tensor_reads_what_the_blob_reader_reads(tmp_path, arr):
+    path = tmp_path / "t.gft"
+    save_tensor(arr, path)
+    got, want = load_tensor(path), _blob_load_tensor(path)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert tensor_shape(path) == want.shape
 
 
 def test_dims_overflow_guard(tmp_path):

@@ -185,6 +185,40 @@ def test_features_crop_to_patch_multiples():
     np.testing.assert_array_equal(f_full, f_crop)
 
 
+def _blocks_mean_std(image, patch):
+    """Per-patch mean and std the way reference_features computed them
+    before its patch-major sums: numpy over the (1, 3) axes of the blocks."""
+    img = image.astype(np.float64) / 255.0 if image.dtype == np.uint8 else image.astype(np.float64)
+    ph, pw = img.shape[0] // patch, img.shape[1] // patch
+    blocks = img[: ph * patch, : pw * patch].reshape(ph, patch, pw, patch, 3)
+    return blocks.mean(axis=(1, 3)), blocks.std(axis=(1, 3))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
+@pytest.mark.parametrize(
+    "shape,patch",
+    [((40, 40), 1), ((40, 40), 3), ((48, 64), 5), ((48, 64), 8), ((50, 66), 8), ((37, 53), 3),
+     ((250, 330), 8), ((256, 320), 8), ((256, 320), 16), ((70, 90), 16)],
+)
+def test_patch_mean_std_match_the_blocks_reduction(dtype, shape, patch):
+    rng = np.random.default_rng(patch * 1000 + shape[1])
+    if dtype is np.uint8:
+        img = rng.integers(0, 256, size=(*shape, 3), dtype=np.uint8)
+    else:
+        # magnitudes spread over six decades, so any change in the order
+        # of a patch's sum shows in the low bits
+        img = (rng.uniform(size=(*shape, 3)) * 10.0 ** rng.integers(-3, 3, size=(*shape, 3))).astype(dtype)
+    mean, std = _blocks_mean_std(img, patch)
+    before = img.copy()
+    feats = reference_features(img, patch)
+    assert img.tobytes() == before.tobytes()  # the caller's image is only read
+    assert np.ascontiguousarray(feats[..., :3]).tobytes() == mean.tobytes()
+    assert np.ascontiguousarray(feats[..., 3:6]).tobytes() == std.tobytes()
+    # a strided view of the same pixels gives the same bits
+    view = np.repeat(img, 2, axis=1)[:, ::2]
+    assert reference_features(view, patch).tobytes() == feats.tobytes()
+
+
 def test_features_reject_oversized_patch():
     with pytest.raises(ConfigError):
         reference_features(np.ones((16, 16, 3)), 17)
