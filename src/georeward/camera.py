@@ -134,18 +134,24 @@ def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
     if d.ndim != 2:
         raise ShapeError(f"depth must be HxW, got shape {d.shape}")
     h, w = d.shape
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)[:, None]
 
     valid = np.isfinite(d) & (d > 0)
     ds = np.where(valid, d, 1.0)  # placeholder depth, masked out by valid
-    pts = np.stack([ds * (xs - k_src.cx) / k_src.fx, ds * (ys - k_src.cy) / k_src.fy, ds], axis=-1)
+    pts = np.empty((h, w, 3))
+    pts[..., 0] = ds * (xs - k_src.cx) / k_src.fx
+    pts[..., 1] = ds * (ys - k_src.cy) / k_src.fy
+    pts[..., 2] = ds
     moved = pts @ transform.r.T + transform.t
     valid &= moved[..., 2] > Z_MIN
     z = np.where(valid, moved[..., 2], 1.0)
-    target = np.stack(
-        [k_dst.fx * moved[..., 0] / z + k_dst.cx, k_dst.fy * moved[..., 1] / z + k_dst.cy], axis=-1
-    )
-    flow = target - np.stack([xs, ys], axis=-1)
+    target = np.empty((h, w, 2))
+    target[..., 0] = k_dst.fx * moved[..., 0] / z + k_dst.cx
+    target[..., 1] = k_dst.fy * moved[..., 1] / z + k_dst.cy
+    flow = np.empty((h, w, 2))
+    np.subtract(target[..., 0], xs, out=flow[..., 0])
+    np.subtract(target[..., 1], ys, out=flow[..., 1])
     flow[~valid] = 0.0
     return flow, valid, target, z
 
@@ -166,6 +172,7 @@ def reproject_depth(target, z, valid):
     hit = valid & (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
 
     buf = np.full((h, w), np.inf)
-    np.minimum.at(buf, (iy[hit], ix[hit]), z[hit])
+    # one flat index: the same cells and minima as the (row, column) pair
+    np.minimum.at(buf.reshape(-1), iy[hit] * w + ix[hit], z[hit])
     covered = np.isfinite(buf)
     return np.where(covered, buf, 0.0), covered

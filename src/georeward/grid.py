@@ -139,8 +139,9 @@ def backward_warp(source, backward_flow):
     if flow.shape != (h, w, 2):
         raise ShapeError(f"flow shape {flow.shape} does not match source {src.shape[:2]} + (2,)")
 
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    coords = np.stack([xs + flow[..., 0], ys + flow[..., 1]], axis=-1)
+    coords = np.empty((h, w, 2))
+    np.add(np.arange(w, dtype=np.float64), flow[..., 0], out=coords[..., 0])
+    np.add(np.arange(h, dtype=np.float64)[:, None], flow[..., 1], out=coords[..., 1])
     vals, mask = bilinear_sample(src, coords.reshape(-1, 2))
     return vals.reshape(h, w, src.shape[2]), mask.reshape(h, w)
 

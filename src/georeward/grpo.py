@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EmptyMaskError, TrainingError
+from .grid import _shown
 from .policy import (
     SamplerConfig,
     VelocityPolicy,
@@ -24,7 +25,7 @@ from .policy import (
 )
 from .reward import RewardConfig, score_pair
 from .runtime import Tasks, ordered_map
-from .synth import SEED_MAX, decode_latent, render_frame
+from .synth import SEED_MAX, DecodeState, decode_latent
 
 
 @dataclass(frozen=True)
@@ -46,27 +47,27 @@ class TrainerConfig:
 
     def __post_init__(self):
         if self.group_size < 2:
-            raise ConfigError(f"group_size must be >= 2, got {self.group_size}")
+            raise ConfigError(f"group_size must be >= 2, got {_shown(self.group_size)}")
         if self.steps < 2:
-            raise ConfigError(f"steps must be >= 2, got {self.steps}")
+            raise ConfigError(f"steps must be >= 2, got {_shown(self.steps)}")
         if self.grad_window < 1:
-            raise ConfigError(f"grad_window must be >= 1, got {self.grad_window}")
+            raise ConfigError(f"grad_window must be >= 1, got {_shown(self.grad_window)}")
         if self.grad_window > self.steps:
             raise ConfigError(
-                f"grad_window exceeds steps ({self.grad_window} > {self.steps})"
+                f"grad_window exceeds steps ({_shown(self.grad_window)} > {_shown(self.steps)})"
             )
         if self.kl_beta < 0:
-            raise ConfigError(f"kl_beta must be >= 0, got {self.kl_beta}")
+            raise ConfigError(f"kl_beta must be >= 0, got {_shown(self.kl_beta)}")
         if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+            raise ConfigError(f"lr must be >= 0, got {_shown(self.lr)}")
         if not 0.0 <= self.ema_decay < 1.0:
-            raise ConfigError(f"ema_decay must be in [0, 1), got {self.ema_decay}")
+            raise ConfigError(f"ema_decay must be in [0, 1), got {_shown(self.ema_decay)}")
         if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+            raise ConfigError(f"iterations must be >= 1, got {_shown(self.iterations)}")
         if self.noise_scale < 0:
-            raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
+            raise ConfigError(f"noise_scale must be >= 0, got {_shown(self.noise_scale)}")
         if not 0 <= self.seed <= SEED_MAX:
-            raise ConfigError(f"seed must be in [0, 2**63 - 1], got {self.seed}")
+            raise ConfigError(f"seed must be in [0, 2**63 - 1], got {_shown(self.seed)}")
 
     def sampler(self) -> SamplerConfig:
         return SamplerConfig(steps=self.steps, noise_scale=self.noise_scale)
@@ -108,10 +109,10 @@ class GroupRollout:
     advantages: np.ndarray
 
 
-def latent_reward(z, template, seed=0, reward_config=None, *, frame_a=None):
+def latent_reward(z, template, seed=0, reward_config=None, *, state=None):
     """Decode a latent and score the resulting pair; the trainer's reward.
-    frame_a is passed on to decode_latent."""
-    pair = decode_latent(z, template, seed=seed, frame_a=frame_a)
+    state, a DecodeState(template, seed), is passed on to decode_latent."""
+    pair = decode_latent(z, template, seed=seed, state=state)
     return float(score_pair(pair, reward_config).r_pair)
 
 
@@ -129,7 +130,7 @@ def group_advantages(rewards):
 
 
 def sample_group(
-    snapshot: PolicySnapshot, template, config: TrainerConfig, rng, reward_config=None, *, frame_a=None
+    snapshot: PolicySnapshot, template, config: TrainerConfig, rng, reward_config=None, *, state=None
 ):
     """Roll out one group under snapshot.policy_old() and score the
     terminal decodes.
@@ -138,8 +139,9 @@ def sample_group(
     draws otherwise); per-member SDE noise then comes from rng.spawn(G).
     Each member's rollout and latent_reward run as one task of a single
     ordered_map, so serial and threaded execution consume identical
-    streams; each task covers template.resolution pixels. frame_a is
-    passed on to every latent_reward call.
+    streams; each task covers template.resolution pixels. state, a
+    DecodeState(template, config.seed), is passed on to every latent_reward
+    call.
     """
     g = config.group_size
     policy_old = snapshot.policy_old()
@@ -154,7 +156,7 @@ def sample_group(
 
     def member(i):
         steps, x0 = rollout(policy_old, eps_init[i], sampler, streams[i])
-        reward = latent_reward(x0, template, seed=config.seed, reward_config=reward_config, frame_a=frame_a)
+        reward = latent_reward(x0, template, seed=config.seed, reward_config=reward_config, state=state)
         return steps, x0, reward
 
     h, w = template.resolution
@@ -175,26 +177,28 @@ def sample_group(
 def _window_batch(group, window):
     """Flatten the first `window` steps of every trajectory into arrays."""
     rows = [
-        (s.x_t, s.t, s.dt, s.sigma, s.sigma_step, s.x_next, adv)
+        (s.x_t, s.t, s.dt, s.sigma, s.sigma_step, s.mean, s.x_next, adv)
         for traj, adv in zip(group.trajectories, group.advantages)
         for s in traj[:window]
     ]
-    xs, ts, dts, sigmas, sig_steps, x_nexts, advs = zip(*rows)
+    xs, ts, dts, sigmas, sig_steps, means, x_nexts, advs = zip(*rows)
     return (
         np.stack(xs),
         np.array(ts),
         np.array(dts),
         np.array(sigmas),
         np.array(sig_steps),
+        np.stack(means),
         np.stack(x_nexts),
         np.array(advs),
     )
 
 
 def _batch_means(policy, xs, ts, dts, sigmas):
-    # Per-row transition_mean, not a fused batch: each row then equals the
-    # sampler's stored step mean bit for bit, which keeps outputs
-    # byte-identical; on a tiny window that matters more than speed.
+    # Per-row transition_mean, not a fused batch: each row then goes
+    # through the sampler's arithmetic, so under the sampling policy it is
+    # the stored step mean bit for bit, and a fused product, which rounds
+    # differently, would change every output's bits.
     return np.stack(
         [transition_mean(policy, x, t, dt, s) for x, t, dt, s in zip(xs, ts, dts, sigmas)]
     )
@@ -211,17 +215,17 @@ def surrogate_loss(policy, policy_ref, group, config: TrainerConfig):
 
     `policy` must be the policy that sampled the group (train() passes
     snapshot.policy_old()): there the likelihood-ratio surrogate has exactly
-    this value and gradient. Gradient reaches the parameters only through
+    this value and gradient, and mu_theta is each step's stored `mean`,
+    which transition_mean computed under that policy. Gradient reaches the parameters only through
     v_theta at the stored (x_t, t), via the drift factor
     dmean/dv = -dt (1 + sigma² (1 - t) / (2t)). Returns (loss, grad, stats)
     with stats = {"kl"}.
     """
-    xs, ts, dts, sigmas, sig_steps, x_nexts, advs = _window_batch(group, config.grad_window)
+    xs, ts, dts, sigmas, sig_steps, mean_new, x_nexts, advs = _window_batch(group, config.grad_window)
     if np.any(sig_steps <= 0):
         raise TrainingError("surrogate needs stochastic steps; noise_scale is 0")
     n = xs.shape[0]
 
-    mean_new = _batch_means(policy, xs, ts, dts, sigmas)
     mean_ref = _batch_means(policy_ref, xs, ts, dts, sigmas)
 
     var_step = sig_steps * sig_steps
@@ -254,19 +258,21 @@ def train(config: TrainerConfig, pretrained: VelocityPolicy, template, reward_co
     the EMA. Deterministic in (config, pretrained, template). A non-finite
     loss or gradient aborts with the last finite policy attached to the
     error.
+
+    The run builds one DecodeState(template, config.seed) and hands it to
+    every decode, so each decode computes only what depends on its latent;
+    the outputs are the same bit for bit as decodes that build their own.
     """
     snap = PolicySnapshot.from_policy(pretrained)
     rc = reward_config if reward_config is not None else RewardConfig()
-    # The first decoded frame does not depend on the latent: shade it once
-    # and share it, read-only, with every decode of the run.
-    frame_a = render_frame(template, 0)
-    for arr in frame_a:
-        arr.flags.writeable = False
+    # what no latent changes is built once and shared, read-only, by every
+    # decode of the run; it is freed with the run
+    state = DecodeState(template, config.seed)
     metrics = []
     for it in range(config.iterations):
         rng = np.random.default_rng([config.seed, it])
         policy_old = snap.policy_old()
-        group = sample_group(snap, template, config, rng, reward_config=rc, frame_a=frame_a)
+        group = sample_group(snap, template, config, rng, reward_config=rc, state=state)
         loss, grad, stats = surrogate_loss(policy_old, pretrained, group, config)
         with np.errstate(over="ignore", invalid="ignore"):
             grad_norm = float(np.linalg.norm(grad))

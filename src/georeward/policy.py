@@ -61,11 +61,23 @@ class VelocityPolicy:
 
 _BLOCK_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
+# numpy cannot build an array of more bytes than its index type counts
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def _check_floats(count, sizes):
+    """ConfigError naming sizes when an array of count float64s is past
+    what numpy can allocate; checked before anything is built."""
+    if count > _MAX_FLOATS:
+        raise ConfigError(f"{sizes}: too large for numpy to allocate")
+
 
 def init_policy(dim: int, hidden: int, rng) -> VelocityPolicy:
     """Glorot-uniform weights, zero biases."""
     if dim < 1 or hidden < 1:
         raise ConfigError(f"dim and hidden must be >= 1, got {dim}, {hidden}")
+    _check_floats((dim + 1) * hidden, f"dim {dim} and hidden {hidden}")
+    _check_floats(hidden * hidden, f"hidden {hidden}")
 
     def glorot(fan_out, fan_in):
         lim = np.sqrt(6.0 / (fan_in + fan_out))
@@ -102,8 +114,9 @@ def _stack_input(x, t):
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xb = np.atleast_2d(x)
-    tb = np.broadcast_to(np.asarray(t, dtype=np.float64), (xb.shape[0],))
-    inp = np.concatenate([xb, tb[:, None]], axis=1)
+    inp = np.empty((xb.shape[0], xb.shape[1] + 1))
+    inp[:, :-1] = xb
+    inp[:, -1] = t  # one time per row, or one for every row
     return inp, single
 
 
@@ -181,9 +194,14 @@ def fm_pretrain(policy, data_sampler, iterations, lr, rng, batch_size=128, momen
         raise ConfigError(f"lr must be > 0, got {lr}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    # a batch's inputs and hidden activations
+    _check_floats(batch_size * max(policy.dim + 1, policy.hidden), f"batch_size {batch_size}")
+    try:
+        losses = np.empty(iterations)
+    except (ValueError, MemoryError):  # past numpy's index range, or past memory
+        raise ConfigError(f"iterations {iterations}: too large for numpy to allocate") from None
     theta = params_vector(policy)
     vel = np.zeros_like(theta)
-    losses = np.empty(iterations)
     for it in range(iterations):
         pol = with_params(policy, theta)
         x0 = np.asarray(data_sampler(rng, batch_size), dtype=np.float64)

@@ -28,7 +28,7 @@ from . import runtime
 from .adapter import FramePair, VideoBundle
 from .camera import relative_transform, reproject_depth, rigid_flow
 from .errors import ConfigError, EmptyMaskError, InputError, NumericError, ShapeError
-from .grid import _xy_norm, backward_warp, bilinear_sample
+from .grid import _shown, _xy_norm, backward_warp, bilinear_sample
 
 # Hole pixels in the depth-error map carry this finite sentinel. They are
 # excluded from Omega, so the value only matters for dumped diagnostics,
@@ -59,15 +59,15 @@ class RewardConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
+            raise ConfigError(f"lam must be in [0, 1], got {_shown(self.lam)}")
         if not self.eps_num > 0:
-            raise ConfigError(f"eps_num must be > 0, got {self.eps_num}")
+            raise ConfigError(f"eps_num must be > 0, got {_shown(self.eps_num)}")
         if self.gating not in _GATING_MODES:
-            raise ConfigError(f"gating must be one of {_GATING_MODES}, got {self.gating!r}")
+            raise ConfigError(f"gating must be one of {_GATING_MODES}, got {_shown(self.gating)}")
         if self.gating == "hard" and not 0.0 < self.conf_threshold < 1.0:
-            raise ConfigError(f"conf_threshold must be in (0, 1), got {self.conf_threshold}")
+            raise ConfigError(f"conf_threshold must be in (0, 1), got {_shown(self.conf_threshold)}")
         if self.feature_patch < 1:
-            raise ConfigError(f"feature_patch must be >= 1, got {self.feature_patch}")
+            raise ConfigError(f"feature_patch must be >= 1, got {_shown(self.feature_patch)}")
 
     def to_dict(self):
         return asdict(self)

@@ -9,10 +9,12 @@ depth tensors it emits are exact, and controlled corruptions of the frames
 
 decode_latent maps a 4-vector to perturbation amplitudes plus a camera
 speed, renders the pair, and injects the corruption. It is the toy
-generator the trainer optimizes against the pair reward.
+generator the trainer optimizes against the pair reward; a DecodeState
+holds what all decodes of one template and seed share.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from . import runtime
 from .adapter import FramePair, VideoBundle
 from .camera import Intrinsics, PoseSE3, Z_MIN
 from .errors import ConfigError, DomainError, ShapeError
-from .grid import _from_dict, _json_type_ok, _numbers, _xy_norm, bilinear_sample
+from .grid import _from_dict, _json_type_ok, _numbers, _shown, _xy_norm, bilinear_sample
 
 _OBJ_SURF = 7  # surface id of the moving quad; background planes use 0..2
 
@@ -83,35 +85,66 @@ def _hash01(hx, iy):
 _EXACT_LATTICE = 2.0**52
 
 
-def _table_corners(iu, iv, key):
-    """c00, c10, c01, c11 gathered from a (channels, ny, nx) table that hashes
-    each lattice corner of the call's bounding box once.
+class _Table:
+    """A (channels, ny * nx) table of every lattice corner hash of the box
+    x_lo <= x < x_lo + nx, y_lo <= y < y_lo + ny, for one key."""
 
-    Returns None when the box holds more corners than the call has points
-    (sparse or wide-range coordinates), when the key is not a scalar or a
-    (channels, 1, ...) column, or when the box leaves the exact-integer range
-    of float64; the caller then hashes per point. The table holds exactly
-    the values the per-point hash computes, so both paths give the same bits.
+    __slots__ = ("values", "x_lo", "y_lo", "nx", "ny")
+
+    def __init__(self, key, x_lo, y_lo, nx, ny):
+        ix = np.arange(x_lo, x_lo + nx, dtype=np.int64).view(np.uint64)
+        iy = np.arange(y_lo, y_lo + ny, dtype=np.int64).view(np.uint64)
+        hx = _mix(ix ^ key.reshape(-1, 1))
+        self.values = _hash01(hx[:, None, :], iy[:, None]).reshape(key.size, -1)
+        self.x_lo, self.y_lo, self.nx, self.ny = x_lo, y_lo, nx, ny
+
+    def holds(self, x_lo, x_hi, y_lo, y_hi):
+        """Whether every corner of the cells x_lo..x_hi, y_lo..y_hi is in the table."""
+        return (
+            self.x_lo <= x_lo and x_hi + 2 <= self.x_lo + self.nx
+            and self.y_lo <= y_lo and y_hi + 2 <= self.y_lo + self.ny
+        )
+
+
+def _table_for(key, table, bounds, points):
+    """A _Table of key that holds the cells x_lo..x_hi, y_lo..y_hi of
+    bounds: table when it does, else one built for that box. None when the
+    box leaves the exact-integer range of float64 or holds more corners
+    than there are points (sparse or wide-range coordinates)."""
+    if table is not None and table.holds(*bounds):
+        return table
+    if not all(abs(b) < _EXACT_LATTICE for b in bounds):  # also False for NaN
+        return None
+    x_lo, x_hi, y_lo, y_hi = bounds
+    nx, ny = x_hi - x_lo + 2.0, y_hi - y_lo + 2.0
+    if nx * ny > points:
+        return None
+    return _Table(key, int(x_lo), int(y_lo), int(nx), int(ny))
+
+
+def _table_corners(iu, iv, key, table=None):
+    """c00, c10, c01, c11 gathered from the _table_for the key and the
+    call's bounding box, as views of one fresh array.
+
+    Returns None when there is no such table, or when the key is not a
+    scalar or a (channels, 1, ...) column; the caller then hashes per point.
+    The table holds exactly the values the per-point hash computes, so both
+    paths give the same bits.
     """
     key = np.asarray(key)
     column = key.ndim == 0 or key.shape[1:] == (1,) * iu.ndim
     if iu.size == 0 or iu.shape != iv.shape or not column:
         return None
-    bounds = x_lo, x_hi, y_lo, y_hi = iu.min(), iu.max(), iv.min(), iv.max()
-    if not all(abs(b) < _EXACT_LATTICE for b in bounds):  # also False for NaN
+    table = _table_for(key, table, (iu.min(), iu.max(), iv.min(), iv.max()), iu.size)
+    if table is None:
         return None
-    nx, ny = x_hi - x_lo + 2.0, y_hi - y_lo + 2.0
-    if nx * ny > iu.size:
-        return None
-    nx, ny = int(nx), int(ny)
-    ix = np.arange(int(x_lo), int(x_lo) + nx, dtype=np.int64).view(np.uint64)
-    iy = np.arange(int(y_lo), int(y_lo) + ny, dtype=np.int64).view(np.uint64)
-    hx = _mix(ix ^ key.reshape(-1, 1))
-    table = _hash01(hx[:, None, :], iy[:, None]).reshape(key.size, -1)
-    flat = (iv - y_lo).astype(np.intp) * nx
-    flat += (iu - x_lo).astype(np.intp)
+    nx = table.nx
+    flat = (iv - table.y_lo).astype(np.intp) * nx
+    flat += (iu - table.x_lo).astype(np.intp)
+    steps = np.array([0, 1, nx, nx + 1]).reshape((4,) + (1,) * flat.ndim)
+    corners = np.take(table.values, flat + steps, axis=1)  # (channels, 4, ...)
     shape = np.broadcast_shapes(key.shape, iu.shape)
-    return tuple(np.take(table, flat + step, axis=1).reshape(shape) for step in (0, 1, nx, nx + 1))
+    return tuple(corners[:, i].reshape(shape) for i in range(4))
 
 
 def _value_noise(u, v, key):
@@ -120,40 +153,90 @@ def _value_noise(u, v, key):
     key broadcasts against u and v, so a (3, 1, ...) key array hashes three
     channels in one pass.
     """
-    iu = np.floor(u)
-    iv = np.floor(v)
-    fu = u - iu
-    fv = v - iv
-    su = fu * fu * (3.0 - 2.0 * fu)
-    sv = fv * fv * (3.0 - 2.0 * fv)
-    corners = _table_corners(iu, iv, key)
+    return _lattice_noise(np.stack([u, v]), key)
+
+
+def _smoothstep(uv):
+    """The lattice cells of the points uv and their smoothstep weights."""
+    cell = np.floor(uv)
+    frac = uv - cell
+    smooth = frac * frac
+    smooth *= 3.0 - 2.0 * frac
+    return cell, smooth
+
+
+def _lattice_noise(uv, key, table=None):
+    """_value_noise at the points (uv[0], uv[1]), both axes in one pass."""
+    (iu, iv), (su, sv) = _smoothstep(uv)
+    corners = _table_corners(iu, iv, key, table)
     if corners is None:
         hx0 = _mix(_lattice_bits(iu) ^ key)
         hx1 = _mix(_lattice_bits(iu + 1) ^ key)
         iy0 = _lattice_bits(iv)
         iy1 = _lattice_bits(iv + 1)
         corners = (_hash01(hx0, iy0), _hash01(hx1, iy0), _hash01(hx0, iy1), _hash01(hx1, iy1))
-    c00, c10, c01, c11 = corners
-    top = c00 + (c10 - c00) * su
-    bot = c01 + (c11 - c01) * su
-    return top + (bot - top) * sv
+    # top = c00 + (c10 - c00) * su, bot = c01 + (c11 - c01) * su, then
+    # top + (bot - top) * sv, computed in the fresh corner arrays
+    c00, top, c01, bot = corners
+    top -= c00
+    top *= su
+    top += c00
+    bot -= c01
+    bot *= su
+    bot += c01
+    bot -= top
+    bot *= sv
+    bot += top
+    return bot
 
 
-def _texture(u, v, freq, seed, salt):
-    """Three-octave RGB value noise over plane-local coordinates (world units).
+def _octaves(freq, seed, salt, ndim=1, box=None, max_corners=0):
+    """(amplitude, frequency, channel key, lattice table) of each of the
+    three texture octaves over ndim-dimensional coordinates.
+
+    The key is a (3, 1, ...) column that hashes the three channels in one
+    pass. box, when given, is ((u_lo, v_lo), (u_hi, v_hi)), known to hold
+    the coordinates ahead of any point: each octave then also gets a table
+    of that box's lattice cells, plus one cell of slack on every side; it is
+    None without a box or when the table would hold more than max_corners
+    corners. Multiplying by a positive frequency keeps the order of floats,
+    so the box scales to each octave exactly.
+    """
+    channels = np.arange(3).reshape((3,) + (1,) * ndim)
+    octaves = []
+    amp, f = 1.0, freq
+    with np.errstate(over="ignore"):
+        for octave in range(3):
+            key = _key(seed, salt, octave, channels)
+            table = None
+            if box is not None:
+                bounds = [float(b) * f for b in (*box[0], *box[1])]
+                if all(abs(b) < _EXACT_LATTICE for b in bounds):  # also False for NaN
+                    x_lo, y_lo, x_hi, y_hi = (math.floor(b) for b in bounds)
+                    nx, ny = x_hi - x_lo + 4, y_hi - y_lo + 4
+                    if nx * ny <= max_corners:
+                        table = _Table(key, x_lo - 1, y_lo - 1, nx, ny)
+            octaves.append((amp, f, key, table))
+            amp *= 0.5
+            f *= 2.0
+    return octaves
+
+
+def _texture(u, v, octaves):
+    """Three-octave RGB value noise over plane-local coordinates (world
+    units), from the _octaves of the surface.
 
     Each octave hashes the three channels in one pass over a leading channel
     axis; the sum runs in the same order as a per-channel loop would, so the
     bits do not depend on the batching.
     """
-    channels = np.arange(3).reshape((3,) + (1,) * u.ndim)
+    uv = np.stack([u, v])
     acc = np.zeros((3,) + u.shape)
-    amp, f = 1.0, freq
     with np.errstate(over="ignore"):
-        for octave in range(3):
-            acc += amp * _value_noise(u * f, v * f, _key(seed, salt, octave, channels))
-            amp *= 0.5
-            f *= 2.0
+        for amp, f, key, table in octaves:
+            noise = _lattice_noise(uv * f, key, table)
+            noise *= amp
+            acc += noise
     return np.moveaxis(acc / 1.75, 0, -1)
 
 
@@ -174,7 +257,7 @@ class ObjectSpec:
 
     def __post_init__(self):
         if self.size <= 0:
-            raise ConfigError(f"object size must be > 0, got {self.size}")
+            raise ConfigError(f"object size must be > 0, got {_shown(self.size)}")
         if len(self.center) != 3 or len(self.velocity) != 3:
             raise ConfigError("object center and velocity must be 3-vectors")
 
@@ -209,27 +292,33 @@ class SceneSpec:
 
     def __post_init__(self):
         if self.geometry not in _GEOMETRIES:
-            raise ConfigError(f"geometry must be one of {_GEOMETRIES}, got {self.geometry!r}")
+            raise ConfigError(f"geometry must be one of {_GEOMETRIES}, got {_shown(self.geometry)}")
         h, w = self.resolution
         if h < 32 or w < 32:
-            raise ConfigError(f"resolution must be at least 32x32, got {h}x{w}")
+            raise ConfigError(f"resolution must be at least 32x32, got {_shown(h)}x{_shown(w)}")
         if self.depth <= 0:
-            raise ConfigError(f"plane depth must be > 0, got {self.depth}")
+            raise ConfigError(f"plane depth must be > 0, got {_shown(self.depth)}")
         if self.geometry == "two_plane" and self.depth2 <= self.depth:
-            raise ConfigError(f"far plane must lie behind the near one, got {self.depth2} <= {self.depth}")
+            raise ConfigError(
+                f"far plane must lie behind the near one, got {_shown(self.depth2)} <= {_shown(self.depth)}"
+            )
         n = np.asarray(self.normal, dtype=np.float64)
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(n)  # also inf or NaN when an entry is
         if not np.isfinite(norm):
-            raise ConfigError(f"plane normal must have finite entries and a finite norm, got {self.normal}")
+            raise ConfigError(
+                f"plane normal must have finite entries and a finite norm, got {_shown(self.normal)}"
+            )
         if n.shape != (3,) or norm == 0 or n[2] <= 0:
-            raise ConfigError(f"plane normal must be a 3-vector with positive z, got {self.normal}")
+            raise ConfigError(f"plane normal must be a 3-vector with positive z, got {_shown(self.normal)}")
         if len(self.camera_path) == 0:
             raise ConfigError("camera_path must hold at least one pose")
         if self.texture_freq <= 0:
-            raise ConfigError(f"texture_freq must be > 0, got {self.texture_freq}")
+            raise ConfigError(f"texture_freq must be > 0, got {_shown(self.texture_freq)}")
         if not -SEED_MAX - 1 <= self.texture_seed <= SEED_MAX:
-            raise ConfigError(f"texture_seed must fit in a signed 64-bit integer, got {self.texture_seed}")
+            raise ConfigError(
+                f"texture_seed must fit in a signed 64-bit integer, got {_shown(self.texture_seed)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -257,24 +346,30 @@ class PerturbationSpec:
         for name in ("wobble_px", "texture_drift_px", "object_morph", "depth_noise_rel"):
             value = getattr(self, name)
             if not -np.inf < value < np.inf:  # also False for NaN
-                raise ConfigError(f"perturbation {name} must be finite, got {value}")
+                raise ConfigError(f"perturbation {name} must be finite, got {_shown(value)}")
         if self.wobble_px < 0 or self.texture_drift_px < 0 or self.depth_noise_rel < 0:
             raise ConfigError("perturbation amplitudes must be >= 0")
         if self.object_morph <= 0:
-            raise ConfigError(f"object_morph must be > 0 (1 = identity), got {self.object_morph}")
+            raise ConfigError(f"object_morph must be > 0 (1 = identity), got {_shown(self.object_morph)}")
 
 
 # ---------------------------------------------------------------------------
 # ray tracing
 
 def _pixel_rays(spec, pose):
-    """Camera center, the pixel lattice xs, ys, and each pixel's world-space
-    ray, scaled to unit depth in the camera frame."""
+    """Each pixel's world-space ray, scaled to unit depth in the camera
+    frame; it depends on the pose's rotation only."""
     h, w = spec.resolution
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     k = spec.intrinsics
-    d_cam = np.stack([(xs - k.cx) / k.fx, (ys - k.cy) / k.fy, np.ones_like(xs)], axis=-1)
-    return -pose.r.T @ pose.t, xs, ys, d_cam @ pose.r  # rows R^T d: camera rays in world coordinates
+    d_cam = np.empty((h, w, 3))
+    d_cam[..., 0] = (np.arange(w, dtype=np.float64) - k.cx) / k.fx
+    d_cam[..., 1] = (np.arange(h, dtype=np.float64)[:, None] - k.cy) / k.fy
+    d_cam[..., 2] = 1.0
+    return d_cam @ pose.r  # rows R^T d: camera rays in world coordinates
+
+
+def _center(pose):
+    return -pose.r.T @ pose.t
 
 
 def _plane_s(p0, n, c, dirs):
@@ -293,6 +388,15 @@ def _unit_normal(spec):
     return n / np.linalg.norm(n)
 
 
+def _background_planes(spec):
+    """(surface id, point, unit normal) of each background plane: for
+    "two_plane" the near plane 1, then the far backdrop 0."""
+    if spec.geometry == "two_plane":
+        nz = np.array([0.0, 0.0, 1.0])
+        return [(1, np.array([0.0, 0.0, spec.depth]), nz), (0, np.array([0.0, 0.0, spec.depth2]), nz)]
+    return [(0, np.array([0.0, 0.0, spec.depth]), _unit_normal(spec))]
+
+
 def _surface_hits(spec, frame, c, dirs):
     """Candidate hits per surface: list of (surf_id, s, hit_mask).
 
@@ -300,18 +404,12 @@ def _surface_hits(spec, frame, c, dirs):
     normalized to unit z in the camera frame.
     """
     hits = []
-    if spec.geometry == "two_plane":
-        p0n = np.array([0.0, 0.0, spec.depth])
-        nz = np.array([0.0, 0.0, 1.0])
-        s_near = _plane_s(p0n, nz, c, dirs)
-        px = c[0] + s_near * dirs[..., 0]
-        hits.append((1, s_near, (s_near > Z_MIN) & (px < spec.split_x)))
-        s_far = _plane_s(np.array([0.0, 0.0, spec.depth2]), nz, c, dirs)
-        hits.append((0, s_far, s_far > Z_MIN))
-    else:
-        n = _unit_normal(spec)
-        s = _plane_s(np.array([0.0, 0.0, spec.depth]), n, c, dirs)
-        hits.append((0, s, s > Z_MIN))
+    for sid, p0, n in _background_planes(spec):
+        s = _plane_s(p0, n, c, dirs)
+        ok = s > Z_MIN
+        if sid == 1:  # the near plane covers world x < split_x only
+            ok &= c[0] + s * dirs[..., 0] < spec.split_x
+        hits.append((sid, s, ok))
     obj = spec.moving_object
     if obj is not None:
         oc = obj.center_at(frame)
@@ -324,18 +422,22 @@ def _surface_hits(spec, frame, c, dirs):
     return hits
 
 
-def _trace(spec, frame):
-    """Nearest surface along each pixel ray of the frame.
+def _trace(spec, frame, dirs=None):
+    """Nearest surface along each pixel ray of the frame; dirs, when given,
+    are its _pixel_rays.
 
     Returns (points_world, depth, surf_id). Raises when a ray escapes the
     backdrop or the camera sits on the geometry, both of which make the
     scene spec invalid.
     """
-    c, xs, _, dirs = _pixel_rays(spec, spec.camera_path[frame])
+    pose = spec.camera_path[frame]
+    if dirs is None:
+        dirs = _pixel_rays(spec, pose)
+    c = _center(pose)
     hits = _surface_hits(spec, frame, c, dirs)
 
-    best_s = np.full(xs.shape, np.inf)
-    best_id = np.full(xs.shape, -1, dtype=np.int8)
+    best_s = np.full(spec.resolution, np.inf)
+    best_id = np.full(spec.resolution, -1, dtype=np.int8)
     for surf_id, s, ok in hits:
         s_ok = np.where(ok, s, np.inf)
         take = s_ok < best_s
@@ -350,72 +452,150 @@ def _trace(spec, frame):
     return points, best_s, best_id
 
 
-def _shade(spec, frame, points, surf_id):
-    """Procedural color of world points on their surfaces."""
-    rgb = np.zeros(points.shape[:-1] + (3,))
-    for sid in np.unique(surf_id):
-        sel = surf_id == sid
-        pts = points[sel]
-        if sid == _OBJ_SURF:
+def _scene_textures(spec, dirs=None, poses=()):
+    """(in-plane basis, texture _octaves) of every surface the scene can
+    show, by surface id.
+
+    The quad has no basis: its texture coordinates are its hit points' x
+    and y relative to its center, which _surface_hits keeps within
+    +-size/2, so its octaves get lattice tables. Given the rays dirs and
+    camera poses, so does each background plane, for its hits from any
+    camera on the segments between the poses: a ray's hit moves linearly
+    with a camera that moves along a line, so the box of the end poses'
+    hits holds them all (the tables' slack absorbs rounding). A table holds
+    at most as many corners as a frame has pixels, so with its three
+    channels it is never larger than one RGB frame.
+    """
+    textures = {}
+    pixels = spec.resolution[0] * spec.resolution[1]
+    for sid, p0, n in _background_planes(spec):
+        # in-plane basis; reduces to world x/y for fronto-parallel planes
+        a = np.array([1.0, 0.0, 0.0])
+        e1 = a - n * (n @ a)
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(n, e1)
+        box = None
+        if poses:
+            uv = []
+            for pose in poses:
+                c = _center(pose)
+                s = _plane_s(p0, n, c, dirs)
+                ok = np.isfinite(s) & (s > Z_MIN)
+                pts = c + s[ok][:, None] * dirs[ok]
+                uv.append(np.stack([pts @ e1, pts @ e2]))
+            uv = np.concatenate(uv, axis=1)
+            if uv.size:
+                box = (uv.min(axis=1), uv.max(axis=1))
+        octaves = _octaves(spec.texture_freq, spec.texture_seed, sid, box=box, max_corners=pixels)
+        textures[sid] = (e1, e2), octaves
+    if spec.moving_object is not None:
+        # object texture is denser than the backdrop so the quad stays
+        # feature-rich even when it covers only a few patches
+        half = spec.moving_object.size / 2.0
+        box = ((-half, -half), (half, half))
+        octaves = _octaves(
+            4.0 * spec.texture_freq, spec.texture_seed, 100 + _OBJ_SURF, box=box, max_corners=pixels
+        )
+        textures[_OBJ_SURF] = None, octaves
+    return textures
+
+
+def _shade(spec, frame, points, surf_id, textures=None):
+    """Procedural color of world points on their surfaces; textures, when
+    given, are the scene's _scene_textures."""
+    flat_id = surf_id.reshape(-1)
+    flat_points = points.reshape(-1, 3)
+    rgb = np.zeros((3, flat_id.size))  # channel-major, so each surface's colors land in whole rows
+    for sid, (basis, octaves) in (textures if textures is not None else _scene_textures(spec)).items():
+        idx = np.flatnonzero(flat_id == sid)
+        if idx.size == 0:
+            continue
+        pts = np.take(flat_points, idx, axis=0)
+        if basis is None:
             oc = spec.moving_object.center_at(frame)
             u = pts[:, 0] - oc[0]
             v = pts[:, 1] - oc[1]
-            # object texture is denser than the backdrop so the quad stays
-            # feature-rich even when it covers only a few patches
-            rgb[sel] = _texture(u, v, 4.0 * spec.texture_freq, spec.texture_seed, 100 + _OBJ_SURF)
         else:
-            n = _unit_normal(spec) if sid == 0 and spec.geometry == "inclined" else np.array([0.0, 0.0, 1.0])
-            # in-plane basis; reduces to world x/y for fronto-parallel planes
-            a = np.array([1.0, 0.0, 0.0])
-            e1 = a - n * (n @ a)
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(n, e1)
-            u = pts @ e1
-            v = pts @ e2
-            rgb[sel] = _texture(u, v, spec.texture_freq, spec.texture_seed, int(sid))
-    return rgb
+            u = pts @ basis[0]
+            v = pts @ basis[1]
+        rgb[:, idx] = np.moveaxis(_texture(u, v, octaves), -1, 0)
+    return np.ascontiguousarray(rgb.T).reshape(points.shape)
 
 
-def render_frame(spec: SceneSpec, frame: int):
-    """Render one frame: (image [0,1), depth, object mask)."""
+def render_frame(spec: SceneSpec, frame: int, *, state=None):
+    """Render one frame: (image [0,1), depth, object mask).
+
+    state, when given, is the DecodeState of the decode that renders spec;
+    the frame then reuses its rays and textures.
+    """
     if not 0 <= frame < len(spec.camera_path):
         raise ConfigError(f"frame {frame} outside the camera path of length {len(spec.camera_path)}")
-    points, depth, surf = _trace(spec, frame)
-    image = _shade(spec, frame, points, surf)
+    if state is None:
+        return _render(spec, frame)
+    state.check(spec)
+    return _render(spec, frame, state.dirs, state.textures)
+
+
+def _render(spec, frame, dirs=None, textures=None):
+    """render_frame with the frame's _pixel_rays and the scene's
+    _scene_textures, each built here when not given."""
+    points, depth, surf = _trace(spec, frame, dirs)
+    image = _shade(spec, frame, points, surf, textures)
     return image, depth, surf == _OBJ_SURF
 
 
-def _flow(spec, a, b, depth_a, object_a):
-    """Exact flow from frame a to frame b on the pixel lattice.
+def _world_points(spec, a, b, depth_a, object_a, dirs):
+    """Frame a's hit points, moved on to frame b.
 
-    A ray's parameter is its depth, so c + depth_a * ray rebuilds frame a's
-    hit points bit for bit from its rendered depth; the quad's points
-    (object_a) move by the object's displacement, and all project into
-    frame b. The flow is zero where a point lands behind (or numerically at)
-    the frame-b camera plane; occlusion is not checked.
+    A ray's parameter is its depth, so c + depth_a * ray rebuilds the hit
+    points bit for bit from the rendered depth; the quad's points
+    (object_a) then move by the object's displacement. dirs are frame a's
+    _pixel_rays.
     """
-    c, xs, ys, dirs = _pixel_rays(spec, spec.camera_path[a])
-    points = c + depth_a[..., None] * dirs
+    points = depth_a[..., None] * dirs
+    points += _center(spec.camera_path[a])
     obj = spec.moving_object
     if obj is not None:
-        points[object_a] += (b - a) * np.asarray(obj.velocity, dtype=np.float64)
+        step = (b - a) * np.asarray(obj.velocity, dtype=np.float64)
+        np.add(points, step, out=points, where=object_a[..., None])
+    return points
+
+
+def _projected_flow(spec, points, b):
+    """Flow from each pixel to where its world point projects in frame b;
+    zero where the point lands behind (or numerically at) the frame-b
+    camera plane."""
     pose_b = spec.camera_path[b]
-    cam = points @ pose_b.r.T + pose_b.t
+    cam = points @ pose_b.r.T
+    cam += pose_b.t
     ok = cam[..., 2] > Z_MIN
     z = np.where(ok, cam[..., 2], 1.0)
     k = spec.intrinsics
-    flow = np.stack([k.fx * cam[..., 0] / z + k.cx - xs, k.fy * cam[..., 1] / z + k.cy - ys], axis=-1)
-    return np.where(ok[..., None], flow, 0.0)
+    h, w = spec.resolution
+    flow = np.empty((h, w, 2))
+    flow[..., 0] = k.fx * cam[..., 0] / z + k.cx - np.arange(w, dtype=np.float64)
+    flow[..., 1] = k.fy * cam[..., 1] / z + k.cy - np.arange(h, dtype=np.float64)[:, None]
+    flow[~ok] = 0.0
+    return flow
 
 
-def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=None) -> FramePair:
+def _flow(spec, a, b, depth_a, object_a, dirs=None):
+    """Exact flow from frame a to frame b on the pixel lattice: frame a's
+    _world_points projected into frame b. Occlusion is not checked. dirs,
+    when given, are frame a's _pixel_rays."""
+    if dirs is None:
+        dirs = _pixel_rays(spec, spec.camera_path[a])
+    return _projected_flow(spec, _world_points(spec, a, b, depth_a, object_a, dirs), b)
+
+
+def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, state=None) -> FramePair:
     """Render frames (frame_index, frame_index + stride) with exact tensors.
 
     The moving quad's pixels are the pair's dynamic masks, as in
-    render_video; the pair carries no confidence. frame_a, when given, must
-    be render_frame(spec, frame_index): a caller that renders many pairs
-    from one first frame passes it to skip shading it again. The pair holds
-    it by reference.
+    render_video; the pair carries no confidence. state, when given, is the
+    DecodeState of the decode that renders spec, whose pair (0, 1) then
+    holds the state's first frame by reference and projects its stored
+    points for the forward flow.
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
@@ -424,15 +604,25 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=N
         raise ConfigError(
             f"pair ({fa}, {fb}) needs a camera path of length > {fb}, got {len(spec.camera_path)}"
         )
-    image_a, depth_a, obj_a = render_frame(spec, fa) if frame_a is None else frame_a
-    image_b, depth_b, obj_b = render_frame(spec, fb)
+    if state is None:
+        image_a, depth_a, obj_a = render_frame(spec, fa)
+        flow_fwd = _flow(spec, fa, fb, depth_a, obj_a)
+        dirs = None
+        image_b, depth_b, obj_b = render_frame(spec, fb)
+    else:
+        if (fa, fb) != (0, 1):
+            raise ConfigError(f"a decode state renders the pair (0, 1), got ({fa}, {fb})")
+        image_b, depth_b, obj_b = render_frame(spec, fb, state=state)  # checks that state is spec's
+        image_a, depth_a, obj_a = state.frame_a
+        flow_fwd = _projected_flow(spec, state.points_a, fb)
+        dirs = state.dirs
     return FramePair(
         image_a=image_a,
         image_b=image_b,
         depth_a=depth_a,
         depth_b=depth_b,
-        flow_fwd=_flow(spec, fa, fb, depth_a, obj_a),
-        flow_bwd=_flow(spec, fb, fa, depth_b, obj_b),
+        flow_fwd=flow_fwd,
+        flow_bwd=_flow(spec, fb, fa, depth_b, obj_b, dirs),
         intrinsics_a=spec.intrinsics,
         intrinsics_b=spec.intrinsics,
         pose_a=spec.camera_path[fa],
@@ -447,13 +637,8 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, frame_a=N
 # ---------------------------------------------------------------------------
 # perturbations
 
-def wobble_field(shape, amplitude_px, seed, salt=11):
-    """Smooth divergence-free warp field with the given peak magnitude.
-
-    Built as the discrete curl (central differences) of a value-noise
-    potential tapered to zero at the image border, so the discrete
-    divergence vanishes identically and no sample leaves the frame by much.
-    """
+def _wobble_curl(shape, seed, salt):
+    """The unscaled field of wobble_field and its peak magnitude."""
     h, w = shape
     ys, xs = np.mgrid[-1 : h + 1, -1 : w + 1].astype(np.float64)
     freq = 3.0 / min(h, w)
@@ -464,12 +649,22 @@ def wobble_field(shape, amplitude_px, seed, salt=11):
     vx = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / 2.0
     vy = -(psi[1:-1, 2:] - psi[1:-1, :-2]) / 2.0
     field_ = np.stack([vx, vy], axis=-1)
-    peak = _xy_norm(field_).max()
+    return field_, _xy_norm(field_).max()
+
+
+def wobble_field(shape, amplitude_px, seed, salt=11, *, curl=None):
+    """Smooth divergence-free warp field with the given peak magnitude.
+
+    Built as the discrete curl (central differences) of a value-noise
+    potential tapered to zero at the image border, so the discrete
+    divergence vanishes identically and no sample leaves the frame by much.
+    curl, when given, must be _wobble_curl(shape, seed, salt): a caller
+    that scales one field to many amplitudes builds it once.
+    """
+    field_, peak = _wobble_curl(shape, seed, salt) if curl is None else curl
     if peak > 0 and amplitude_px > 0:
-        field_ = field_ * (amplitude_px / peak)
-    else:
-        field_ = np.zeros_like(field_)
-    return field_
+        return field_ * (amplitude_px / peak)
+    return np.zeros_like(field_)
 
 
 def _warp_image(img, disp):
@@ -477,18 +672,27 @@ def _warp_image(img, disp):
     the corruption paths only, the reward path must keep the zero-plus-flag
     rule."""
     h, w = img.shape[:2]
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    x = np.clip(xs + disp[..., 0], 0.0, w - 1.0)
-    y = np.clip(ys + disp[..., 1], 0.0, h - 1.0)
-    vals, _ = bilinear_sample(img, np.stack([x, y], axis=-1).reshape(-1, 2))
+    xy = np.empty((h, w, 2))
+    x, y = xy[..., 0], xy[..., 1]
+    np.add(np.arange(w, dtype=np.float64), disp[..., 0], out=x)
+    np.add(np.arange(h, dtype=np.float64)[:, None], disp[..., 1], out=y)
+    np.clip(x, 0.0, w - 1.0, out=x)
+    np.clip(y, 0.0, h - 1.0, out=y)
+    vals, _ = bilinear_sample(img, xy.reshape(-1, 2))
     return vals.reshape(img.shape)
 
 
 def _drift_image(img, object_mask, shift_px):
-    disp = np.zeros(img.shape[:2] + (2,))
-    disp[..., 0] = shift_px
-    shifted = _warp_image(img, disp)
-    return np.where(object_mask[..., None], img, shifted)
+    """img with each pixel off the quad resampled shift_px to its right,
+    border-clamped as _warp_image does; the quad's pixels keep their values."""
+    h, w = img.shape[:2]
+    idx = np.flatnonzero(~object_mask)
+    xy = np.empty((idx.size, 2))
+    np.clip(idx % w + shift_px, 0.0, w - 1.0, out=xy[:, 0])
+    xy[:, 1] = idx // w
+    out = img.copy()
+    out.reshape(h * w, -1)[idx] = bilinear_sample(img, xy)[0]
+    return out
 
 
 def _morph_pixels(img, object_mask, scale):
@@ -639,7 +843,61 @@ def _squash(raw, lo, hi):
     return lo + (hi - lo) / (1.0 + np.exp(-raw))
 
 
-def decode_latent(z, template: SceneSpec, seed: int = 0, *, frame_a=None) -> FramePair:
+# every SceneSpec field but the camera path: what a decode's scene shares with its template
+_SCENE_FIELDS = tuple(f.name for f in fields(SceneSpec) if f.name != "camera_path")
+
+
+def _scene_fields(spec):
+    return tuple(getattr(spec, name) for name in _SCENE_FIELDS)
+
+
+class DecodeState:
+    """What decode_latent(z, template, seed) builds that no latent changes.
+
+    A decode renders the template's first pose and a second pose that only
+    translates it, so the second frame's world-space rays are the first's
+    bit for bit. A caller that decodes many latents builds this once and
+    shares it, read-only, with every decode:
+      * frame 0's render (image, depth, object mask) and the rays;
+      * frame 0's world points with the quad moved on by one frame, whose
+        projection is the forward flow;
+      * each surface's in-plane basis, per-octave channel keys and lattice
+        tables: the quad's texture coordinates lie within +-size/2, and the
+        background's within what frame 0 and the fastest decoded camera
+        see, so their extent is known ahead of any render;
+      * the unscaled wobble field and its peak, which each decode scales.
+    It holds nothing beyond its own lifetime: train() builds one per run.
+    """
+
+    def __init__(self, template: SceneSpec, seed: int = 0):
+        self.template = template
+        self.seed = seed
+        first = template.camera_path[0]
+        self.dirs = _pixel_rays(template, first)
+        fastest = PoseSE3(first.r, first.t + np.array([CAM_TX_RANGE[1], 0.0, 0.0]))
+        self.textures = _scene_textures(template, self.dirs, (first, fastest))
+        self.frame_a = _render(template, 0, self.dirs, self.textures)
+        _, depth, mask = self.frame_a
+        self.points_a = _world_points(template, 0, 1, depth, mask, self.dirs)
+        self.curl = _wobble_curl(template.resolution, seed, 11)
+        for arr in (*self.frame_a, self.dirs, self.points_a, self.curl[0]):
+            arr.flags.writeable = False
+        self._fields = _scene_fields(template)
+
+    def check(self, spec: SceneSpec):
+        """Raise ConfigError unless spec is a decode's scene of this state:
+        the template's fields, its first pose, then poses that share that
+        pose's rotation."""
+        first = self.template.camera_path[0]
+        pose_a = spec.camera_path[0]
+        same = _scene_fields(spec) == self._fields and (
+            pose_a is first or (np.array_equal(pose_a.r, first.r) and np.array_equal(pose_a.t, first.t))
+        )
+        if not (same and all(p.r is first.r or np.array_equal(p.r, first.r) for p in spec.camera_path)):
+            raise ConfigError("the decode state was built for another scene or first pose")
+
+
+def decode_latent(z, template: SceneSpec, seed: int = 0, *, state: DecodeState = None) -> FramePair:
     """Decode a latent 4-vector into a (possibly corrupted) rendered pair.
 
     Coordinates map monotonically to (wobble px, texture drift px, object
@@ -648,12 +906,17 @@ def decode_latent(z, template: SceneSpec, seed: int = 0, *, frame_a=None) -> Fra
     The wobble corrupts the forward flow (not the frame), so both the
     structural and the feature term of the reward stay sensitive.
 
-    The first frame does not depend on z: frame_a, when given, must be
-    render_frame(template, 0), and the decode then reuses it unshaded.
+    What does not depend on z comes from state, a DecodeState(template,
+    seed); without one the decode builds its own. A caller that decodes
+    many latents passes one, and gets the same pair bit for bit.
     """
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     if z.shape != (LATENT_DIM,):
         raise ShapeError(f"latent must have dimension {LATENT_DIM}, got shape {z.shape}")
+    if state is None:
+        state = DecodeState(template, seed)
+    elif state.seed != seed:  # render_pair checks the scene and the first pose
+        raise ConfigError(f"the decode state was built for seed {state.seed}, got {seed}")
     wobble = _squash(z[0], *WOBBLE_RANGE)
     drift = _squash(z[1], *DRIFT_RANGE)
     morph = _squash(z[2], *MORPH_RANGE)
@@ -662,14 +925,10 @@ def decode_latent(z, template: SceneSpec, seed: int = 0, *, frame_a=None) -> Fra
     e_a = template.camera_path[0]
     e_b = PoseSE3(e_a.r, e_a.t + np.array([t_x, 0.0, 0.0]))
     spec = replace(template, camera_path=(e_a, e_b))
-    pair = render_pair(spec, 0, frame_a=frame_a)
-    corruption = PerturbationSpec(
-        wobble_px=wobble,
-        texture_drift_px=drift,
-        object_morph=morph,
-        corrupt_flow=True,
-    )
-    return inject_perturbation(pair, corruption, seed)
+    pair = render_pair(spec, 0, state=state)
+    if wobble > 0:  # into the forward flow, as inject_perturbation's corrupt_flow routes it
+        pair.flow_fwd += wobble_field(template.resolution, wobble, seed, curl=state.curl)
+    return inject_perturbation(pair, PerturbationSpec(texture_drift_px=drift, object_morph=morph), seed)
 
 
 # ---------------------------------------------------------------------------

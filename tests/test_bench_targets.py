@@ -69,9 +69,10 @@ def test_counters_read_real_results(layers):
 
 
 def test_traced_commands_feed_every_timed_layer_metric(layers, spans, tmp_path):
-    """The commands of all three workloads, on a 48x64 scene, under the
-    traced run's wrappers: each timed metric's function gets a span, and
-    each GRPO group maps its members in one runtime.ordered_map call."""
+    """Each workload's commands, on a 48x64 scene, traced on their own with
+    the traced run's wrappers after an untraced set-up: every timed metric
+    of that workload gets a span, and each GRPO group maps its members in
+    one runtime.ordered_map call."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "geometry": "two_plane",
@@ -87,32 +88,50 @@ def test_traced_commands_feed_every_timed_layer_metric(layers, spans, tmp_path):
     }))
     perturb = ["wobble_px=1.0", "texture_drift_px=0.5", "object_morph=1.05", "depth_noise_rel=0.01"]
     dump = str(tmp_path / "dump")
-    commands = [
-        ["pretrain", "--config", str(pretrain_cfg), "--out", str(tmp_path / "pretrain")],
-        ["grpo", "--config", str(grpo_cfg), "--out", str(tmp_path / "grpo")],
-        ["synth", "--spec", str(spec), "--out", dump] + [a for p in perturb for a in ("--perturb", p)],
-        ["score", "--input", dump, "--out", str(tmp_path / "score.json")],
-        ["metrics", "--input", dump, "--out", str(tmp_path / "metrics.json")],
-    ]
-    targets = layers.targets(_modules())
-    tracer = spans.Tracer()
-    with spans.Patch(tracer, targets):
-        for argv in commands:
-            assert main(argv) == 0, argv[0]
-    spans.assert_unwrapped(targets)
 
-    traced = {s.name for s in tracer.spans}
-    timed = {
-        stem
-        for metrics in layers.LAYER_METRICS.values()
-        for stem, _, kind in (m.rpartition(".") for m in metrics)
-        if kind in ("ms", "self_ms")
+    def synth(out):
+        return ["synth", "--spec", str(spec), "--out", out] + [a for p in perturb for a in ("--perturb", p)]
+
+    # (set-up commands, traced commands) per workload, as perfbench/workloads.py runs them
+    workloads = {
+        "train_toy": (
+            [["pretrain", "--config", str(pretrain_cfg), "--out", str(tmp_path / "pretrain")]],
+            [["grpo", "--config", str(grpo_cfg), "--out", str(tmp_path / "grpo")]],
+        ),
+        "eval_hires": (
+            [synth(dump)],
+            [
+                ["score", "--input", dump, "--out", str(tmp_path / "score.json")],
+                ["metrics", "--input", dump, "--out", str(tmp_path / "metrics.json")],
+            ],
+        ),
+        "synth_hires": ([], [synth(str(tmp_path / "synth"))]),
     }
-    assert sorted(timed - traced) == []
-    names = {s.sid: s.name for s in tracer.spans}
-    groups = [s.sid for s in tracer.spans if s.name == "grpo.sample_group"]
-    group_maps = [
-        s.parent for s in tracer.spans if s.name == "runtime.ordered_map" and names.get(s.parent) == "grpo.sample_group"
-    ]
-    assert len(groups) == 2
-    assert sorted(group_maps) == sorted(groups)
+    assert sorted(workloads) == sorted(layers.LAYER_METRICS)
+    targets = layers.targets(_modules())
+    for workload, (setup, commands) in workloads.items():
+        for argv in setup:
+            assert main(argv) == 0, argv[0]
+        tracer = spans.Tracer()
+        with spans.Patch(tracer, targets):
+            for argv in commands:
+                assert main(argv) == 0, argv[0]
+        spans.assert_unwrapped(targets)
+
+        traced = {s.name for s in tracer.spans}
+        timed = {
+            stem
+            for stem, _, kind in (m.rpartition(".") for m in layers.LAYER_METRICS[workload])
+            if kind in ("ms", "self_ms")
+        }
+        assert sorted(timed - traced) == [], workload
+        if workload == "train_toy":
+            names = {s.sid: s.name for s in tracer.spans}
+            groups = [s.sid for s in tracer.spans if s.name == "grpo.sample_group"]
+            group_maps = [
+                s.parent
+                for s in tracer.spans
+                if s.name == "runtime.ordered_map" and names.get(s.parent) == "grpo.sample_group"
+            ]
+            assert len(groups) == 2
+            assert sorted(group_maps) == sorted(groups)

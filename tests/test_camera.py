@@ -289,3 +289,26 @@ def test_one_projection_matches_the_two_pass_reference(r, t):
     assert warped.tobytes() == ref_warped.tobytes()
     assert covered.tobytes() == ref_covered.tobytes()
     assert np.isfinite(target).all() and np.isfinite(z).all()
+
+
+@pytest.mark.parametrize("shape", [(24, 32), (1, 9), (7, 1)])
+def test_flat_splat_matches_the_tuple_index_splat(shape):
+    # reproject_depth's one flat index into the buffer, against np.minimum.at
+    # with the (row, column) index pair: many sources per cell, targets off
+    # the image on every side, and invalid sources
+    rng = np.random.default_rng(3)
+    h, w = shape
+    target = np.stack([rng.uniform(-2.0, w + 1.0, shape), rng.uniform(-2.0, h + 1.0, shape)], axis=-1)
+    z = rng.uniform(0.5, 4.0, shape)
+    valid = rng.uniform(size=shape) > 0.2
+    ix = np.floor(target[..., 0] + 0.5).astype(np.int64)
+    iy = np.floor(target[..., 1] + 0.5).astype(np.int64)
+    hit = valid & (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    buf = np.full(shape, np.inf)
+    np.minimum.at(buf, (iy[hit], ix[hit]), z[hit])
+    want = np.where(np.isfinite(buf), buf, 0.0)
+    warped, covered = reproject_depth(target, z, valid)
+    assert covered.any()
+    assert h * w < 100 or hit.sum() > covered.sum()  # collisions happened
+    assert warped.tobytes() == want.tobytes()
+    assert covered.tobytes() == np.isfinite(buf).tobytes()

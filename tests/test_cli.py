@@ -280,6 +280,8 @@ BAD_SCORE_CONFIGS = {
     "score_eps_num_overflow": {"eps_num": 10**400},
     # a float literal beyond the float range, which Python parses as inf
     "score_eps_num_float_overflow": {"eps_num": "<1e400>"},
+    # an int of hundreds of digits that the range check, not the type check, rejects
+    "score_lam_range_huge": {"lam": 10**300},
 }
 BAD_SPECS = {
     "scene_depth_type": {"depth": "a"},
@@ -333,6 +335,12 @@ BAD_PRETRAIN = {
     "pretrain_iterations_huge": {"iterations": 10**30},
     "pretrain_dim_huge": {"dim": 10**30},
     "pretrain_batch_size_huge": {"batch_size": 10**30},
+    # counts within int64 whose arrays numpy still cannot build: rejected
+    # before anything is allocated
+    "pretrain_iterations_unallocatable": {"iterations": 2**62},
+    "pretrain_batch_size_unallocatable": {"batch_size": 2**62, "iterations": 2},
+    "pretrain_dim_unallocatable": {"dim": 2**62},
+    "pretrain_hidden_unallocatable": {"hidden": 2**62, "iterations": 2},
     "pretrain_lr_int_overflow": {"lr": 10**400, "iterations": 2},
     "pretrain_lr_float_overflow": {"lr": "<1e400>", "iterations": 2},
     "pretrain_momentum_float_overflow": {"momentum": "<1e400>", "iterations": 2},
@@ -352,6 +360,7 @@ BAD_GRPO = {
     "grpo_init_checkpoint_list": {"init_checkpoint": ["ckpt"]},
     "trainer_lr_int_overflow": {"trainer": {"lr": 10**400, "iterations": 2}},
     "trainer_lr_float_overflow": {"trainer": {"lr": "<1e400>", "iterations": 2}},
+    "trainer_ema_decay_range_huge": {"trainer": {"ema_decay": 10**300, "iterations": 2}},
 }
 # one tensor of a copy of the 48x64 static dump swapped for a 32x32 one,
 # then read by the given subcommand
@@ -373,8 +382,11 @@ TRUNCATED = {
     "metrics_flow_bwd_truncated": (["metrics"], "flow_bwd/001.gft"),
     "metrics_confidence_truncated": (["metrics"], "confidence/001.gft"),
 }
+# range checks of config fields that hold a value of hundreds of digits:
+# the one-line message must stay about as short as a typical one
+SHORT_RANGE_MESSAGES = {"score_lam_range_huge", "trainer_ema_decay_range_huge"}
 # cases whose offending value has hundreds of digits: the message must stay short
-LONG_VALUES = {
+LONG_VALUES = SHORT_RANGE_MESSAGES | {
     "score_eps_num_overflow",
     "scene_depth_int_overflow",
     "scene_intrinsics_int_overflow",
@@ -411,6 +423,12 @@ NAMED = {
     "pretrain_iterations_huge": "iterations",
     "pretrain_dim_huge": "dim",
     "pretrain_batch_size_huge": "batch_size",
+    "pretrain_iterations_unallocatable": "iterations",
+    "pretrain_batch_size_unallocatable": "batch_size",
+    "pretrain_dim_unallocatable": "dim",
+    "pretrain_hidden_unallocatable": "hidden",
+    "score_lam_range_huge": "lam",
+    "trainer_ema_decay_range_huge": "ema_decay",
     "trainer_steps_huge": "steps",
     "grpo_init_checkpoint_int": "init_checkpoint",
     "grpo_init_checkpoint_list": "init_checkpoint",
@@ -536,6 +554,8 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
     assert not os.path.exists(out)
     if case in LONG_VALUES:
         assert len(err) < 200
+    if case in SHORT_RANGE_MESSAGES:
+        assert len(err.strip()) <= 120, err
 
 
 def test_trainer_group_size_beyond_int64_is_rejected():

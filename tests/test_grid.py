@@ -193,6 +193,22 @@ def test_two_warps_compose_within_smoothness_bound():
     assert np.abs(twice - direct)[inner].max() <= 2.0 * curv
 
 
+@pytest.mark.parametrize("shape", [(24, 32, 3), (1, 7, 2), (9, 1, 1)])
+def test_backward_warp_matches_the_mgrid_lattice(shape):
+    # the sample coordinates from broadcast 1-D aranges, against the former
+    # np.mgrid/np.stack lattice, bit for bit, off-grid flows included
+    rng = np.random.default_rng(5)
+    h, w, _ = shape
+    src = rng.standard_normal(shape)
+    flow = 2.5 * rng.standard_normal((h, w, 2))
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    coords = np.stack([xs + flow[..., 0], ys + flow[..., 1]], axis=-1)
+    want, want_ok = bilinear_sample(src, coords.reshape(-1, 2))
+    got, ok = backward_warp(src, flow)
+    assert got.tobytes() == want.reshape(shape).tobytes()
+    assert ok.tobytes() == want_ok.reshape(h, w).tobytes()
+
+
 def test_warp_shape_mismatch():
     with pytest.raises(ShapeError):
         backward_warp(np.ones((4, 4, 1)), np.zeros((4, 5, 2)))

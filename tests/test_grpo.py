@@ -205,6 +205,39 @@ def test_on_policy_surrogate_is_the_kl_penalty(pretrained):
     assert np.isfinite(grad).all()
 
 
+def _surrogate_ref(policy, policy_ref, group, config):
+    """surrogate_loss with mu_theta recomputed per row by _batch_means, as
+    it was before the stored step means stood in for it."""
+    xs, ts, dts, sigmas, sig_steps, _, x_nexts, advs = grpo._window_batch(group, config.grad_window)
+    n = xs.shape[0]
+    mean_new = grpo._batch_means(policy, xs, ts, dts, sigmas)
+    mean_ref = grpo._batch_means(policy_ref, xs, ts, dts, sigmas)
+    var_step = sig_steps * sig_steps
+    kl = float((((mean_new - mean_ref) ** 2).sum(axis=1) / (2.0 * var_step)).mean())
+    loss = float(-advs.mean() + config.kl_beta * kl)
+    up_mean = (-advs / (n * var_step))[:, None] * (x_nexts - mean_new)
+    up_mean += (config.kl_beta / n) * (mean_new - mean_ref) / var_step[:, None]
+    g_coef = -dts * (1.0 + sigmas * sigmas * (1.0 - ts) / (2.0 * ts))
+    return loss, grpo.velocity_grad(policy, xs, ts, up_mean * g_coef[:, None]), kl
+
+
+def test_stored_step_means_match_the_recomputed_ones(pretrained):
+    # under the sampling policy, the means the sampler stored are
+    # _batch_means' bits, so the surrogate reads them instead
+    snap = PolicySnapshot.from_policy(pretrained)
+    cfg = small_config(kl_beta=0.004, grad_window=3)
+    group = make_group(snap, cfg)
+    pol = snap.policy_old()
+    ref_policy = with_params(pretrained, params_vector(pretrained) + 0.01)
+    xs, ts, dts, sigmas, _, means, _, _ = grpo._window_batch(group, cfg.grad_window)
+    assert means.tobytes() == grpo._batch_means(pol, xs, ts, dts, sigmas).tobytes()
+    loss, grad, stats = surrogate_loss(pol, ref_policy, group, cfg)
+    ref_loss, ref_grad, ref_kl = _surrogate_ref(pol, ref_policy, group, cfg)
+    assert stats["kl"] > 0
+    assert (loss, stats["kl"]) == (ref_loss, ref_kl)
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
 def test_surrogate_rejects_deterministic_steps(pretrained):
     snap = PolicySnapshot.from_policy(pretrained)
     cfg = small_config(noise_scale=0.0)

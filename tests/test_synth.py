@@ -77,9 +77,22 @@ def test_texture_matches_the_per_channel_reference(shape):
     u = rng.uniform(-3e3, 3e3, shape)  # large and negative lattice indices
     v = rng.uniform(-2.0, 2.0, shape)
     for freq, seed, salt in ((4.0, 0, 0), (16.0, 5, 107), (0.37, -3, 2)):
-        got = synth._texture(u, v, freq, seed, salt)
+        got = synth._texture(u, v, synth._octaves(freq, seed, salt, len(shape)))
         assert got.shape == shape + (3,)
         assert got.tobytes() == _texture_ref(u, v, freq, seed, salt).tobytes()
+    # coordinates within a box known ahead, its corners included: every
+    # octave reads a lattice table built for that box before the points
+    for (u_lo, v_lo), (u_hi, v_hi), freq in (((-0.2, -0.2), (0.2, 0.2), 16.0), ((-1.3, 0.4), (0.9, 2.1), 3.0)):
+        u = rng.uniform(u_lo, u_hi, shape)
+        v = rng.uniform(v_lo, v_hi, shape)
+        u.flat[:2] = u_lo, u_hi
+        v.flat[:2] = v_hi, v_lo
+        octaves = synth._octaves(freq, 5, 107, len(shape), box=((u_lo, v_lo), (u_hi, v_hi)), max_corners=10**4)
+        for _, f, _, table in octaves:
+            iu, iv = np.floor(u * f), np.floor(v * f)
+            assert table.holds(iu.min(), iu.max(), iv.min(), iv.max())
+        got = synth._texture(u, v, octaves)
+        assert got.tobytes() == _texture_ref(u, v, freq, 5, 107).tobytes()
     # the hash never writes to its input
     key = u.astype(np.int64).view(np.uint64)
     before = key.copy()
@@ -115,7 +128,7 @@ def test_value_noise_matches_the_per_point_reference(u, v, key, table):
 def test_value_noise_of_no_points():
     with np.errstate(over="ignore"):
         assert synth._value_noise(np.zeros(0), np.zeros(0), synth._key(1)).shape == (0,)
-        assert synth._texture(np.zeros(0), np.zeros(0), 4.0, 0, 0).shape == (0, 3)
+        assert synth._texture(np.zeros(0), np.zeros(0), synth._octaves(4.0, 0, 0)).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +263,9 @@ def test_flow_matches_the_retracing_reference(scene_name, stride):
         fwd, ok = _flow_ref(spec, a, b)
         bwd, _ = _flow_ref(spec, b, a)
         behind += int((~ok).sum())
-        for pair in (render_pair(spec, a, stride), render_pair(spec, a, stride, frame_a=render_frame(spec, a))):
-            assert pair.flow_fwd.tobytes() == fwd.tobytes()
-            assert pair.flow_bwd.tobytes() == bwd.tobytes()
+        pair = render_pair(spec, a, stride)
+        assert pair.flow_fwd.tobytes() == fwd.tobytes()
+        assert pair.flow_bwd.tobytes() == bwd.tobytes()
         assert video.flows_fwd[a].tobytes() == fwd.tobytes()
         assert video.flows_bwd[a].tobytes() == bwd.tobytes()
     # the pair (1, 3) sends the quad behind the camera
@@ -264,9 +277,9 @@ def test_each_frame_is_traced_once(pooled_fields, monkeypatch):
     trace = synth._trace
     calls = []
 
-    def counting_trace(spec, frame):
+    def counting_trace(spec, frame, *rays):
         calls.append(frame)
-        return trace(spec, frame)
+        return trace(spec, frame, *rays)
 
     monkeypatch.setattr(synth, "_trace", counting_trace)
     monkeypatch.setenv("GEOFLOW_THREADS", "1")
@@ -280,14 +293,12 @@ def test_each_frame_is_traced_once(pooled_fields, monkeypatch):
     calls.clear()
     render_pair(spec, 1, 2)
     assert calls == [1, 3]
-    first = render_frame(spec, 1)
-    calls.clear()
-    render_pair(spec, 1, 2, frame_a=first)
-    assert calls == [3]
     template = dataclasses.replace(spec, camera_path=_ORACLE_PATH[2:3])
-    first = render_frame(template, 0)
     calls.clear()
-    decode_latent(np.array([0.5, -0.3, 0.8, 1.0]), template, frame_a=first)
+    state = synth.DecodeState(template)
+    assert calls == [0]
+    calls.clear()
+    decode_latent(np.array([0.5, -0.3, 0.8, 1.0]), template, state=state)
     assert calls == [1]
 
 
@@ -408,6 +419,19 @@ def test_depth_noise_magnitude(translating_scene):
     assert 0.05 < err.mean() < 0.15
 
 
+def test_warp_image_matches_the_mgrid_lattice():
+    # the clamped sample coordinates from broadcast 1-D aranges, against the
+    # former np.mgrid lattice, bit for bit, with samples clamped on every side
+    rng = np.random.default_rng(4)
+    img = rng.uniform(size=(48, 64, 3))
+    disp = 3.0 * rng.standard_normal((48, 64, 2))
+    ys, xs = np.mgrid[0:48, 0:64].astype(np.float64)
+    x = np.clip(xs + disp[..., 0], 0.0, 63.0)
+    y = np.clip(ys + disp[..., 1], 0.0, 47.0)
+    want, _ = bilinear_sample(img, np.stack([x, y], axis=-1).reshape(-1, 2))
+    assert synth._warp_image(img, disp).tobytes() == want.reshape(img.shape).tobytes()
+
+
 def test_wobble_field_properties():
     field = wobble_field((48, 64), 2.0, seed=0)
     mags = np.linalg.norm(field, axis=-1)
@@ -484,24 +508,59 @@ def test_decode_is_deterministic():
     np.testing.assert_array_equal(a.flow_fwd, b.flow_fwd)
 
 
-def test_decode_reuses_a_given_first_frame():
-    template = SceneSpec(
-        geometry="two_plane",
-        camera_path=(PoseSE3(np.eye(3), np.array([0.05, -0.02, 0.1])),),
-        moving_object=ObjectSpec(center=(0.1, 0.0, 1.2), size=0.3, velocity=(0.02, 0.01, 0.0)),
-    )
-    z = np.array([0.5, -0.3, 0.8, 1.0])
-    plain = decode_latent(z, template, seed=3)
-    reused = decode_latent(z, template, seed=3, frame_a=render_frame(template, 0))
-    assert plain.dynamic_a.any() and plain.dynamic_b.any()
-    for f in dataclasses.fields(plain):
-        a, b = getattr(plain, f.name), getattr(reused, f.name)
-        if isinstance(a, PoseSE3):
-            a, b = a.matrix34(), b.matrix34()
-        if isinstance(a, np.ndarray):
-            assert a.tobytes() == b.tobytes(), f.name
+def _assert_same_pair(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, PoseSE3):
+            x, y = x.matrix34(), y.matrix34()
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, f.name
+            assert x.tobytes() == y.tobytes(), f.name
         else:
-            assert a == b, f.name
+            assert x == y, f.name
+
+
+def test_decode_reuses_a_given_first_frame():
+    """A decode through a shared DecodeState, one that builds its own, and
+    the public render_pair + inject_perturbation composition of the same
+    decoded amplitudes agree bit for bit, with a translated (and a rotated)
+    first pose, a moving quad and every corruption on."""
+    for rotation in (np.eye(3), _rotation(0.02, -0.03, 0.01)):
+        template = SceneSpec(
+            geometry="two_plane",
+            camera_path=(PoseSE3(rotation, np.array([0.05, -0.02, 0.1])),),
+            moving_object=ObjectSpec(center=(0.1, 0.0, 1.2), size=0.3, velocity=(0.02, 0.01, 0.0)),
+        )
+        state = synth.DecodeState(template, seed=3)
+        for z in (np.array([0.5, -0.3, 0.8, 1.0]), np.array([2.0, 1.5, -0.4, -1.2])):
+            wobble, drift, morph, t_x = (synth._squash(z[i], *r) for i, r in enumerate(
+                (synth.WOBBLE_RANGE, synth.DRIFT_RANGE, synth.MORPH_RANGE, synth.CAM_TX_RANGE)))
+            assert min(wobble, drift, morph - 1.0, t_x) > 0
+            first = template.camera_path[0]
+            spec = dataclasses.replace(template, camera_path=(first, PoseSE3(first.r, first.t + [t_x, 0.0, 0.0])))
+            corruption = PerturbationSpec(
+                wobble_px=wobble, texture_drift_px=drift, object_morph=morph, corrupt_flow=True
+            )
+            reference = inject_perturbation(render_pair(spec, 0), corruption, seed=3)
+            plain = decode_latent(z, template, seed=3)
+            reused = decode_latent(z, template, seed=3, state=state)
+            # an equal template built anew (fresh pose objects) shares the state too
+            rebuilt = dataclasses.replace(template, camera_path=(PoseSE3(first.r.copy(), first.t.copy()),))
+            reused_rebuilt = decode_latent(z, rebuilt, seed=3, state=state)
+            assert plain.dynamic_a.any() and plain.dynamic_b.any()
+            _assert_same_pair(reference, plain)
+            _assert_same_pair(reference, reused)
+            _assert_same_pair(reference, reused_rebuilt)
+    # every surface's octaves come with lattice tables built ahead of the renders
+    assert all(table is not None for _, octaves in state.textures.values() for *_, table in octaves)
+    # the state is shared read-only, and only with decodes of its own template and seed
+    assert not any(a.flags.writeable for a in (*state.frame_a, state.dirs, state.points_a, state.curl[0]))
+    with pytest.raises(ConfigError):
+        decode_latent(z, template, seed=4, state=state)
+    with pytest.raises(ConfigError):
+        decode_latent(z, dataclasses.replace(template, texture_seed=1), seed=3, state=state)
+    with pytest.raises(ConfigError):
+        render_pair(dataclasses.replace(spec, texture_seed=1), 0, state=state)
 
 
 def test_decode_rejects_wrong_dimension():
