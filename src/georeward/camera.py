@@ -71,9 +71,6 @@ class PoseSE3:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.r.T + self.t
 
-    def inverse(self):
-        return PoseSE3(self.r.T, -self.r.T @ self.t)
-
     def matrix34(self):
         return np.hstack([self.r, self.t[:, None]])
 
@@ -89,23 +86,6 @@ def relative_transform(e_a: PoseSE3, e_b: PoseSE3) -> PoseSE3:
     r = e_b.r @ e_a.r.T
     t = e_b.t - r @ e_a.t
     return PoseSE3(r, t)
-
-
-def unproject(uv, depth, k: Intrinsics):
-    """Lift pixels to camera-frame 3D points at the given depths.
-
-    uv is (..., 2), depth broadcasts to (...). Depth must be positive and
-    finite; projecting the result with the same intrinsics returns uv exactly.
-    """
-    uv = np.asarray(uv, dtype=np.float64)
-    if uv.shape[-1] != 2:
-        raise ShapeError(f"pixels must end in an (x, y) axis, got shape {uv.shape}")
-    d = np.asarray(depth, dtype=np.float64)
-    if not np.isfinite(d).all() or (d <= 0).any():
-        raise DomainError("depth must be finite and > 0")
-    x = d * (uv[..., 0] - k.cx) / k.fx
-    y = d * (uv[..., 1] - k.cy) / k.fy
-    return np.stack([x, y, d], axis=-1)
 
 
 def project(points, k: Intrinsics):
@@ -124,7 +104,7 @@ def project(points, k: Intrinsics):
 def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
     """Flow induced by camera motion over a static scene, from one projection.
 
-    flow(u) = project(T(unproject(u, D(u)))) - u. Returns (flow, valid,
+    flow(u) = project(T(D(u) * K_src^-1 [u, 1])) - u. Returns (flow, valid,
     target, z): validity (finite D > 0 and moved z > Z_MIN), the projected
     (x, y) of every pixel, and the moved z with invalid pixels set to 1 so
     that `target` stays finite. Invalid pixels carry zero flow; no exception

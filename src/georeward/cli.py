@@ -2,10 +2,10 @@
 optimization and metric evaluation.
 
 Exit codes are stable across subcommands: 0 success, 2 for input or
-configuration problems, 3 for numeric or training failures. Every run
-writes a manifest (command, config hash, seed, version, inputs, outputs,
-duration); output directories are guarded by a lock file so two runs
-cannot interleave writes.
+configuration problems and for running out of memory, 3 for numeric or
+training failures. Every run writes a manifest (command, config hash,
+seed, version, inputs, outputs, duration); output directories are guarded
+by a lock file so two runs cannot interleave writes.
 """
 
 import argparse
@@ -462,6 +462,10 @@ def main(argv=None):
         return 3
     except (GeoRewardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split()) or "an allocation failed"
+        print(f"error: out of memory: {detail}", file=sys.stderr)
         return 2
 
 

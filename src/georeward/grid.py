@@ -211,6 +211,17 @@ def _shown(value, limit=60):
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
+# numpy cannot build an array of more bytes than its index type counts
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def _check_floats(count, sizes):
+    """ConfigError naming sizes when an array of count float64s is past
+    what numpy can allocate; checked before anything is built."""
+    if count > _MAX_FLOATS:
+        raise ConfigError(f"{sizes}: too large for numpy to allocate")
+
+
 def _json_type_ok(value, kind):
     # JSON true/false load as bool, which Python also counts as an int; an
     # int must also fit numpy's int64, or it reaches numpy as a shape or

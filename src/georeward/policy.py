@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, ShapeError, TrainingError
-from .grid import _dump_json, _load_json, load_tensor, save_tensor
+from .grid import _check_floats, _dump_json, _load_json, load_tensor, save_tensor
 
 
 @dataclass
@@ -60,17 +60,6 @@ class VelocityPolicy:
 
 
 _BLOCK_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-# numpy cannot build an array of more bytes than its index type counts
-_MAX_FLOATS = np.iinfo(np.intp).max // 8
-
-
-def _check_floats(count, sizes):
-    """ConfigError naming sizes when an array of count float64s is past
-    what numpy can allocate; checked before anything is built."""
-    if count > _MAX_FLOATS:
-        raise ConfigError(f"{sizes}: too large for numpy to allocate")
-
 
 def init_policy(dim: int, hidden: int, rng) -> VelocityPolicy:
     """Glorot-uniform weights, zero biases."""

@@ -13,7 +13,6 @@ generator the trainer optimizes against the pair reward; a DecodeState
 holds what all decodes of one template and seed share.
 """
 
-import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import runtime
 from .adapter import FramePair, VideoBundle
 from .camera import Intrinsics, PoseSE3, Z_MIN
 from .errors import ConfigError, DomainError, ShapeError
-from .grid import _from_dict, _json_type_ok, _numbers, _shown, _xy_norm, bilinear_sample
+from .grid import _check_floats, _from_dict, _json_type_ok, _numbers, _shown, _xy_norm, bilinear_sample
 
 _OBJ_SURF = 7  # surface id of the moving quad; background planes use 0..2
 
@@ -197,10 +196,11 @@ def _octaves(freq, seed, salt, ndim=1, box=None, max_corners=0):
     The key is a (3, 1, ...) column that hashes the three channels in one
     pass. box, when given, is ((u_lo, v_lo), (u_hi, v_hi)), known to hold
     the coordinates ahead of any point: each octave then also gets a table
-    of that box's lattice cells, plus one cell of slack on every side; it is
-    None without a box or when the table would hold more than max_corners
-    corners. Multiplying by a positive frequency keeps the order of floats,
-    so the box scales to each octave exactly.
+    of that box's lattice cells, plus one cell of slack on every side, from
+    _table_for; it is None without a box, past float64's exact integers or
+    when the table would hold more than max_corners corners. Multiplying by
+    a positive frequency keeps the order of floats, so the box scales to
+    each octave exactly.
     """
     channels = np.arange(3).reshape((3,) + (1,) * ndim)
     octaves = []
@@ -210,12 +210,8 @@ def _octaves(freq, seed, salt, ndim=1, box=None, max_corners=0):
             key = _key(seed, salt, octave, channels)
             table = None
             if box is not None:
-                bounds = [float(b) * f for b in (*box[0], *box[1])]
-                if all(abs(b) < _EXACT_LATTICE for b in bounds):  # also False for NaN
-                    x_lo, y_lo, x_hi, y_hi = (math.floor(b) for b in bounds)
-                    nx, ny = x_hi - x_lo + 4, y_hi - y_lo + 4
-                    if nx * ny <= max_corners:
-                        table = _Table(key, x_lo - 1, y_lo - 1, nx, ny)
+                (u_lo, v_lo), (u_hi, v_hi) = np.floor(np.asarray(box, dtype=np.float64) * f)
+                table = _table_for(key, None, (u_lo - 1, u_hi + 1, v_lo - 1, v_hi + 1), max_corners)
             octaves.append((amp, f, key, table))
             amp *= 0.5
             f *= 2.0
@@ -296,6 +292,7 @@ class SceneSpec:
         h, w = self.resolution
         if h < 32 or w < 32:
             raise ConfigError(f"resolution must be at least 32x32, got {_shown(h)}x{_shown(w)}")
+        _check_floats(int(h) * int(w) * 3, f"resolution {_shown(h)}x{_shown(w)}")  # one RGB frame
         if self.depth <= 0:
             raise ConfigError(f"plane depth must be > 0, got {_shown(self.depth)}")
         if self.geometry == "two_plane" and self.depth2 <= self.depth:
@@ -544,27 +541,27 @@ def _render(spec, frame, dirs=None, textures=None):
     return image, depth, surf == _OBJ_SURF
 
 
-def _world_points(spec, a, b, depth_a, object_a, dirs):
-    """Frame a's hit points, moved on to frame b.
+def _flow(spec, a, b, depth_a, object_a, dirs=None):
+    """Exact flow from frame a to frame b on the pixel lattice.
 
-    A ray's parameter is its depth, so c + depth_a * ray rebuilds the hit
-    points bit for bit from the rendered depth; the quad's points
-    (object_a) then move by the object's displacement. dirs are frame a's
-    _pixel_rays.
+    A ray's parameter is its depth, so c + depth_a * ray rebuilds frame a's
+    hit points bit for bit from its rendered depth; the quad's points
+    (object_a) move by the object's displacement, and all project into
+    frame b. The flow is zero where a point lands behind (or numerically at)
+    the frame-b camera plane; occlusion is not checked. dirs, when given,
+    are frame a's _pixel_rays.
     """
-    points = depth_a[..., None] * dirs
-    points += _center(spec.camera_path[a])
+    if dirs is None:
+        dirs = _pixel_rays(spec, spec.camera_path[a])
+    c = _center(spec.camera_path[a])
     obj = spec.moving_object
-    if obj is not None:
-        step = (b - a) * np.asarray(obj.velocity, dtype=np.float64)
-        np.add(points, step, out=points, where=object_a[..., None])
-    return points
-
-
-def _projected_flow(spec, points, b):
-    """Flow from each pixel to where its world point projects in frame b;
-    zero where the point lands behind (or numerically at) the frame-b
-    camera plane."""
+    points = np.empty(dirs.shape)
+    for i in range(3):  # one plane per axis: numpy loops over a 3-wide last axis run slowly
+        p = points[..., i]
+        np.multiply(depth_a, dirs[..., i], out=p)
+        p += c[i]
+        if obj is not None:
+            np.add(p, (b - a) * float(obj.velocity[i]), out=p, where=object_a)
     pose_b = spec.camera_path[b]
     cam = points @ pose_b.r.T
     cam += pose_b.t
@@ -579,23 +576,14 @@ def _projected_flow(spec, points, b):
     return flow
 
 
-def _flow(spec, a, b, depth_a, object_a, dirs=None):
-    """Exact flow from frame a to frame b on the pixel lattice: frame a's
-    _world_points projected into frame b. Occlusion is not checked. dirs,
-    when given, are frame a's _pixel_rays."""
-    if dirs is None:
-        dirs = _pixel_rays(spec, spec.camera_path[a])
-    return _projected_flow(spec, _world_points(spec, a, b, depth_a, object_a, dirs), b)
-
-
 def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, state=None) -> FramePair:
     """Render frames (frame_index, frame_index + stride) with exact tensors.
 
     The moving quad's pixels are the pair's dynamic masks, as in
     render_video; the pair carries no confidence. state, when given, is the
     DecodeState of the decode that renders spec, whose pair (0, 1) then
-    holds the state's first frame by reference and projects its stored
-    points for the forward flow.
+    holds the state's first frame by reference and takes both flows'
+    world rays from the state.
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
@@ -606,22 +594,19 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, state=Non
         )
     if state is None:
         image_a, depth_a, obj_a = render_frame(spec, fa)
-        flow_fwd = _flow(spec, fa, fb, depth_a, obj_a)
         dirs = None
-        image_b, depth_b, obj_b = render_frame(spec, fb)
+    elif (fa, fb) != (0, 1):
+        raise ConfigError(f"a decode state renders the pair (0, 1), got ({fa}, {fb})")
     else:
-        if (fa, fb) != (0, 1):
-            raise ConfigError(f"a decode state renders the pair (0, 1), got ({fa}, {fb})")
-        image_b, depth_b, obj_b = render_frame(spec, fb, state=state)  # checks that state is spec's
         image_a, depth_a, obj_a = state.frame_a
-        flow_fwd = _projected_flow(spec, state.points_a, fb)
         dirs = state.dirs
+    image_b, depth_b, obj_b = render_frame(spec, fb, state=state)  # checks that state is spec's
     return FramePair(
         image_a=image_a,
         image_b=image_b,
         depth_a=depth_a,
         depth_b=depth_b,
-        flow_fwd=flow_fwd,
+        flow_fwd=_flow(spec, fa, fb, depth_a, obj_a, dirs),
         flow_bwd=_flow(spec, fb, fa, depth_b, obj_b, dirs),
         intrinsics_a=spec.intrinsics,
         intrinsics_b=spec.intrinsics,
@@ -858,9 +843,8 @@ class DecodeState:
     translates it, so the second frame's world-space rays are the first's
     bit for bit. A caller that decodes many latents builds this once and
     shares it, read-only, with every decode:
-      * frame 0's render (image, depth, object mask) and the rays;
-      * frame 0's world points with the quad moved on by one frame, whose
-        projection is the forward flow;
+      * frame 0's render (image, depth, object mask) and the rays, from
+        which _flow rebuilds each frame's world points;
       * each surface's in-plane basis, per-octave channel keys and lattice
         tables: the quad's texture coordinates lie within +-size/2, and the
         background's within what frame 0 and the fastest decoded camera
@@ -877,10 +861,8 @@ class DecodeState:
         fastest = PoseSE3(first.r, first.t + np.array([CAM_TX_RANGE[1], 0.0, 0.0]))
         self.textures = _scene_textures(template, self.dirs, (first, fastest))
         self.frame_a = _render(template, 0, self.dirs, self.textures)
-        _, depth, mask = self.frame_a
-        self.points_a = _world_points(template, 0, 1, depth, mask, self.dirs)
         self.curl = _wobble_curl(template.resolution, seed, 11)
-        for arr in (*self.frame_a, self.dirs, self.points_a, self.curl[0]):
+        for arr in (*self.frame_a, self.dirs, self.curl[0]):
             arr.flags.writeable = False
         self._fields = _scene_fields(template)
 

@@ -213,6 +213,24 @@ def test_failed_synth_keeps_a_directory_it_did_not_create(tmp_path, monkeypatch)
     assert out.is_dir() and not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "message",
+    ["Unable to allocate 894. GiB for an array with shape (200000, 200000, 3) and data type float64", ""],
+)
+def test_out_of_memory_exits_2_with_one_line(message, tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "render_video", no_memory)
+    spec = write_json(tmp_path / "spec.json", {"camera_path": STATIC_PATH})
+    out = tmp_path / "dump"
+    assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err and (message or "allocation failed") in err
+    assert not out.exists()
+
+
 def test_synth_unknown_scene_field(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", {"wallpaper": 1})
     assert main(["synth", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
@@ -308,6 +326,8 @@ BAD_SPECS = {
     "scene_path_velocity_overflow": {"camera_path": {**STATIC_PATH, "velocity": [1e308, 0.0, 0.0]}},
     "scene_depth_int_overflow": {"depth": 10**400, "camera_path": PAIR_PATH},
     "scene_intrinsics_int_overflow": {"intrinsics": [10**400, 1.0, 2.0, 3.0], "camera_path": PAIR_PATH},
+    # an RGB frame of this many float64s is past numpy's index range
+    "scene_resolution_unallocatable": {"resolution": [4000000000, 4000000000], "camera_path": PAIR_PATH},
 }
 # extra synth arguments of the BAD_SPECS cases that need them
 SYNTH_ARGS = {
@@ -361,6 +381,7 @@ BAD_GRPO = {
     "trainer_lr_int_overflow": {"trainer": {"lr": 10**400, "iterations": 2}},
     "trainer_lr_float_overflow": {"trainer": {"lr": "<1e400>", "iterations": 2}},
     "trainer_ema_decay_range_huge": {"trainer": {"ema_decay": 10**300, "iterations": 2}},
+    "grpo_scene_resolution_unallocatable": {"scene": {"resolution": [4000000000, 4000000000]}},
 }
 # one tensor of a copy of the 48x64 static dump swapped for a 32x32 one,
 # then read by the given subcommand
@@ -454,6 +475,8 @@ NAMED = {
     "pretrain_momentum_float_overflow": "cfg.json: number '1e400' overflows a float",
     "trainer_lr_float_overflow": "cfg.json: number '1e400' overflows a float",
     "pretrain_lr_int_digits": "cfg.json",
+    "scene_resolution_unallocatable": "resolution 4000000000x4000000000",
+    "grpo_scene_resolution_unallocatable": "resolution 4000000000x4000000000",
     "metrics_frame_shape": "frames/001.gft",
     "metrics_depth_shape": "depth/002.gft",
     "metrics_flow_bwd_shape": "flow_bwd/000.gft",

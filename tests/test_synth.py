@@ -554,13 +554,30 @@ def test_decode_reuses_a_given_first_frame():
     # every surface's octaves come with lattice tables built ahead of the renders
     assert all(table is not None for _, octaves in state.textures.values() for *_, table in octaves)
     # the state is shared read-only, and only with decodes of its own template and seed
-    assert not any(a.flags.writeable for a in (*state.frame_a, state.dirs, state.points_a, state.curl[0]))
+    assert not any(a.flags.writeable for a in (*state.frame_a, state.dirs, state.curl[0]))
     with pytest.raises(ConfigError):
         decode_latent(z, template, seed=4, state=state)
     with pytest.raises(ConfigError):
         decode_latent(z, dataclasses.replace(template, texture_seed=1), seed=3, state=state)
     with pytest.raises(ConfigError):
         render_pair(dataclasses.replace(spec, texture_seed=1), 0, state=state)
+
+
+def test_decode_state_rejects_another_first_pose():
+    """A state is tied to its template's first pose: a template whose first
+    pose is translated or rotated away from it raises ConfigError, in a
+    decode and in render_pair alike."""
+    template = SceneSpec(camera_path=(PoseSE3(np.eye(3), np.array([0.05, -0.02, 0.1])),))
+    state = synth.DecodeState(template, seed=3)
+    first = template.camera_path[0]
+    z = np.array([0.5, -0.3, 0.8, 1.0])
+    for moved in (PoseSE3(first.r, first.t + [0.01, 0.0, 0.0]), PoseSE3(_rotation(0.0, 0.02, 0.0), first.t)):
+        other = dataclasses.replace(template, camera_path=(moved,))
+        with pytest.raises(ConfigError, match="first pose"):
+            decode_latent(z, other, seed=3, state=state)
+        second = PoseSE3(moved.r, moved.t + [0.1, 0.0, 0.0])
+        with pytest.raises(ConfigError, match="first pose"):
+            render_pair(dataclasses.replace(template, camera_path=(moved, second)), 0, state=state)
 
 
 def test_decode_rejects_wrong_dimension():
