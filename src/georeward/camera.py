@@ -1,6 +1,8 @@
 """Pinhole projection, SE(3) poses, rigid flow, and depth reprojection.
 
 `rigid_flow` projects each pixel once; `reproject_depth` splats its targets.
+`_lattice_flow` is the one projection of moved points onto the pixel
+lattice: `rigid_flow` and the renderer's exact flow (`synth._flow`) end in it.
 
 Conventions used throughout the package:
   * poses are world-to-camera, x_cam = R @ x_world + t, units in meters;
@@ -123,15 +125,28 @@ def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
     pts[..., 0] = ds * (xs - k_src.cx) / k_src.fx
     pts[..., 1] = ds * (ys - k_src.cy) / k_src.fy
     pts[..., 2] = ds
-    moved = pts @ transform.r.T + transform.t
+    return _lattice_flow(pts, transform, k_dst, valid)
+
+
+def _lattice_flow(points, transform: PoseSE3, k: Intrinsics, valid):
+    """Move the HxWx3 `points` of the pixel lattice by `transform` into a
+    camera with intrinsics k and project them there.
+
+    Returns `rigid_flow`'s (flow, valid, target, z); `valid` is narrowed in
+    place to the points that land at z > Z_MIN.
+    """
+    h, w = valid.shape
+    moved = points @ transform.r.T
+    for i in range(3):  # one plane per axis: numpy loops over a 3-wide last axis run slowly
+        moved[..., i] += transform.t[i]
     valid &= moved[..., 2] > Z_MIN
     z = np.where(valid, moved[..., 2], 1.0)
     target = np.empty((h, w, 2))
-    target[..., 0] = k_dst.fx * moved[..., 0] / z + k_dst.cx
-    target[..., 1] = k_dst.fy * moved[..., 1] / z + k_dst.cy
+    target[..., 0] = k.fx * moved[..., 0] / z + k.cx
+    target[..., 1] = k.fy * moved[..., 1] / z + k.cy
     flow = np.empty((h, w, 2))
-    np.subtract(target[..., 0], xs, out=flow[..., 0])
-    np.subtract(target[..., 1], ys, out=flow[..., 1])
+    np.subtract(target[..., 0], np.arange(w, dtype=np.float64), out=flow[..., 0])
+    np.subtract(target[..., 1], np.arange(h, dtype=np.float64)[:, None], out=flow[..., 1])
     flow[~valid] = 0.0
     return flow, valid, target, z
 

@@ -32,7 +32,7 @@ from .errors import (
     NumericError,
     TrainingError,
 )
-from .grid import _dump_json, _from_dict, _json_type_ok, _load_json, _numbers, _shown, save_tensor
+from .grid import _checked, _dump_json, _from_dict, _json_type_ok, _load_json, _numbers, save_tensor
 from .grpo import TrainerConfig, train
 from .metrics import dynamic_degree, eight_point, sample_correspondences, sampson_error
 from .policy import fm_pretrain, init_policy, load_policy, save_policy
@@ -119,15 +119,11 @@ def cmd_score(args):
     if args.dump_maps:
         os.makedirs(args.dump_maps, exist_ok=True)
         for ps in score.pair_scores:
-            tag = f"{ps.tau:03d}"
-            save_tensor(ps.maps["q_geo"], os.path.join(args.dump_maps, f"q_geo_{tag}.gft"))
-            save_tensor(
-                ps.maps["omega"].astype(np.uint8), os.path.join(args.dump_maps, f"omega_{tag}.gft")
-            )
-            save_tensor(ps.maps["epe"], os.path.join(args.dump_maps, f"epe_{tag}.gft"))
-            save_tensor(
-                ps.maps["depth_err"], os.path.join(args.dump_maps, f"depth_err_{tag}.gft")
-            )
+            for name in ("q_geo", "omega", "epe", "depth_err"):
+                m = ps.maps[name]
+                if m.dtype == bool:  # omega; GFT stores masks as u8
+                    m = m.astype(np.uint8)
+                save_tensor(m, os.path.join(args.dump_maps, f"{name}_{ps.tau:03d}.gft"))
         outputs.append(args.dump_maps)
 
     _dump_json(
@@ -233,17 +229,8 @@ def _data_sampler(doc, dim):
 
 
 def _run_pretrain(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"pretrain config must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(_DEFAULT_PRETRAIN))
-    if unknown:
-        raise ConfigError(f"unknown pretrain keys: {', '.join(unknown)}")
-    for key, value in doc.items():
-        kind = type(_DEFAULT_PRETRAIN[key])
-        if not _json_type_ok(value, kind):
-            raise ConfigError(f"pretrain key {key} must be {kind.__name__}, got {_shown(value)}")
-    merged = dict(_DEFAULT_PRETRAIN)
-    merged.update(doc)
+    kinds = {key: type(value) for key, value in _DEFAULT_PRETRAIN.items()}
+    merged = {**_DEFAULT_PRETRAIN, **_checked(doc, kinds, "pretrain config")}
     if merged["seed"] < 0:
         raise ConfigError(f"pretrain seed must be >= 0, got {merged['seed']}")
     dim = int(merged["dim"])
@@ -300,21 +287,14 @@ def cmd_pretrain(args):
     return 0
 
 
-_GRPO_KEYS = {"trainer", "pretrain", "init_checkpoint", "scene", "reward"}
+_GRPO_KINDS = {"trainer": dict, "pretrain": dict, "init_checkpoint": str, "scene": dict, "reward": dict}
 
 
 def cmd_grpo(args):
     started = time.monotonic()
-    doc = _load_json(args.config) if args.config else {}
-    if not isinstance(doc, dict):
-        raise ConfigError("grpo config must be a JSON object")
-    unknown = sorted(set(doc) - _GRPO_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown grpo config keys: {', '.join(unknown)}")
+    doc = _checked(_load_json(args.config) if args.config else {}, _GRPO_KINDS, "grpo config")
     if "pretrain" in doc and "init_checkpoint" in doc:
         raise ConfigError("give either pretrain or init_checkpoint, not both")
-    if not isinstance(doc.get("init_checkpoint", ""), str):
-        raise ConfigError(f"init_checkpoint must be a string path, got {doc['init_checkpoint']!r}")
 
     tcfg = _from_dict(TrainerConfig, doc.get("trainer", {}), "trainer config")
     template = scene_from_dict(doc["scene"]) if "scene" in doc else toy_scene()
@@ -338,15 +318,18 @@ def cmd_grpo(args):
             "reward": reward_cfg.to_dict(),
             "scene": doc.get("scene", "toy_scene"),
         }
-        _dump_json(resolved, os.path.join(args.out, "config.json"))
+        # config.json only once training ran: a run that cannot start leaves no output
+        config_path = os.path.join(args.out, "config.json")
         try:
             result = train(tcfg, pretrained, template, reward_config=reward_cfg)
         except TrainingError as exc:
+            _dump_json(resolved, config_path)
             if exc.metrics:
                 _write_metric_rows(exc.metrics, metrics_path)
             if exc.last_good is not None:
                 save_policy(exc.last_good, os.path.join(args.out, "checkpoint_last_good"))
             raise
+        _dump_json(resolved, config_path)
         ckpt = os.path.join(args.out, "checkpoint")
         ckpt_ema = os.path.join(args.out, "checkpoint_ema")
         save_policy(result.policy, ckpt, meta={"command": "grpo", "role": "final"})

@@ -254,20 +254,25 @@ def _numbers(value, shape, label, kind=float):
     return value
 
 
-def _from_dict(cls, doc, label):
-    """Strict dataclass construction from a JSON object: no unknown keys,
-    and every int, float, bool or str field gets a value of its type."""
+def _checked(doc, kinds, label):
+    """doc, once it is a JSON object whose keys all name a kind in kinds and
+    whose int, float, bool, str and dict fields hold a value of that JSON
+    type; otherwise ConfigError naming label and the field."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{label} must be a JSON object, got {type(doc).__name__}")
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - set(fields))
+    unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
     for key, value in doc.items():
-        kind = fields[key]
-        if kind in (int, float, bool, str) and not _json_type_ok(value, kind):
+        kind = kinds[key]
+        if kind in (int, float, bool, str, dict) and not _json_type_ok(value, kind):
             raise ConfigError(f"{label} key {key} must be {kind.__name__}, got {_shown(value)}")
-    return cls(**doc)
+    return doc
+
+
+def _from_dict(cls, doc, label):
+    """Strict dataclass construction from a JSON object: _checked against the field types."""
+    return cls(**_checked(doc, {f.name: f.type for f in dataclasses.fields(cls)}, label))
 
 
 def _read_header(f):

@@ -193,12 +193,10 @@ def fundamental_from_pose(k_a: Intrinsics, k_b: Intrinsics, transform: PoseSE3) 
     t = transform.t
     if np.linalg.norm(t) < 1e-12:
         raise DegeneracyError("zero translation: fundamental matrix is undefined")
-    ka_inv = np.array(
-        [[1.0 / k_a.fx, 0.0, -k_a.cx / k_a.fx], [0.0, 1.0 / k_a.fy, -k_a.cy / k_a.fy], [0.0, 0.0, 1.0]]
-    )
-    kb_inv = np.array(
-        [[1.0 / k_b.fx, 0.0, -k_b.cx / k_b.fx], [0.0, 1.0 / k_b.fy, -k_b.cy / k_b.fy], [0.0, 0.0, 1.0]]
-    )
+
+    def k_inv(k):
+        return np.array([[1.0 / k.fx, 0.0, -k.cx / k.fx], [0.0, 1.0 / k.fy, -k.cy / k.fy], [0.0, 0.0, 1.0]])
+
     tx = np.array([[0.0, -t[2], t[1]], [t[2], 0.0, -t[0]], [-t[1], t[0], 0.0]])
-    f = kb_inv.T @ tx @ transform.r @ ka_inv
+    f = k_inv(k_b).T @ tx @ transform.r @ k_inv(k_a)
     return f / np.linalg.norm(f)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import runtime
 from .adapter import FramePair, VideoBundle
-from .camera import Intrinsics, PoseSE3, Z_MIN
+from .camera import Intrinsics, PoseSE3, Z_MIN, _lattice_flow
 from .errors import ConfigError, DomainError, ShapeError
 from .grid import _check_floats, _from_dict, _json_type_ok, _numbers, _shown, _xy_norm, bilinear_sample
 
@@ -344,8 +344,8 @@ class PerturbationSpec:
             value = getattr(self, name)
             if not -np.inf < value < np.inf:  # also False for NaN
                 raise ConfigError(f"perturbation {name} must be finite, got {_shown(value)}")
-        if self.wobble_px < 0 or self.texture_drift_px < 0 or self.depth_noise_rel < 0:
-            raise ConfigError("perturbation amplitudes must be >= 0")
+            if value < 0 and name != "object_morph":
+                raise ConfigError(f"perturbation {name} must be >= 0, got {_shown(value)}")
         if self.object_morph <= 0:
             raise ConfigError(f"object_morph must be > 0 (1 = identity), got {_shown(self.object_morph)}")
 
@@ -546,10 +546,10 @@ def _flow(spec, a, b, depth_a, object_a, dirs=None):
 
     A ray's parameter is its depth, so c + depth_a * ray rebuilds frame a's
     hit points bit for bit from its rendered depth; the quad's points
-    (object_a) move by the object's displacement, and all project into
-    frame b. The flow is zero where a point lands behind (or numerically at)
-    the frame-b camera plane; occlusion is not checked. dirs, when given,
-    are frame a's _pixel_rays.
+    (object_a) move by the object's displacement, and _lattice_flow projects
+    them all into frame b. The flow is zero where a point lands behind (or
+    numerically at) the frame-b camera plane; occlusion is not checked.
+    dirs, when given, are frame a's _pixel_rays.
     """
     if dirs is None:
         dirs = _pixel_rays(spec, spec.camera_path[a])
@@ -562,18 +562,7 @@ def _flow(spec, a, b, depth_a, object_a, dirs=None):
         p += c[i]
         if obj is not None:
             np.add(p, (b - a) * float(obj.velocity[i]), out=p, where=object_a)
-    pose_b = spec.camera_path[b]
-    cam = points @ pose_b.r.T
-    cam += pose_b.t
-    ok = cam[..., 2] > Z_MIN
-    z = np.where(ok, cam[..., 2], 1.0)
-    k = spec.intrinsics
-    h, w = spec.resolution
-    flow = np.empty((h, w, 2))
-    flow[..., 0] = k.fx * cam[..., 0] / z + k.cx - np.arange(w, dtype=np.float64)
-    flow[..., 1] = k.fy * cam[..., 1] / z + k.cy - np.arange(h, dtype=np.float64)[:, None]
-    flow[~ok] = 0.0
-    return flow
+    return _lattice_flow(points, spec.camera_path[b], spec.intrinsics, np.ones(spec.resolution, dtype=bool))[0]
 
 
 def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, state=None) -> FramePair:
@@ -698,16 +687,17 @@ def _morph_pixels(img, object_mask, scale):
     return _warp_image(img, np.stack([dx * gain, dy * gain], axis=-1))
 
 
-def _corrupt_image(img, object_mask, p: PerturbationSpec, seed, salt, drift_frames, morph):
-    """Apply p's frame corruptions in order: wobble (unless corrupt_flow
-    routes it into the flow), texture drift over drift_frames frames, then
-    an object morph by factor morph."""
+def _corrupt_image(img, object_mask, p: PerturbationSpec, seed, salt, frames):
+    """Apply p's frame corruptions to an image `frames` frames after a clean
+    one, in order: wobble (unless corrupt_flow routes it into the flow),
+    texture drift, which grows linearly with frames, then an object morph,
+    which compounds (object_morph ** frames)."""
     if p.wobble_px > 0 and not p.corrupt_flow:
         img = _warp_image(img, wobble_field(img.shape[:2], p.wobble_px, seed, salt=salt))
     if p.texture_drift_px > 0:
-        img = _drift_image(img, object_mask, p.texture_drift_px * drift_frames)
+        img = _drift_image(img, object_mask, p.texture_drift_px * frames)
     if p.object_morph != 1.0:
-        img = _morph_pixels(img, object_mask, morph)
+        img = _morph_pixels(img, object_mask, p.object_morph**frames)
     return img
 
 
@@ -727,15 +717,15 @@ def inject_perturbation(pair: FramePair, p: PerturbationSpec, seed: int) -> Fram
     corrupt_flow routes the wobble into the forward flow); depth noise is
     the only corruption that touches the depth tensors. Each corruption
     skips itself at its identity amplitude, so a no-op spec returns a pair
-    holding the same arrays.
+    holding the same arrays. Drift and morph span the pair's frame gap, as
+    in render_video: a stride-2 pair is morphed by object_morph ** 2.
     """
-    dframes = pair.frame_b - pair.frame_a
     flow_fwd = pair.flow_fwd
     if p.wobble_px > 0 and p.corrupt_flow:
         flow_fwd = flow_fwd + wobble_field(pair.image_b.shape[:2], p.wobble_px, seed)
     return replace(
         pair,
-        image_b=_corrupt_image(pair.image_b, pair.dynamic_b, p, seed, 11, dframes, p.object_morph),
+        image_b=_corrupt_image(pair.image_b, pair.dynamic_b, p, seed, 11, pair.frame_b - pair.frame_a),
         flow_fwd=flow_fwd,
         depth_a=_noisy_depth(pair.depth_a, p, seed, pair.frame_a),
         depth_b=_noisy_depth(pair.depth_b, p, seed, pair.frame_b),
@@ -768,7 +758,7 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     def frame(i):
         img, dep, msk = render_frame(spec, i)
         if i > 0:
-            img = _corrupt_image(img, msk, p, seed, 11 + i, i, p.object_morph**i)
+            img = _corrupt_image(img, msk, p, seed, 11 + i, i)
         return img, dep, msk
 
     images, depths, masks = map(list, zip(*runtime.ordered_map(frame, runtime.Tasks(range(n), pixels))))
@@ -885,8 +875,9 @@ def decode_latent(z, template: SceneSpec, seed: int = 0, *, state: DecodeState =
     Coordinates map monotonically to (wobble px, texture drift px, object
     morph, camera x-speed); pushing the first three toward minus infinity
     drives the corruption to zero. Deterministic in (z, template, seed).
-    The wobble corrupts the forward flow (not the frame), so both the
-    structural and the feature term of the reward stay sensitive.
+    The wobble corrupts the forward flow (not the frame), which only the
+    structural term reads: the feature term warps with the backward flow,
+    so the wobble leaves r_dino unchanged.
 
     What does not depend on z comes from state, a DecodeState(template,
     seed); without one the decode builds its own. A caller that decodes

@@ -221,14 +221,17 @@ def test_out_of_memory_exits_2_with_one_line(message, tmp_path, monkeypatch, cap
     def no_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "render_video", no_memory)
     spec = write_json(tmp_path / "spec.json", {"camera_path": STATIC_PATH})
-    out = tmp_path / "dump"
-    assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
-    assert "Traceback" not in err and (message or "allocation failed") in err
-    assert not out.exists()
+    # grpo runs out of memory once its policy is pretrained: nothing may be left behind
+    cfg = write_json(tmp_path / "cfg.json", {"pretrain": {"iterations": 1, "batch_size": 2}})
+    for name, command in (("render_video", ["synth", "--spec", spec]), ("train", ["grpo", "--config", cfg])):
+        monkeypatch.setattr(cli, name, no_memory)
+        out = tmp_path / command[0]
+        assert main(command + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert "Traceback" not in err and (message or "allocation failed") in err
+        assert not out.exists()
 
 
 def test_synth_unknown_scene_field(tmp_path, capsys):
@@ -300,6 +303,8 @@ BAD_SCORE_CONFIGS = {
     "score_eps_num_float_overflow": {"eps_num": "<1e400>"},
     # an int of hundreds of digits that the range check, not the type check, rejects
     "score_lam_range_huge": {"lam": 10**300},
+    "score_conf_threshold_hard": {"gating": "hard", "conf_threshold": 1.0},
+    "score_feature_patch_zero": {"feature_patch": 0},
 }
 BAD_SPECS = {
     "scene_depth_type": {"depth": "a"},
@@ -328,6 +333,17 @@ BAD_SPECS = {
     "scene_intrinsics_int_overflow": {"intrinsics": [10**400, 1.0, 2.0, 3.0], "camera_path": PAIR_PATH},
     # an RGB frame of this many float64s is past numpy's index range
     "scene_resolution_unallocatable": {"resolution": [4000000000, 4000000000], "camera_path": PAIR_PATH},
+    # range checks of SceneSpec, and scene documents of the wrong shape
+    "scene_document_type": [1],
+    "scene_geometry": {"geometry": "cone"},
+    "scene_depth_nonpositive": {"depth": 0.0},
+    "scene_depth2_in_front": {"geometry": "two_plane", "depth": 2.0, "depth2": 1.5},
+    "scene_normal_z": {"geometry": "inclined", "normal": [0.0, 1.0, 0.0]},
+    "scene_camera_path_empty": {"camera_path": []},
+    "scene_pose_without_t": {"camera_path": [{"r": np.eye(3).tolist()}]},
+    "scene_texture_freq": {"texture_freq": 0.0},
+    "perturb_negative_amplitude": {"camera_path": STATIC_PATH},
+    "perturb_morph_nonpositive": {"camera_path": STATIC_PATH},
 }
 # extra synth arguments of the BAD_SPECS cases that need them
 SYNTH_ARGS = {
@@ -337,6 +353,8 @@ SYNTH_ARGS = {
     "perturb_drift_inf": ["--perturb", "texture_drift_px=inf"],
     "perturb_morph_nan": ["--perturb", "object_morph=nan"],
     "perturb_depth_noise_inf": ["--perturb", "depth_noise_rel=inf"],
+    "perturb_negative_amplitude": ["--perturb", "texture_drift_px=-0.5"],
+    "perturb_morph_nonpositive": ["--perturb", "object_morph=0"],
 }
 BAD_PRETRAIN = {
     "pretrain_list": [1],
@@ -366,6 +384,7 @@ BAD_PRETRAIN = {
     "pretrain_momentum_float_overflow": {"momentum": "<1e400>", "iterations": 2},
     "pretrain_lr_int_digits": {"lr": "<5000 digits>", "iterations": 2},
     "data_means_int_overflow": {"data": {"kind": "coordinate_mixture", "means": [10**400]}},
+    "data_weights_negative": {"data": {"kind": "coordinate_mixture", "means": [1.0, 2.0], "weights": [-1.0, 2.0]}},
 }
 BAD_GRPO = {
     "trainer_field_type": {"trainer": {"group_size": "4"}},
@@ -382,6 +401,10 @@ BAD_GRPO = {
     "trainer_lr_float_overflow": {"trainer": {"lr": "<1e400>", "iterations": 2}},
     "trainer_ema_decay_range_huge": {"trainer": {"ema_decay": 10**300, "iterations": 2}},
     "grpo_scene_resolution_unallocatable": {"scene": {"resolution": [4000000000, 4000000000]}},
+    "trainer_noise_scale_negative": {"trainer": {"noise_scale": -0.1}},
+    "grpo_config_type": [1],
+    "grpo_trainer_type": {"trainer": 5},
+    "grpo_scene_type": {"scene": [1]},
 }
 # one tensor of a copy of the 48x64 static dump swapped for a 32x32 one,
 # then read by the given subcommand
@@ -451,8 +474,8 @@ NAMED = {
     "score_lam_range_huge": "lam",
     "trainer_ema_decay_range_huge": "ema_decay",
     "trainer_steps_huge": "steps",
-    "grpo_init_checkpoint_int": "init_checkpoint",
-    "grpo_init_checkpoint_list": "init_checkpoint",
+    "grpo_init_checkpoint_int": "grpo config key init_checkpoint must be str",
+    "grpo_init_checkpoint_list": "grpo config key init_checkpoint must be str",
     "perturb_wobble_nan": "wobble_px",
     "perturb_drift_inf": "texture_drift_px",
     "perturb_morph_nan": "object_morph",
@@ -477,6 +500,26 @@ NAMED = {
     "pretrain_lr_int_digits": "cfg.json",
     "scene_resolution_unallocatable": "resolution 4000000000x4000000000",
     "grpo_scene_resolution_unallocatable": "resolution 4000000000x4000000000",
+    "score_conf_threshold_hard": "conf_threshold",
+    "score_feature_patch_zero": "feature_patch",
+    "scene_document_type": "scene document must be a JSON object",
+    "scene_geometry": "geometry",
+    "scene_depth_nonpositive": "depth",
+    "scene_depth2_in_front": "far plane",
+    "scene_normal_z": "normal",
+    "scene_camera_path_empty": "camera_path",
+    "scene_pose_without_t": "'t'",
+    "scene_texture_freq": "texture_freq",
+    "perturb_negative_amplitude": "texture_drift_px must be >= 0",
+    "perturb_morph_nonpositive": "object_morph",
+    "data_weights_negative": "weights",
+    "trainer_noise_scale_negative": "noise_scale",
+    "grpo_pretrain_type": "grpo config key pretrain must be dict",
+    "grpo_config_type": "grpo config must be a JSON object",
+    "grpo_trainer_type": "grpo config key trainer must be dict",
+    "grpo_scene_type": "grpo config key scene must be dict",
+    "pretrain_list": "pretrain config must be a JSON object",
+    "pretrain_seed_type": "pretrain config key seed must be int",
     "metrics_frame_shape": "frames/001.gft",
     "metrics_depth_shape": "depth/002.gft",
     "metrics_flow_bwd_shape": "flow_bwd/000.gft",
@@ -638,6 +681,16 @@ def test_pretrain_cli(tmp_path):
     assert read_json(out / "manifest.json")["command"] == "pretrain"
 
 
+def test_pretrain_mixture_weights_are_normalised(tmp_path):
+    # weights [0, 2] draw every coordinate from the second mean
+    data = {"kind": "coordinate_mixture", "means": [-5.0, 5.0], "std": 1e-6, "weights": [0.0, 2.0]}
+    samples = cli._data_sampler(data, 4)(np.random.default_rng(0), 64)
+    np.testing.assert_allclose(samples, 5.0, atol=1e-4)
+    cfg = write_json(tmp_path / "cfg.json", {"iterations": 2, "hidden": 8, "data": data})
+    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert read_json(tmp_path / "run" / "config.json")["data"]["weights"] == [0.0, 2.0]
+
+
 def test_pretrain_rejects_unknown_keys(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"widgets": 3})
     assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
@@ -738,6 +791,7 @@ def test_grpo_divergence_leaves_last_good(tmp_path, capsys):
     assert len(rows) >= 2
     # the diverged row keeps its keys; its non-finite values are null
     assert None in rows[-1].values()
+    assert read_json(out / "config.json")["trainer"]["kl_beta"] == 1e280
 
 
 # ---------------------------------------------------------------------------
@@ -928,10 +982,11 @@ def test_cli_reports_are_thread_count_invariant_on_the_pool(pooled_scene, tmp_pa
 
 def test_synth_rejects_a_bad_thread_count(tmp_path, monkeypatch, capsys):
     spec = write_json(tmp_path / "spec.json", {"camera_path": STATIC_PATH})
-    monkeypatch.setenv("GEOFLOW_THREADS", "x")
-    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "dump")]) == 2
-    assert "GEOFLOW_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "dump").exists()
+    for threads, reason in (("x", "must be an integer"), ("-1", "must be >= 0")):
+        monkeypatch.setenv("GEOFLOW_THREADS", threads)
+        assert main(["synth", "--spec", spec, "--out", str(tmp_path / "dump")]) == 2
+        assert f"GEOFLOW_THREADS {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "dump").exists()
 
 
 def test_main_retains_the_heap_once_per_invocation(static_dump, tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ from georeward import (
     toy_scene,
 )
 from georeward import synth
-from georeward.camera import Z_MIN, relative_transform, rigid_flow
+from georeward.camera import Z_MIN, Intrinsics, relative_transform, rigid_flow
 from georeward.errors import ConfigError, ShapeError
 from georeward.grid import bilinear_sample
 from georeward.synth import ObjectSpec, perturbation_from_dict, scene_from_dict, wobble_field
@@ -357,6 +357,22 @@ def test_camera_path_must_cover_the_pair(translating_scene):
         render_pair(translating_scene, 1)
 
 
+def test_frames_and_strides_must_be_in_range(translating_scene):
+    for frame in (-1, 2):
+        with pytest.raises(ConfigError, match="outside the camera path"):
+            render_frame(translating_scene, frame)
+    with pytest.raises(ConfigError, match="stride"):
+        render_pair(translating_scene, 0, stride=0)
+    with pytest.raises(ConfigError, match="stride"):
+        render_video(translating_scene, stride=0)
+
+
+def test_object_vectors_must_have_three_entries():
+    for vectors in ({"center": (0.0, 1.5)}, {"velocity": (0.0, 0.0, 0.0, 0.0)}):
+        with pytest.raises(ConfigError, match="3-vectors"):
+            ObjectSpec(**vectors)
+
+
 # ---------------------------------------------------------------------------
 # perturbations
 
@@ -408,6 +424,21 @@ def test_morph_touches_only_the_object_region():
     # dilate by leaving a margin: morph magnifies radially around the object
     changed = np.any(out.image_b != pair.image_b, axis=-1)
     assert (changed & far).sum() < changed.sum()
+
+
+def test_morph_compounds_over_the_frame_gap():
+    """A pair two frames apart is morphed by object_morph ** 2, as
+    render_video morphs its frame 2."""
+    spec = SceneSpec(
+        camera_path=(PoseSE3.identity(),) * 3,
+        moving_object=ObjectSpec(center=(0.0, 0.0, 1.5), size=0.5),
+    )
+    pair = render_pair(spec, 0, stride=2)
+    p = PerturbationSpec(object_morph=1.2)
+    out = inject_perturbation(pair, p, 0)
+    assert out.image_b.tobytes() == synth._morph_pixels(pair.image_b, pair.dynamic_b, 1.2**2).tobytes()
+    assert out.image_b.tobytes() == render_video(spec, p).images[2].tobytes()
+    assert out.image_b.tobytes() != synth._morph_pixels(pair.image_b, pair.dynamic_b, 1.2).tobytes()
 
 
 def test_depth_noise_magnitude(translating_scene):
@@ -580,6 +611,15 @@ def test_decode_state_rejects_another_first_pose():
             render_pair(dataclasses.replace(template, camera_path=(moved, second)), 0, state=state)
 
 
+def test_decode_state_renders_only_the_first_pair():
+    template = toy_scene()
+    state = synth.DecodeState(template)
+    spec = dataclasses.replace(template, camera_path=template.camera_path * 3)
+    for frame, stride in ((1, 1), (0, 2)):
+        with pytest.raises(ConfigError, match=r"renders the pair \(0, 1\)"):
+            render_pair(spec, frame, stride, state=state)
+
+
 def test_decode_rejects_wrong_dimension():
     with pytest.raises(ShapeError):
         decode_latent(np.zeros(3), toy_scene())
@@ -642,6 +682,13 @@ def test_scene_from_dict_explicit_path():
         }
     )
     assert len(spec.camera_path) == 2
+
+
+def test_scene_from_dict_intrinsics_object():
+    named = {"fx": 90.0, "fy": 80.0, "cx": 30.5, "cy": 22.0}
+    spec = scene_from_dict({"intrinsics": named})
+    assert spec.intrinsics == Intrinsics(**named)
+    assert spec.intrinsics == scene_from_dict({"intrinsics": [90.0, 80.0, 30.5, 22.0]}).intrinsics
 
 
 def test_scene_from_dict_rejects_unknown_keys():
