@@ -24,7 +24,7 @@ import numpy as np
 
 from .camera import Intrinsics, PoseSE3
 from .errors import ConfigError, FormatError, InputError
-from .grid import _dump_json, _load_json, _numbers, load_tensor, save_tensor, tensor_shape
+from .grid import _dump_json, _json_type_ok, _load_json, _numbers, _shown, load_tensor, save_tensor, tensor_shape
 
 _REQUIRED_DIRS = ("frames", "depth", "flow_fwd", "flow_bwd")
 _OPTIONAL_DIRS = ("confidence", "features", "dynamic")
@@ -203,8 +203,8 @@ def _read_cameras(in_dir):
     if not isinstance(cam_doc, dict):
         raise InputError(f"cameras.json must hold a JSON object, got {type(cam_doc).__name__}")
     stride = cam_doc.get("flow_stride", 1)
-    if isinstance(stride, bool) or not isinstance(stride, int):
-        raise InputError(f"cameras.json flow_stride must be an integer, got {stride!r}")
+    if not _json_type_ok(stride, int):
+        raise InputError(f"cameras.json flow_stride must be an integer, got {_shown(stride)}")
     if stride < 1:
         raise InputError(f"flow_stride must be >= 1, got {stride}")
     entries = cam_doc.get("cameras")

@@ -86,8 +86,11 @@ def relative_transform(e_a: PoseSE3, e_b: PoseSE3) -> PoseSE3:
     Composing the result with e_a reproduces e_b: T(E_a x) = E_b x.
     """
     r = e_b.r @ e_a.r.T
-    t = e_b.t - r @ e_a.t
-    return PoseSE3(r, t)
+    # PoseSE3 checks the translation but not r again: the product of two
+    # accepted rotations can miss the tolerance by the sum of their errors
+    rel = PoseSE3(np.eye(3), e_b.t - r @ e_a.t)
+    rel.r = r
+    return rel
 
 
 def project(points, k: Intrinsics):

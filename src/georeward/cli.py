@@ -32,7 +32,7 @@ from .errors import (
     NumericError,
     TrainingError,
 )
-from .grid import _checked, _dump_json, _from_dict, _json_type_ok, _load_json, _numbers, save_tensor
+from .grid import _checked, _dump_json, _from_dict, _json_type_ok, _load_json, _numbers, _shown, save_tensor
 from .grpo import TrainerConfig, train
 from .metrics import dynamic_degree, eight_point, sample_correspondences, sampson_error
 from .policy import fm_pretrain, init_policy, load_policy, save_policy
@@ -182,18 +182,19 @@ def cmd_synth(args):
 # ---------------------------------------------------------------------------
 # pretrain / grpo
 
-_DATA_KEYS = {"normal": {"kind", "mean", "std"}, "coordinate_mixture": {"kind", "means", "std", "weights"}}
+# each sampler's keys; "normal" mean and std (a number or dim numbers) and
+# the mixture weights (a list, or null for equal weights) are checked below
+_DATA_KINDS = {
+    "normal": {"kind": str, "mean": object, "std": object},
+    "coordinate_mixture": {"kind": str, "means": list, "std": float, "weights": object},
+}
 
 
 def _data_sampler(doc, dim):
     kind = doc.get("kind", "normal")
-    if not isinstance(kind, str):
-        raise ConfigError(f"data kind must be a string, got {kind!r}")
-    if kind not in _DATA_KEYS:
-        raise ConfigError(f"unknown data kind {kind!r}")
-    unknown = sorted(set(doc) - _DATA_KEYS[kind])
-    if unknown:
-        raise ConfigError(f"unknown data keys for kind {kind}: {', '.join(unknown)}")
+    if kind not in tuple(_DATA_KINDS):  # a tuple compares by ==, so an unhashable kind is just unknown
+        raise ConfigError(f"unknown data kind {_shown(kind)}")
+    _checked(doc, _DATA_KINDS[kind], f"{kind} data")
     if kind == "normal":
         mean, std = doc.get("mean", 0.0), doc.get("std", 1.0)
         for key, value in (("mean", mean), ("std", std)):
@@ -205,13 +206,10 @@ def _data_sampler(doc, dim):
             raise ConfigError("data std must be > 0")
         return lambda rng, n: mean + std * rng.standard_normal((n, dim))
     means = doc.get("means")
-    if not isinstance(means, list) or not means:
+    if not means:
         raise ConfigError(f'coordinate_mixture needs a non-empty "means" list, got {means!r}')
     means = np.asarray(_numbers(means, (len(means),), "data means"), dtype=np.float64)
-    std = doc.get("std", 1.0)
-    if not _json_type_ok(std, float):
-        raise ConfigError(f"data std must be a number, got {std!r}")
-    std = float(std)
+    std = float(doc.get("std", 1.0))
     if std <= 0:
         raise ConfigError("data std must be > 0")
     weights = doc.get("weights")

@@ -256,8 +256,9 @@ def _numbers(value, shape, label, kind=float):
 
 def _checked(doc, kinds, label):
     """doc, once it is a JSON object whose keys all name a kind in kinds and
-    whose int, float, bool, str and dict fields hold a value of that JSON
-    type; otherwise ConfigError naming label and the field."""
+    whose int, float, bool, str, dict and list fields hold a value of that
+    JSON type; otherwise ConfigError naming label and the field. A field of
+    any other kind is left to the caller."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{label} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(kinds))
@@ -265,7 +266,7 @@ def _checked(doc, kinds, label):
         raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
     for key, value in doc.items():
         kind = kinds[key]
-        if kind in (int, float, bool, str, dict) and not _json_type_ok(value, kind):
+        if kind in (int, float, bool, str, dict, list) and not _json_type_ok(value, kind):
             raise ConfigError(f"{label} key {key} must be {kind.__name__}, got {_shown(value)}")
     return doc
 

@@ -48,8 +48,7 @@ class TrainerConfig:
     def __post_init__(self):
         if self.group_size < 2:
             raise ConfigError(f"group_size must be >= 2, got {_shown(self.group_size)}")
-        if self.steps < 2:
-            raise ConfigError(f"steps must be >= 2, got {_shown(self.steps)}")
+        self.sampler()
         if self.grad_window < 1:
             raise ConfigError(f"grad_window must be >= 1, got {_shown(self.grad_window)}")
         if self.grad_window > self.steps:
@@ -64,8 +63,6 @@ class TrainerConfig:
             raise ConfigError(f"ema_decay must be in [0, 1), got {_shown(self.ema_decay)}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {_shown(self.iterations)}")
-        if self.noise_scale < 0:
-            raise ConfigError(f"noise_scale must be >= 0, got {_shown(self.noise_scale)}")
         if not 0 <= self.seed <= SEED_MAX:
             raise ConfigError(f"seed must be in [0, 2**63 - 1], got {_shown(self.seed)}")
 

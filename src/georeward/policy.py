@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, ShapeError, TrainingError
-from .grid import _check_floats, _dump_json, _load_json, load_tensor, save_tensor
+from .grid import _check_floats, _checked, _dump_json, _load_json, _shown, load_tensor, save_tensor
 
 
 @dataclass
@@ -223,9 +223,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.steps < 2:
-            raise ConfigError(f"steps must be >= 2, got {self.steps}")
+            raise ConfigError(f"steps must be >= 2, got {_shown(self.steps)}")
         if self.noise_scale < 0:
-            raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
+            raise ConfigError(f"noise_scale must be >= 0, got {_shown(self.noise_scale)}")
 
 
 @dataclass
@@ -383,14 +383,10 @@ def load_policy(ckpt_dir) -> VelocityPolicy:
     path = os.path.join(ckpt_dir, "policy.json")
     if not os.path.isfile(path):
         raise ConfigError(f"no policy manifest at {path}")
-    manifest = _load_json(path)
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{path} must hold a JSON object, got {type(manifest).__name__}")
+    manifest = _checked(_load_json(path), {"layer_dims": list, "activation": str, "meta": dict}, path)
     if manifest.get("activation") != "tanh":
         raise ConfigError(f"unsupported activation {manifest.get('activation')!r}")
     layer_dims = manifest.get("layer_dims", [])
-    if not isinstance(layer_dims, list):
-        raise ConfigError(f"{path}: layer_dims must be a list, got {layer_dims!r}")
     blocks = [load_tensor(os.path.join(ckpt_dir, f"{name}.gft")) for name in _BLOCK_NAMES]
     pol = VelocityPolicy(*blocks)
     if list(pol.layer_dims) != layer_dims:

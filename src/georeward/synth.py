@@ -21,7 +21,7 @@ from . import runtime
 from .adapter import FramePair, VideoBundle
 from .camera import Intrinsics, PoseSE3, Z_MIN, _lattice_flow
 from .errors import ConfigError, DomainError, ShapeError
-from .grid import _check_floats, _from_dict, _json_type_ok, _numbers, _shown, _xy_norm, bilinear_sample
+from .grid import _check_floats, _checked, _from_dict, _numbers, _shown, _xy_norm, bilinear_sample
 
 _OBJ_SURF = 7  # surface id of the moving quad; background planes use 0..2
 
@@ -132,7 +132,7 @@ def _table_corners(iu, iv, key, table=None):
     """
     key = np.asarray(key)
     column = key.ndim == 0 or key.shape[1:] == (1,) * iu.ndim
-    if iu.size == 0 or iu.shape != iv.shape or not column:
+    if iu.size == 0 or not column:
         return None
     table = _table_for(key, table, (iu.min(), iu.max(), iv.min(), iv.max()), iu.size)
     if table is None:
@@ -378,20 +378,14 @@ def _plane_s(p0, n, c, dirs):
     return s
 
 
-def _unit_normal(spec):
-    if spec.geometry == "plane" or spec.geometry == "two_plane":
-        return np.array([0.0, 0.0, 1.0])
-    n = np.asarray(spec.normal, dtype=np.float64)
-    return n / np.linalg.norm(n)
-
-
 def _background_planes(spec):
     """(surface id, point, unit normal) of each background plane: for
     "two_plane" the near plane 1, then the far backdrop 0."""
     if spec.geometry == "two_plane":
         nz = np.array([0.0, 0.0, 1.0])
         return [(1, np.array([0.0, 0.0, spec.depth]), nz), (0, np.array([0.0, 0.0, spec.depth2]), nz)]
-    return [(0, np.array([0.0, 0.0, spec.depth]), _unit_normal(spec))]
+    n = np.asarray(spec.normal if spec.geometry == "inclined" else (0.0, 0.0, 1.0), dtype=np.float64)
+    return [(0, np.array([0.0, 0.0, spec.depth]), n / np.linalg.norm(n))]
 
 
 def _surface_hits(spec, frame, c, dirs):
@@ -908,7 +902,8 @@ def decode_latent(z, template: SceneSpec, seed: int = 0, *, state: DecodeState =
 # JSON scene documents
 
 def _pose_from_dict(d):
-    if not isinstance(d, dict) or "r" not in d or "t" not in d:
+    d = _checked(d, {"r": list, "t": list}, "camera pose")
+    if "r" not in d or "t" not in d:
         raise ConfigError("camera pose entries need 'r' (3x3) and 't' (3) fields")
     r = _numbers(d["r"], (3, 3), "camera pose r")
     t = _numbers(d["t"], (3,), "camera pose t")
@@ -916,52 +911,48 @@ def _pose_from_dict(d):
 
 
 def _path_from_json(doc):
-    if isinstance(doc, dict):
-        if doc.get("kind") != "linear":
-            raise ConfigError(f"unknown camera path kind {doc.get('kind')!r}")
-        frames = doc.get("frames", 2)
-        if not _json_type_ok(frames, int) or frames < 1:
-            raise ConfigError(f"camera_path frames must be an integer >= 1, got {frames!r}")
-        vel = _numbers(doc.get("velocity", (0.0, 0.0, 0.0)), (3,), "camera_path velocity")
-        vel = np.asarray(vel, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            ts = [i * vel for i in range(frames)]
-        if not np.isfinite(ts).all():
-            raise ConfigError(f"camera_path velocity {vel.tolist()} over {frames} frames leaves the finite range")
-        return tuple(PoseSE3(np.eye(3), t) for t in ts)
-    if not isinstance(doc, list):
-        raise ConfigError(f"camera_path must be an object or a list of poses, got {doc!r}")
-    return tuple(_pose_from_dict(p) for p in doc)
+    if isinstance(doc, list):
+        return tuple(_pose_from_dict(p) for p in doc)
+    doc = _checked(doc, {"kind": str, "frames": int, "velocity": list}, "camera_path")
+    if doc.get("kind") != "linear":
+        raise ConfigError(f"unknown camera path kind {doc.get('kind')!r}")
+    frames = doc.get("frames", 2)
+    if frames < 1:
+        raise ConfigError(f"camera_path frames must be an integer >= 1, got {frames!r}")
+    vel = _numbers(doc.get("velocity", (0.0, 0.0, 0.0)), (3,), "camera_path velocity")
+    vel = np.asarray(vel, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        ts = [i * vel for i in range(frames)]
+    if not np.isfinite(ts).all():
+        raise ConfigError(f"camera_path velocity {vel.tolist()} over {frames} frames leaves the finite range")
+    return tuple(PoseSE3(np.eye(3), t) for t in ts)
 
 
-_INTRINSICS_KEYS = ("fx", "fy", "cx", "cy")
+_INTRINSICS_KINDS = dict.fromkeys(("fx", "fy", "cx", "cy"), float)
 
 
 def _intrinsics_from_json(doc):
-    if isinstance(doc, dict):
-        if sorted(doc) != sorted(_INTRINSICS_KEYS):
+    if not isinstance(doc, list):
+        doc = _checked(doc, _INTRINSICS_KINDS, "intrinsics")
+        if len(doc) != len(_INTRINSICS_KINDS):
             raise ConfigError(f"intrinsics object needs exactly fx, fy, cx and cy, got {sorted(doc)}")
-        doc = [doc[k] for k in _INTRINSICS_KEYS]
+        doc = [doc[k] for k in _INTRINSICS_KINDS]
     return Intrinsics(*_numbers(doc, (4,), "intrinsics"))
 
 
 def _object_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"moving_object must be a JSON object, got {doc!r}")
-    vectors = {
-        key: tuple(_numbers(doc[key], (3,), f"moving_object {key}"))
-        for key in ("center", "velocity")
-        if key in doc
-    }
-    return _from_dict(ObjectSpec, {**doc, **vectors}, "moving_object")
+    kwargs = dict(_checked(doc, {f.name: f.type for f in fields(ObjectSpec)}, "moving_object"))
+    for key in ("center", "velocity"):
+        if key in doc:
+            kwargs[key] = tuple(_numbers(doc[key], (3,), f"moving_object {key}"))
+    return ObjectSpec(**kwargs)
 
 
 def scene_from_dict(doc: dict) -> SceneSpec:
     """Build a SceneSpec from its JSON document form. Unknown keys and
     values of the wrong JSON type raise ConfigError naming the field."""
-    if not isinstance(doc, dict):
-        raise ConfigError("scene document must be a JSON object")
-    kwargs = dict(doc)
+    # the tuple fields and nested objects, of kinds _checked leaves alone, are checked below
+    kwargs = dict(_checked(doc, {f.name: f.type for f in fields(SceneSpec)}, "scene document"))
     if "normal" in doc:
         kwargs["normal"] = tuple(_numbers(doc["normal"], (3,), "normal"))
     if "resolution" in doc:
@@ -972,7 +963,7 @@ def scene_from_dict(doc: dict) -> SceneSpec:
         kwargs["camera_path"] = _path_from_json(doc["camera_path"])
     if doc.get("moving_object") is not None:
         kwargs["moving_object"] = _object_from_json(doc["moving_object"])
-    return _from_dict(SceneSpec, kwargs, "scene")
+    return SceneSpec(**kwargs)
 
 
 def perturbation_from_dict(doc: dict) -> PerturbationSpec:

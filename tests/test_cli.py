@@ -14,7 +14,7 @@ from georeward.cli import main
 from georeward.errors import ConfigError
 from georeward.grid import _from_dict, _json_type_ok
 from georeward.grpo import TrainerConfig
-from georeward.policy import load_policy
+from georeward.policy import init_policy, load_policy, save_policy
 from georeward.reward import RewardConfig
 
 
@@ -264,6 +264,17 @@ def test_score_clean_static_video(static_dump, tmp_path):
     assert manifest["outputs"] == [report_path, maps_dir]
 
 
+def test_score_accepts_the_relative_pose_of_two_accepted_poses(tmp_path, capsys):
+    # each rotation passes the 1e-9 orthonormality check; their product
+    # diag((1 + 4.5e-10)**2, (1 - 4.5e-10)**2, 1) misses it
+    r = [[1 + 4.5e-10, 0.0, 0.0], [0.0, 1 - 4.5e-10, 0.0], [0.0, 0.0, 1.0]]
+    path = [{"r": r, "t": [0.0, 0.0, 0.0]}, {"r": r, "t": [0.05, 0.0, 0.0]}]
+    spec = write_json(tmp_path / "spec.json", {"camera_path": path})
+    dump = str(tmp_path / "dump")
+    assert main(["synth", "--spec", spec, "--out", dump]) == 0
+    assert main(["score", "--input", dump, "--out", str(tmp_path / "r.json")]) == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_score_report_config_round_trips(stride, tmp_path):
     """score.json's config, fed back as --config, reproduces score.json."""
@@ -437,6 +448,7 @@ LONG_VALUES = SHORT_RANGE_MESSAGES | {
     "pretrain_lr_int_overflow",
     "data_means_int_overflow",
     "trainer_lr_int_overflow",
+    "flow_stride_huge",
 }
 # what the message must name, for cases that pin it
 NAMED = {
@@ -445,8 +457,8 @@ NAMED = {
     "data_mean_length": "mean",
     "data_means_type": "means",
     "data_weights_type": "weights",
-    "data_normal_unknown_key": "kind normal: stdev",
-    "data_mixture_unknown_key": "kind coordinate_mixture: mean",
+    "data_normal_unknown_key": "unknown normal data keys: stdev",
+    "data_mixture_unknown_key": "unknown coordinate_mixture data keys: mean",
     "tensor_name": "007.gft",
     "dynamic_shape": "dynamic/000.gft",
     "frame_shape": "frames/001.gft",
@@ -459,6 +471,7 @@ NAMED = {
     "pretrain_nan": "NaN",
     "grpo_trainer_nan": "NaN",
     "cameras_nan": "cameras.json",
+    "flow_stride_huge": "flow_stride",
     "extrinsics_bool": "extrinsics",
     "config_not_utf8": "cfg.json",
     "synth_seed_overflow": "seed",
@@ -534,6 +547,7 @@ NAMED = {
         "cameras_list",
         "camera_entries",
         "flow_stride_type",
+        "flow_stride_huge",
         "intrinsics_type",
         "extrinsics_type",
         "extrinsics_bool",
@@ -556,6 +570,7 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
         "cameras_list": [],
         "camera_entries": {"cameras": [1, 2]},
         "flow_stride_type": dict(cameras, flow_stride="a"),
+        "flow_stride_huge": dict(cameras, flow_stride=10**400),
         "intrinsics_type": dict(cameras, cameras=[dict(cam0, intrinsics="abcd")]),
         "extrinsics_type": dict(cameras, cameras=[dict(cam0, extrinsics=[["a"] * 4] * 3)]),
         "cameras_nan": dict(cameras, cameras=[dict(cam0, extrinsics=[[float("nan")] + [0.0] * 3]
@@ -792,6 +807,56 @@ def test_grpo_divergence_leaves_last_good(tmp_path, capsys):
     # the diverged row keeps its keys; its non-finite values are null
     assert None in rows[-1].values()
     assert read_json(out / "config.json")["trainer"]["kl_beta"] == 1e280
+
+
+EYE = np.eye(3).tolist()
+# every JSON object the CLI reads: (subcommand, document, key path of the
+# object in it); an "extra" key added there must exit 2 naming it
+EXTRA_KEY = {
+    "scene": ("synth", {"camera_path": PAIR_PATH}, ()),
+    "camera_path": ("synth", {"camera_path": PAIR_PATH}, ("camera_path",)),
+    "pose": ("synth", {"camera_path": [{"r": EYE, "t": [0.0, 0.0, 0.0]}] * 2}, ("camera_path", 1)),
+    "intrinsics": ("synth", {"intrinsics": {"fx": 100.0, "fy": 100.0, "cx": 31.5, "cy": 23.5},
+                             "camera_path": PAIR_PATH}, ("intrinsics",)),
+    "moving_object": ("synth", {"moving_object": {"size": 0.4}, "camera_path": PAIR_PATH}, ("moving_object",)),
+    "pretrain": ("pretrain", {"iterations": 2}, ()),
+    "data_normal": ("pretrain", {"iterations": 2, "data": {"kind": "normal"}}, ("data",)),
+    "data_mixture": ("pretrain", {"iterations": 2, "data": {"kind": "coordinate_mixture", "means": [0.0]}},
+                     ("data",)),
+    "grpo": ("grpo", {"trainer": TINY_TRAINER, "pretrain": TINY_PRETRAIN}, ()),
+    "grpo_trainer": ("grpo", {"trainer": dict(TINY_TRAINER), "pretrain": TINY_PRETRAIN}, ("trainer",)),
+    "grpo_reward": ("grpo", {"trainer": TINY_TRAINER, "pretrain": TINY_PRETRAIN, "reward": {}}, ("reward",)),
+    "grpo_pretrain": ("grpo", {"trainer": TINY_TRAINER, "pretrain": dict(TINY_PRETRAIN)}, ("pretrain",)),
+    "score_config": ("score", {}, ()),
+    # the extra key goes into the checkpoint's policy.json
+    "policy_json": ("grpo", {"trainer": dict(TINY_TRAINER, iterations=1)}, None),
+}
+
+
+@pytest.mark.parametrize("case", EXTRA_KEY)
+def test_every_json_object_rejects_an_unknown_key(case, static_dump, tmp_path, capsys):
+    command, doc, path = EXTRA_KEY[case]
+    doc = json.loads(json.dumps(doc))
+    if path is None:
+        ckpt = tmp_path / "ckpt"
+        save_policy(init_policy(synth.LATENT_DIM, 4, np.random.default_rng(0)), str(ckpt))
+        write_json(ckpt / "policy.json", dict(read_json(ckpt / "policy.json"), extra=1))
+        doc["init_checkpoint"] = str(ckpt)
+    else:
+        target = doc
+        for key in path:
+            target = target[key]
+        target["extra"] = 1
+    cfg = write_json(tmp_path / "doc.json", doc)
+    out = str(tmp_path / "out")
+    if command == "score":
+        argv = ["score", "--input", static_dump, "--config", cfg, "--out", out]
+    else:
+        argv = [command, "--spec" if command == "synth" else "--config", cfg, "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and "keys: extra" in err
+    assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ perfbench/, which this tool only executes.
 
 For every end-to-end metric BENCHMARK.json names, it prints (to stderr) each
 side's median and quartiles, the change's wins (ties count for neither side)
-and whether the gain rule holds: at least nine tenths of the pairs won and a
-median gap in the better direction larger than the parent's interquartile
-range. Quartiles are statistics.quantiles(method="inclusive"). One JSON
-document goes to stdout: every run's metric values, whether both sides
-printed the same output digests on every seed, and the failure counts.
+and whether the gain rule holds: at least nine tenths of all pairs run won
+(a pair where either side failed counts as not won), a median gap in the
+better direction larger than the parent's interquartile range, and no more
+failed operations than the parent. Quartiles are
+statistics.quantiles(method="inclusive"). One JSON document goes to stdout:
+every run's metric values, whether both sides printed the same output
+digests on every seed, and the failure counts.
 """
 
 import argparse
@@ -53,14 +55,23 @@ def quartiles(values):
     return [q1, q3]
 
 
-def compare(parent, change, better):
-    """Summary of one metric over paired runs (lists in pair order)."""
+def gain_rule(wins, pairs, gap, parent_iqr, failed_ops):
+    """Whether a gain counts: the change won at least nine tenths of all
+    pairs run (a pair with a failed run is not won), its median is better
+    by more than the parent's interquartile range, and no more of its
+    operations failed than the parent's."""
+    return wins >= math.ceil(0.9 * pairs) and gap > parent_iqr and failed_ops["change"] <= failed_ops["parent"]
+
+
+def compare(parent, change, better, pairs, failed_ops):
+    """Summary of one metric over the paired runs that both succeeded (lists
+    in pair order), out of `pairs` pairs run; failed_ops counts each side's
+    failed operations."""
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     pm, cm = statistics.median(parent), statistics.median(change)
     pq = quartiles(parent)
-    gap = sign * (cm - pm)
     return {
         "parent_median": pm,
         "change_median": cm,
@@ -70,8 +81,9 @@ def compare(parent, change, better):
         "parent_iqr": pq[1] - pq[0],
         "change_wins": wins,
         "change_losses": losses,
-        "pairs": len(parent),
-        "gain_rule_met": wins >= math.ceil(0.9 * len(parent)) and gap > pq[1] - pq[0],
+        "pairs": pairs,
+        "pairs_compared": len(parent),
+        "gain_rule_met": gain_rule(wins, pairs, sign * (cm - pm), pq[1] - pq[0], failed_ops),
         "parent_runs": parent,
         "change_runs": change,
     }
@@ -134,6 +146,8 @@ def main(argv=None):
                 [runs["parent"][i]["metrics"][metric] for i in ok],
                 [runs["change"][i]["metrics"][metric] for i in ok],
                 direction,
+                args.pairs,
+                row["failed_ops"],
             )
             row["metrics"][metric]["better"] = direction
         doc["workloads"][workload] = row
