@@ -45,18 +45,17 @@ def _as_sample_grid(grid):
 def bilinear_sample(grid, xy):
     """Sample an HxWxC float grid at continuous pixel coordinates.
 
-    xy may be a single (x, y) pair or an array of shape (..., 2). Returns
-    (values, in_bounds) where values has shape (..., C) and in_bounds is a
-    boolean of shape (...). Out-of-bounds samples are all-zero with a False
-    flag; coordinates exactly on the border are in bounds.
+    xy is an array of shape (..., 2) with at least two axes; a single point
+    is xy of shape (1, 2). Returns (values, in_bounds) where values has shape
+    (..., C) and in_bounds is a boolean of shape (...). Out-of-bounds samples
+    are all-zero with a False flag; coordinates exactly on the border are in
+    bounds.
     """
     arr = _as_sample_grid(grid)
     h, w, c = arr.shape
     pts = np.asarray(xy, dtype=np.float64)
-    single = pts.ndim == 1
-    if pts.shape[-1] != 2:
-        raise ShapeError(f"coordinates must end in an (x, y) axis, got shape {pts.shape}")
-    pts = np.atleast_2d(pts)
+    if pts.ndim < 2 or pts.shape[-1] != 2:
+        raise ShapeError(f"coordinates must have shape (..., 2), got {pts.shape}")
 
     x, y = pts[..., 0], pts[..., 1]
     in_bounds = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
@@ -110,10 +109,7 @@ def bilinear_sample(grid, xy):
     del idx, g, wx, wy, ux, uy, planes
     # assign, not multiply: a mask product would leave -0.0 under negative values
     vals[:, ~in_bounds] = 0.0
-    vals = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
-    if single:
-        return vals[0], bool(in_bounds[0])
-    return vals, in_bounds
+    return np.ascontiguousarray(np.moveaxis(vals, 0, -1)), in_bounds
 
 
 def _xy_norm(v):

@@ -147,10 +147,6 @@ class SampsonResult:
     mean: float
     skipped: int
 
-    @property
-    def pairs(self):
-        return int(self.errors.size)
-
 
 def sampson_error(f, correspondences: CorrespondenceSet) -> SampsonResult:
     """Sampson distance (u_b' F u_a)^2 / (l_a_1^2 + l_a_2^2 + l_b_1^2 + l_b_2^2)

@@ -284,15 +284,13 @@ def _feature_term(pair, config, conf_patch):
         h, w = pair.image_a.shape[:2]
         fh, fw_ = fa.shape[:2]
         sy, sx = h / fh, w / fw_  # pixels per feature cell along each axis
-        centers_y, centers_x = np.mgrid[0:fh, 0:fw_].astype(np.float64)
-        px = centers_x * sx + (sx - 1.0) / 2.0
-        py = centers_y * sy + (sy - 1.0) / 2.0
-        fvals, _ = bilinear_sample(np.asarray(flow_bwd, dtype=np.float64), np.stack([px, py], axis=-1).reshape(-1, 2))
-        fvals = fvals.reshape(fh, fw_, 2) / np.array([sx, sy])
-        coords = np.stack([centers_x + fvals[..., 0], centers_y + fvals[..., 1]], axis=-1)
-        warped, inb = bilinear_sample(fa, coords.reshape(-1, 2))
-        warped = warped.reshape(fh, fw_, fa.shape[2])
-        weights = inb.reshape(fh, fw_).astype(np.float64)
+        centers = np.empty((fh, fw_, 2))  # each cell's centre in pixels
+        centers[..., 0] = np.arange(fw_, dtype=np.float64) * sx + (sx - 1.0) / 2.0
+        centers[..., 1] = np.arange(fh, dtype=np.float64)[:, None] * sy + (sy - 1.0) / 2.0
+        fvals, _ = bilinear_sample(np.asarray(flow_bwd, dtype=np.float64), centers.reshape(-1, 2))
+        cell_flow = fvals.reshape(fh, fw_, 2) / np.array([sx, sy])
+        warped, inb = backward_warp(fa, cell_flow)
+        weights = inb.astype(np.float64)
         target = fb
     else:
         warped_img, warp_mask = backward_warp(np.asarray(pair.image_a, dtype=np.float64), flow_bwd)

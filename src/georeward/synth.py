@@ -146,15 +146,6 @@ def _table_corners(iu, iv, key, table=None):
     return tuple(corners[:, i].reshape(shape) for i in range(4))
 
 
-def _value_noise(u, v, key):
-    """Smoothstep-interpolated value noise, C1-continuous, range [0, 1).
-
-    key broadcasts against u and v, so a (3, 1, ...) key array hashes three
-    channels in one pass.
-    """
-    return _lattice_noise(np.stack([u, v]), key)
-
-
 def _smoothstep(uv):
     """The lattice cells of the points uv and their smoothstep weights."""
     cell = np.floor(uv)
@@ -165,7 +156,12 @@ def _smoothstep(uv):
 
 
 def _lattice_noise(uv, key, table=None):
-    """_value_noise at the points (uv[0], uv[1]), both axes in one pass."""
+    """Smoothstep-interpolated value noise at the points (uv[0], uv[1]),
+    C1-continuous, range [0, 1).
+
+    key broadcasts against uv[0], so a (3, 1, ...) key array hashes three
+    channels in one pass.
+    """
     (iu, iv), (su, sv) = _smoothstep(uv)
     corners = _table_corners(iu, iv, key, table)
     if corners is None:
@@ -611,7 +607,7 @@ def _wobble_curl(shape, seed, salt):
     ys, xs = np.mgrid[-1 : h + 1, -1 : w + 1].astype(np.float64)
     freq = 3.0 / min(h, w)
     with np.errstate(over="ignore"):
-        psi = _value_noise(xs * freq, ys * freq, _key(seed, salt)) - 0.5
+        psi = _lattice_noise(np.stack([xs, ys]) * freq, _key(seed, salt)) - 0.5
     taper = np.maximum(np.sin(np.pi * xs / (w - 1.0)), 0.0) * np.maximum(np.sin(np.pi * ys / (h - 1.0)), 0.0)
     psi = psi * taper
     vx = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / 2.0
@@ -650,19 +646,6 @@ def _warp_image(img, disp):
     return vals.reshape(img.shape)
 
 
-def _drift_image(img, object_mask, shift_px):
-    """img with each pixel off the quad resampled shift_px to its right,
-    border-clamped as _warp_image does; the quad's pixels keep their values."""
-    h, w = img.shape[:2]
-    idx = np.flatnonzero(~object_mask)
-    xy = np.empty((idx.size, 2))
-    np.clip(idx % w + shift_px, 0.0, w - 1.0, out=xy[:, 0])
-    xy[:, 1] = idx // w
-    out = img.copy()
-    out.reshape(h * w, -1)[idx] = bilinear_sample(img, xy)[0]
-    return out
-
-
 def _morph_pixels(img, object_mask, scale):
     """Radially magnify the quad's appearance around its projected center."""
     if not object_mask.any():
@@ -689,7 +672,11 @@ def _corrupt_image(img, object_mask, p: PerturbationSpec, seed, salt, frames):
     if p.wobble_px > 0 and not p.corrupt_flow:
         img = _warp_image(img, wobble_field(img.shape[:2], p.wobble_px, seed, salt=salt))
     if p.texture_drift_px > 0:
-        img = _drift_image(img, object_mask, p.texture_drift_px * frames)
+        # a zero displacement samples the pixel's own lattice point, so the
+        # quad keeps its values
+        drift = np.zeros(img.shape[:2] + (2,))
+        drift[~object_mask, 0] = p.texture_drift_px * frames
+        img = _warp_image(img, drift)
     if p.object_morph != 1.0:
         img = _morph_pixels(img, object_mask, p.object_morph**frames)
     return img

@@ -125,6 +125,13 @@ def test_pair_without_optional_maps_leaves_them_none():
             assert getattr(pair, f"{name}_{side}") is None
 
 
+@pytest.mark.parametrize("n, stride, tau", [(3, 1, -1), (3, 1, 2), (3, 1, 5), (5, 2, 3), (5, 2, -2)])
+def test_pair_index_out_of_range_is_rejected(n, stride, tau):
+    # a negative tau would pair the last frames with frame 0 under another flow file
+    with pytest.raises(InputError, match=rf"0 <= tau < len\(video\) - flow_stride = {n - stride}, got {tau}"):
+        make_bundle(n=n, stride=stride).pair(tau)
+
+
 def test_rendered_pair_masks_match_the_video_pair():
     spec = SceneSpec(
         camera_path=tuple(PoseSE3(np.eye(3), np.array([0.04 * i, 0.0, 0.0])) for i in range(4)),

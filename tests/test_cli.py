@@ -355,6 +355,8 @@ BAD_SPECS = {
     "scene_texture_freq": {"texture_freq": 0.0},
     "perturb_negative_amplitude": {"camera_path": STATIC_PATH},
     "perturb_morph_nonpositive": {"camera_path": STATIC_PATH},
+    "scene_path_kind": {"camera_path": {"kind": "circle", "frames": 2}},
+    "perturb_not_a_number": {"camera_path": STATIC_PATH},
 }
 # extra synth arguments of the BAD_SPECS cases that need them
 SYNTH_ARGS = {
@@ -366,6 +368,7 @@ SYNTH_ARGS = {
     "perturb_depth_noise_inf": ["--perturb", "depth_noise_rel=inf"],
     "perturb_negative_amplitude": ["--perturb", "texture_drift_px=-0.5"],
     "perturb_morph_nonpositive": ["--perturb", "object_morph=0"],
+    "perturb_not_a_number": ["--perturb", "wobble_px=abc"],
 }
 BAD_PRETRAIN = {
     "pretrain_list": [1],
@@ -396,6 +399,8 @@ BAD_PRETRAIN = {
     "pretrain_lr_int_digits": {"lr": "<5000 digits>", "iterations": 2},
     "data_means_int_overflow": {"data": {"kind": "coordinate_mixture", "means": [10**400]}},
     "data_weights_negative": {"data": {"kind": "coordinate_mixture", "means": [1.0, 2.0], "weights": [-1.0, 2.0]}},
+    "data_means_empty": {"data": {"kind": "coordinate_mixture", "means": []}},
+    "data_mixture_std_zero": {"data": {"kind": "coordinate_mixture", "means": [1.0], "std": 0}},
 }
 BAD_GRPO = {
     "trainer_field_type": {"trainer": {"group_size": "4"}},
@@ -525,6 +530,10 @@ NAMED = {
     "scene_texture_freq": "texture_freq",
     "perturb_negative_amplitude": "texture_drift_px must be >= 0",
     "perturb_morph_nonpositive": "object_morph",
+    "scene_path_kind": "unknown camera path kind 'circle'",
+    "perturb_not_a_number": "--perturb wobble_px needs a number, got 'abc'",
+    "data_means_empty": 'coordinate_mixture needs a non-empty "means" list, got []',
+    "data_mixture_std_zero": "data std must be > 0",
     "data_weights_negative": "weights",
     "trainer_noise_scale_negative": "noise_scale",
     "grpo_pretrain_type": "grpo config key pretrain must be dict",

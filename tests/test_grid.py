@@ -30,9 +30,9 @@ def test_integer_coordinates_are_exact():
 
 def test_cell_center_is_the_four_corner_mean():
     grid = np.array([[1.0, 3.0], [5.0, 7.0]])[..., None]
-    val, ok = bilinear_sample(grid, np.array([0.5, 0.5]))
-    assert ok
-    assert val[0] == pytest.approx(4.0, abs=1e-15)
+    val, ok = bilinear_sample(grid, np.array([[0.5, 0.5]]))
+    assert ok.tolist() == [True]
+    assert val[0, 0] == pytest.approx(4.0, abs=1e-15)
 
 
 def test_ramp_interpolates_linearly():
@@ -45,9 +45,9 @@ def test_ramp_interpolates_linearly():
 
 def test_border_pixel_is_in_bounds():
     grid = ramp(3, 5)
-    val, ok = bilinear_sample(grid, np.array([4.0, 2.0]))
-    assert ok
-    assert val[0] == 4.0
+    val, ok = bilinear_sample(grid, np.array([[4.0, 2.0]]))
+    assert ok.tolist() == [True]
+    assert val[0, 0] == 4.0
 
 
 def test_out_of_bounds_returns_zero_and_false():
@@ -58,18 +58,22 @@ def test_out_of_bounds_returns_zero_and_false():
     np.testing.assert_array_equal(vals, np.zeros((4, 2)))
 
 
-def test_single_pair_returns_scalar_flag():
-    grid = np.ones((3, 3, 1))
-    val, ok = bilinear_sample(grid, np.array([1.0, 1.0]))
-    assert isinstance(ok, (bool, np.bool_))
-    assert val.shape == (1,)
+def test_one_point_is_a_one_row_array():
+    val, ok = bilinear_sample(np.ones((3, 3, 1)), np.array([[1.0, 1.0]]))
+    assert val.shape == (1, 1) and ok.shape == (1,)
+
+
+@pytest.mark.parametrize("xy", [np.array([1.0, 1.0]), np.float64(1.0), np.ones((4, 3))])
+def test_coordinates_without_a_trailing_xy_axis_are_rejected(xy):
+    with pytest.raises(ShapeError):
+        bilinear_sample(np.ones((3, 3, 1)), xy)
 
 
 def _bilinear_ref(arr, xy):
     """The 2-D fancy-index formula: four (..., C) gathers blended
     left to right, out-of-bounds samples zeroed by np.where."""
     h, w, _ = arr.shape
-    pts = np.atleast_2d(np.asarray(xy, dtype=np.float64))
+    pts = np.asarray(xy, dtype=np.float64)
     x, y = pts[..., 0], pts[..., 1]
     in_bounds = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
     xc = np.clip(x, 0.0, w - 1.0)
@@ -86,10 +90,7 @@ def _bilinear_ref(arr, xy):
         + arr[y1, x0] * (1.0 - wx) * wy
         + arr[y1, x1] * wx * wy
     )
-    vals = np.where(in_bounds[..., None], vals, 0.0)
-    if np.ndim(xy) == 1:
-        return vals[0], bool(in_bounds[0])
-    return vals, in_bounds
+    return np.where(in_bounds[..., None], vals, 0.0), in_bounds
 
 
 def _sample_points(rng, h, w, shape):
@@ -117,19 +118,19 @@ def test_bilinear_matches_the_fancy_index_reference(h, w, c, dtype):
         assert vals.tobytes() == want.tobytes()
         np.testing.assert_array_equal(ok, want_ok)
     for pair in ((0.0, 0.0), (w - 1.0, h - 1.0), (0.3, 0.7), (-0.5, 0.0)):
-        val, flag = bilinear_sample(grid, np.array(pair))
-        want, want_flag = _bilinear_ref(grid, np.array(pair))
-        assert val.tobytes() == want.tobytes() and flag == want_flag
+        val, flag = bilinear_sample(grid, np.array([pair]))
+        want, want_flag = _bilinear_ref(grid, np.array([pair]))
+        assert val.tobytes() == want.tobytes() and flag.tolist() == want_flag.tolist()
 
 
 def test_integer_grid_is_rejected():
     with pytest.raises(GridTypeError):
-        bilinear_sample(np.ones((3, 3, 1), dtype=np.uint8), np.array([1.0, 1.0]))
+        bilinear_sample(np.ones((3, 3, 1), dtype=np.uint8), np.array([[1.0, 1.0]]))
 
 
 def test_bad_grid_rank_is_rejected():
     with pytest.raises(ShapeError):
-        bilinear_sample(np.ones((3, 3)), np.array([1.0, 1.0]))
+        bilinear_sample(np.ones((3, 3)), np.array([[1.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

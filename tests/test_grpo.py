@@ -21,7 +21,7 @@ from georeward import (
     with_params,
 )
 from georeward import grpo
-from georeward.errors import ConfigError, TrainingError
+from georeward.errors import ConfigError, EmptyMaskError, TrainingError
 from georeward.grpo import GroupRollout
 from georeward.policy import transition_logprob, transition_mean
 
@@ -180,6 +180,15 @@ def test_sample_group_maps_each_member_once(pretrained, monkeypatch):
         counting(name)
     make_group(PolicySnapshot.from_policy(pretrained), small_config(group_size=3))
     assert calls == {"ordered_map": 1, "rollout": 3, "latent_reward": 3}
+
+
+def test_sample_group_reports_an_empty_mask_as_a_training_error(pretrained, monkeypatch):
+    def empty(*args, **kwargs):
+        raise EmptyMaskError("no valid pixels")
+
+    monkeypatch.setattr(grpo, "latent_reward", empty)
+    with pytest.raises(TrainingError, match="degenerate decode left no valid pixels to score: no valid pixels"):
+        make_group(PolicySnapshot.from_policy(pretrained), small_config(group_size=2))
 
 
 def test_latent_reward_matches_group_rewards(pretrained):

@@ -403,6 +403,13 @@ def test_video_flow_count_mismatch():
         score_video(video, RewardConfig())
 
 
+def test_video_pose_count_mismatch():
+    video = render_video(_walking_scene(0.0, 3))
+    video = dataclasses.replace(video, poses=video.poses[:-1])
+    with pytest.raises(InputError, match="must align"):
+        score_video(video, RewardConfig())
+
+
 def test_video_rejects_zero_flow_stride():
     video = dataclasses.replace(render_video(_walking_scene(0.0, 3)), flow_stride=0)
     with pytest.raises(InputError, match="flow_stride"):

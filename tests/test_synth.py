@@ -119,7 +119,7 @@ def _noise_cases():
 def test_value_noise_matches_the_per_point_reference(u, v, key, table):
     with np.errstate(over="ignore"):
         assert (synth._table_corners(np.floor(u), np.floor(v), key) is not None) == table
-        got = synth._value_noise(u, v, key)
+        got = synth._lattice_noise(np.stack([u, v]), key)
         want = _value_noise_ref(u, v, key)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -127,7 +127,7 @@ def test_value_noise_matches_the_per_point_reference(u, v, key, table):
 
 def test_value_noise_of_no_points():
     with np.errstate(over="ignore"):
-        assert synth._value_noise(np.zeros(0), np.zeros(0), synth._key(1)).shape == (0,)
+        assert synth._lattice_noise(np.zeros((2, 0)), synth._key(1)).shape == (0,)
         assert synth._texture(np.zeros(0), np.zeros(0), synth._octaves(4.0, 0, 0)).shape == (0, 3)
 
 
@@ -410,6 +410,32 @@ def test_texture_drift_spares_the_object():
     obj = pair.dynamic_b
     np.testing.assert_array_equal(out.image_b[obj], pair.image_b[obj])
     assert not np.array_equal(out.image_b[~obj], pair.image_b[~obj])
+
+
+def _drift_image_ref(img, object_mask, shift_px):
+    """The former drift path: a gather of the pixels off the quad, each
+    sampled shift_px to its right with the border clamp, scattered into a
+    copy."""
+    h, w = img.shape[:2]
+    idx = np.flatnonzero(~object_mask)
+    xy = np.empty((idx.size, 2))
+    np.clip(idx % w + shift_px, 0.0, w - 1.0, out=xy[:, 0])
+    xy[:, 1] = idx // w
+    out = img.copy()
+    out.reshape(h * w, -1)[idx] = bilinear_sample(img, xy)[0]
+    return out
+
+
+@pytest.mark.parametrize("h, w", [(48, 64), (256, 320)])
+def test_texture_drift_matches_the_gather_and_scatter_reference(h, w):
+    rng = np.random.default_rng([h, w])
+    img = rng.standard_normal((h, w, 3))  # negative values included
+    quad = np.zeros((h, w), dtype=bool)
+    quad[h // 2 :, w - w // 5 :] = True  # touches the right and bottom borders
+    quad[3:9, 5:20] = True
+    for drift, frames in ((0.5, 1), (0.75, 3), (2.25, 5)):
+        got = synth._corrupt_image(img, quad, PerturbationSpec(texture_drift_px=drift), 0, 11, frames)
+        assert got.tobytes() == _drift_image_ref(img, quad, drift * frames).tobytes()
 
 
 def test_morph_touches_only_the_object_region():

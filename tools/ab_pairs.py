@@ -15,7 +15,12 @@ side's median and quartiles, the change's wins (ties count for neither side)
 and whether the gain rule holds: at least nine tenths of all pairs run won
 (a pair where either side failed counts as not won), a median gap in the
 better direction larger than the parent's interquartile range, and no more
-failed operations than the parent. Quartiles are
+failed operations than the parent. Next to it goes the no-regression
+verdict against the metric's bound in BENCHMARK.json: `unresolved` when the
+parent's interquartile range over its median exceeds the bound, unless every
+change run beats every parent run; otherwise `regressed` when the change's
+median is worse than the parent's by more than the bound, relative to the
+parent's median; otherwise `within bound`. Quartiles are
 statistics.quantiles(method="inclusive"). One JSON document goes to stdout:
 every run's metric values, whether both sides printed the same output
 digests on every seed, and the failure counts.
@@ -63,15 +68,26 @@ def gain_rule(wins, pairs, gap, parent_iqr, failed_ops):
     return wins >= math.ceil(0.9 * pairs) and gap > parent_iqr and failed_ops["change"] <= failed_ops["parent"]
 
 
-def compare(parent, change, better, pairs, failed_ops):
+def verdict(worse_by, parent_spread, all_better, bound):
+    """The no-regression verdict on one metric: worse_by and parent_spread
+    (the parent's interquartile range) are relative to the parent's median,
+    and all_better says every change run beats every parent run."""
+    if parent_spread > bound and not all_better:
+        return "unresolved"
+    return "regressed" if worse_by > bound else "within bound"
+
+
+def compare(parent, change, better, bound, pairs, failed_ops):
     """Summary of one metric over the paired runs that both succeeded (lists
-    in pair order), out of `pairs` pairs run; failed_ops counts each side's
-    failed operations."""
+    in pair order), out of `pairs` pairs run; bound is the metric's
+    regression bound, failed_ops counts each side's failed operations."""
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     pm, cm = statistics.median(parent), statistics.median(change)
     pq = quartiles(parent)
+    worse_by = sign * (pm - cm) / pm
+    all_better = all(sign * (c - p) > 0 for p in parent for c in change)
     return {
         "parent_median": pm,
         "change_median": cm,
@@ -84,6 +100,9 @@ def compare(parent, change, better, pairs, failed_ops):
         "pairs": pairs,
         "pairs_compared": len(parent),
         "gain_rule_met": gain_rule(wins, pairs, sign * (cm - pm), pq[1] - pq[0], failed_ops),
+        "bound": bound,
+        "worse_by": worse_by,
+        "verdict": verdict(worse_by, (pq[1] - pq[0]) / pm, all_better, bound),
         "parent_runs": parent,
         "change_runs": change,
     }
@@ -105,7 +124,7 @@ def main(argv=None):
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
 
     doc = {
         "what": args.what,
@@ -139,17 +158,18 @@ def main(argv=None):
             "digests_match": all(runs["parent"][i]["digests"] == runs["change"][i]["digests"] for i in ok),
             "metrics": {},
         }
-        for metric, direction in better.items():
+        for metric, m in metrics.items():
             if len(ok) < 2:
                 break
             row["metrics"][metric] = compare(
                 [runs["parent"][i]["metrics"][metric] for i in ok],
                 [runs["change"][i]["metrics"][metric] for i in ok],
-                direction,
+                m["better"],
+                m["bound"],
                 args.pairs,
                 row["failed_ops"],
             )
-            row["metrics"][metric]["better"] = direction
+            row["metrics"][metric]["better"] = m["better"]
         doc["workloads"][workload] = row
         for metric, s in row["metrics"].items():
             print(
@@ -157,7 +177,8 @@ def main(argv=None):
                 f"{s['parent_quartiles'][1]:.4g}], change {s['change_median']:.4g} "
                 f"[{s['change_quartiles'][0]:.4g}, {s['change_quartiles'][1]:.4g}], "
                 f"ratio {s['change_over_parent']:.3f}, change won {s['change_wins']} of {s['pairs']}, "
-                f"gain rule {'met' if s['gain_rule_met'] else 'not met'}",
+                f"gain rule {'met' if s['gain_rule_met'] else 'not met'}, "
+                f"worse by {s['worse_by']:+.3f} (bound {s['bound']:g}): {s['verdict']}",
                 file=sys.stderr,
             )
         print(f"{workload}: digests match: {row['digests_match']}; failed runs {row['failed_runs']}",
