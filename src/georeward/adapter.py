@@ -82,8 +82,9 @@ class VideoBundle:
     def pair(self, tau) -> FramePair:
         """The pair of frames (tau, tau + flow_stride), with flow file tau
         and both frames' optional maps."""
-        if not 0 <= tau < len(self) - self.flow_stride:
-            raise InputError(f"pair index tau must satisfy 0 <= tau < len(video) - flow_stride = "
+        is_int = isinstance(tau, (int, np.integer)) and not isinstance(tau, bool)
+        if not (is_int and 0 <= tau < len(self) - self.flow_stride):
+            raise InputError(f"pair index tau must be an integer with 0 <= tau < len(video) - flow_stride = "
                              f"{len(self) - self.flow_stride}, got {tau}")
         a, b = tau, tau + self.flow_stride
         optional = {}

@@ -3,9 +3,13 @@ optimization and metric evaluation.
 
 Exit codes are stable across subcommands: 0 success, 2 for input or
 configuration problems and for running out of memory, 3 for numeric or
-training failures. Every run writes a manifest (command, config hash,
-seed, version, inputs, outputs, duration); output directories are guarded
-by a lock file so two runs cannot interleave writes.
+training failures. Each `cmd_*` runs one command and returns its record
+(config document, seed, inputs, outputs); `main` times every command and
+writes its manifest (command, config hash, seed, version, inputs, outputs,
+duration) as the last step. The commands that write an output directory
+hold a lock file in it for the whole run, manifest included, so two runs
+cannot interleave writes, and a failed run removes every directory level
+it created.
 """
 
 import argparse
@@ -63,10 +67,14 @@ def _config_hash(doc):
 def _locked_dir(path):
     """Hold `path/.lock`, which records this process's pid, around the body.
 
-    A directory this call created is removed again when the body raises
-    before writing anything into it.
+    Every directory level this call created is removed again, innermost
+    first, when the body raises before writing anything into it.
     """
-    created = not os.path.isdir(path)
+    made = []
+    level = os.path.abspath(path)
+    while not os.path.lexists(level):
+        made.append(level)
+        level = os.path.dirname(level)
     os.makedirs(path, exist_ok=True)
     lock = os.path.join(path, ".lock")
     try:
@@ -86,28 +94,16 @@ def _locked_dir(path):
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(lock)
-        if created and not done:
+        if not done:
             with contextlib.suppress(OSError):  # not empty: keep what the run wrote
-                os.rmdir(path)
-
-
-def _manifest(command, config_doc, seed, inputs, outputs, started):
-    return {
-        "command": command,
-        "config_hash": _config_hash(config_doc),
-        "seed": seed,
-        "version": __version__,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
-        "duration_s": round(time.monotonic() - started, 6),
-    }
+                for level in made:
+                    os.rmdir(level)
 
 
 # ---------------------------------------------------------------------------
 # score
 
 def cmd_score(args):
-    started = time.monotonic()
     bundle = read_bundle(args.input)
     config_doc = _load_json(args.config) if args.config else {}
     cfg = _from_dict(RewardConfig, config_doc, "reward config")
@@ -125,12 +121,7 @@ def cmd_score(args):
                     m = m.astype(np.uint8)
                 save_tensor(m, os.path.join(args.dump_maps, f"{name}_{ps.tau:03d}.gft"))
         outputs.append(args.dump_maps)
-
-    _dump_json(
-        _manifest("score", config_doc, None, [args.input], outputs, started),
-        args.out + ".manifest.json",
-    )
-    return 0
+    return config_doc, None, [args.input], outputs
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +147,15 @@ def _parse_perturb(pairs):
 
 
 def cmd_synth(args):
-    started = time.monotonic()
     spec_doc = _load_json(args.spec)
     scene = scene_from_dict(spec_doc)
     perturb_doc = _parse_perturb(args.perturb)
     perturb = perturbation_from_dict(perturb_doc)
     if not 0 <= args.seed <= SEED_MAX:
         raise ConfigError(f"--seed must be in [0, 2**63 - 1], got {args.seed}")
-
-    with _locked_dir(args.out):
-        write_bundle(args.out, render_video(scene, perturb, seed=args.seed, stride=args.stride))
-        config_doc = {
-            "spec": spec_doc,
-            "perturb": perturb_doc,
-            "seed": args.seed,
-            "stride": args.stride,
-        }
-        _dump_json(
-            _manifest("synth", config_doc, args.seed, [args.spec], [args.out], started),
-            os.path.join(args.out, "manifest.json"),
-        )
-    return 0
+    write_bundle(args.out, render_video(scene, perturb, seed=args.seed, stride=args.stride))
+    config_doc = {"spec": spec_doc, "perturb": perturb_doc, "seed": args.seed, "stride": args.stride}
+    return config_doc, args.seed, [args.spec], [args.out]
 
 
 # ---------------------------------------------------------------------------
@@ -260,36 +239,20 @@ def _write_metric_rows(rows, path):
 
 
 def cmd_pretrain(args):
-    started = time.monotonic()
     doc = _load_json(args.config) if args.config else {}
-    with _locked_dir(args.out):
-        policy, losses, resolved = _run_pretrain(doc)
-        ckpt = os.path.join(args.out, "checkpoint")
-        save_policy(policy, ckpt, meta={"command": "pretrain", "config_hash": _config_hash(resolved)})
-        metrics_path = os.path.join(args.out, "metrics.jsonl")
-        _write_metric_rows(
-            [{"iter": i, "loss": float(l)} for i, l in enumerate(losses)], metrics_path
-        )
-        _dump_json(resolved, os.path.join(args.out, "config.json"))
-        _dump_json(
-            _manifest(
-                "pretrain",
-                resolved,
-                resolved["seed"],
-                [args.config] if args.config else [],
-                [ckpt, metrics_path],
-                started,
-            ),
-            os.path.join(args.out, "manifest.json"),
-        )
-    return 0
+    policy, losses, resolved = _run_pretrain(doc)
+    ckpt = os.path.join(args.out, "checkpoint")
+    save_policy(policy, ckpt, meta={"command": "pretrain", "config_hash": _config_hash(resolved)})
+    metrics_path = os.path.join(args.out, "metrics.jsonl")
+    _write_metric_rows([{"iter": i, "loss": float(l)} for i, l in enumerate(losses)], metrics_path)
+    _dump_json(resolved, os.path.join(args.out, "config.json"))
+    return resolved, resolved["seed"], [args.config] if args.config else [], [ckpt, metrics_path]
 
 
 _GRPO_KINDS = {"trainer": dict, "pretrain": dict, "init_checkpoint": str, "scene": dict, "reward": dict}
 
 
 def cmd_grpo(args):
-    started = time.monotonic()
     doc = _checked(_load_json(args.config) if args.config else {}, _GRPO_KINDS, "grpo config")
     if "pretrain" in doc and "init_checkpoint" in doc:
         raise ConfigError("give either pretrain or init_checkpoint, not both")
@@ -298,53 +261,47 @@ def cmd_grpo(args):
     template = scene_from_dict(doc["scene"]) if "scene" in doc else toy_scene()
     reward_cfg = _from_dict(RewardConfig, doc.get("reward", {}), "reward config")
 
-    with _locked_dir(args.out):
-        if "init_checkpoint" in doc:
-            pretrained = load_policy(doc["init_checkpoint"])
-            inputs = [args.config, doc["init_checkpoint"]]
-            pretrain_resolved = {"init_checkpoint": doc["init_checkpoint"]}
-        else:
-            pretrained, _, pretrain_resolved = _run_pretrain(doc.get("pretrain", {}))
-            inputs = [args.config] if args.config else []
-        if pretrained.dim != LATENT_DIM:
-            raise ConfigError(f"policy dim {pretrained.dim} does not match the latent dimension {LATENT_DIM}")
+    if "init_checkpoint" in doc:
+        pretrained = load_policy(doc["init_checkpoint"])
+        inputs = [args.config, doc["init_checkpoint"]]
+        pretrain_resolved = {"init_checkpoint": doc["init_checkpoint"]}
+    else:
+        pretrained, _, pretrain_resolved = _run_pretrain(doc.get("pretrain", {}))
+        inputs = [args.config] if args.config else []
+    if pretrained.dim != LATENT_DIM:
+        raise ConfigError(f"policy dim {pretrained.dim} does not match the latent dimension {LATENT_DIM}")
 
-        metrics_path = os.path.join(args.out, "metrics.jsonl")
-        resolved = {
-            "trainer": dataclasses.asdict(tcfg),
-            "pretrain": pretrain_resolved,
-            "reward": reward_cfg.to_dict(),
-            "scene": doc.get("scene", "toy_scene"),
-        }
-        # config.json only once training ran: a run that cannot start leaves no output
-        config_path = os.path.join(args.out, "config.json")
-        try:
-            result = train(tcfg, pretrained, template, reward_config=reward_cfg)
-        except TrainingError as exc:
-            _dump_json(resolved, config_path)
-            if exc.metrics:
-                _write_metric_rows(exc.metrics, metrics_path)
-            if exc.last_good is not None:
-                save_policy(exc.last_good, os.path.join(args.out, "checkpoint_last_good"))
-            raise
+    metrics_path = os.path.join(args.out, "metrics.jsonl")
+    resolved = {
+        "trainer": dataclasses.asdict(tcfg),
+        "pretrain": pretrain_resolved,
+        "reward": reward_cfg.to_dict(),
+        "scene": doc.get("scene", "toy_scene"),
+    }
+    # config.json only once training ran: a run that cannot start leaves no output
+    config_path = os.path.join(args.out, "config.json")
+    try:
+        result = train(tcfg, pretrained, template, reward_config=reward_cfg)
+    except TrainingError as exc:
         _dump_json(resolved, config_path)
-        ckpt = os.path.join(args.out, "checkpoint")
-        ckpt_ema = os.path.join(args.out, "checkpoint_ema")
-        save_policy(result.policy, ckpt, meta={"command": "grpo", "role": "final"})
-        save_policy(result.ema_policy, ckpt_ema, meta={"command": "grpo", "role": "ema"})
-        _write_metric_rows(result.metrics, metrics_path)
-        _dump_json(
-            _manifest("grpo", resolved, tcfg.seed, inputs, [ckpt, ckpt_ema, metrics_path], started),
-            os.path.join(args.out, "manifest.json"),
-        )
-    return 0
+        if exc.metrics:
+            _write_metric_rows(exc.metrics, metrics_path)
+        if exc.last_good is not None:
+            save_policy(exc.last_good, os.path.join(args.out, "checkpoint_last_good"))
+        raise
+    _dump_json(resolved, config_path)
+    ckpt = os.path.join(args.out, "checkpoint")
+    ckpt_ema = os.path.join(args.out, "checkpoint_ema")
+    save_policy(result.policy, ckpt, meta={"command": "grpo", "role": "final"})
+    save_policy(result.ema_policy, ckpt_ema, meta={"command": "grpo", "role": "ema"})
+    _write_metric_rows(result.metrics, metrics_path)
+    return resolved, tcfg.seed, inputs, [ckpt, ckpt_ema, metrics_path]
 
 
 # ---------------------------------------------------------------------------
 # metrics
 
 def cmd_metrics(args):
-    started = time.monotonic()
     flows, dynamic, flow_stride = read_flows(args.input)
     n = len(flows) + flow_stride
     stride = flow_stride if args.stride is None else args.stride
@@ -379,12 +336,7 @@ def cmd_metrics(args):
     if warnings:
         report["warnings"] = warnings
     _dump_json(report, args.out)
-    config_doc = {"stride": stride, "grid_step": args.grid_step}
-    _dump_json(
-        _manifest("metrics", config_doc, None, [args.input], [args.out], started),
-        args.out + ".manifest.json",
-    )
-    return 0
+    return {"stride": stride, "grid_step": args.grid_step}, None, [args.input], [args.out]
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +349,16 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # out_dir: --out is a directory, which main locks for the whole run and
+    # writes manifest.json into; otherwise --out is a report, whose manifest
+    # is <report>.manifest.json
 
     p = sub.add_parser("score", help="score an adapter directory")
     p.add_argument("--input", required=True, help="adapter-layout video directory")
     p.add_argument("--config", help="reward config JSON")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--dump-maps", help="directory for per-pair diagnostic maps")
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_score, out_dir=False)
 
     p = sub.add_parser("synth", help="render a synthetic video dump")
     p.add_argument("--spec", required=True, help="scene spec JSON")
@@ -411,24 +366,24 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stride", type=int, default=1, help="flow pairing stride")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, out_dir=True)
 
     p = sub.add_parser("pretrain", help="flow-matching pretraining")
     p.add_argument("--config", help="pretrain config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_pretrain)
+    p.set_defaults(func=cmd_pretrain, out_dir=True)
 
     p = sub.add_parser("grpo", help="policy optimization against the reward")
     p.add_argument("--config", help="trainer config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_grpo)
+    p.set_defaults(func=cmd_grpo, out_dir=True)
 
     p = sub.add_parser("metrics", help="epipolar metrics over an adapter directory")
     p.add_argument("--input", required=True, help="adapter-layout video directory")
     p.add_argument("--stride", type=int, help="frame gap between paired frames (default: the dump's flow_stride)")
     p.add_argument("--grid-step", type=int, default=8, help="correspondence lattice step")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(func=cmd_metrics, out_dir=False)
 
     return parser
 
@@ -436,8 +391,22 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     runtime.retain_heap()
+    started = time.monotonic()
+    manifest_path = os.path.join(args.out, "manifest.json") if args.out_dir else args.out + ".manifest.json"
     try:
-        return args.func(args)
+        with _locked_dir(args.out) if args.out_dir else contextlib.nullcontext():
+            config_doc, seed, inputs, outputs = args.func(args)
+            manifest = {
+                "command": args.command,
+                "config_hash": _config_hash(config_doc),
+                "seed": seed,
+                "version": __version__,
+                "inputs": inputs,
+                "outputs": outputs,
+                "duration_s": round(time.monotonic() - started, 6),
+            }
+            _dump_json(manifest, manifest_path)
+        return 0
     except (NumericError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

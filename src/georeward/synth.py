@@ -433,8 +433,6 @@ def _trace(spec, frame, dirs=None):
 
     if not np.isfinite(best_s).all():
         raise DomainError("a pixel ray escapes the scene geometry; check camera path and planes")
-    if best_s.min() <= 1e-6:
-        raise DomainError("camera touches the scene geometry")
     points = c + best_s[..., None] * dirs
     return points, best_s, best_id
 

@@ -118,16 +118,19 @@ def test_pair_cuts_frames_flows_and_maps_at_the_stride():
 
 
 def test_pair_without_optional_maps_leaves_them_none():
-    pair = make_bundle(with_optional=False).pair(1)
+    pair = make_bundle(with_optional=False).pair(np.int64(1))
     assert (pair.frame_a, pair.frame_b) == (1, 2)
     for side in "ab":
         for name in ("confidence", "features", "dynamic"):
             assert getattr(pair, f"{name}_{side}") is None
 
 
-@pytest.mark.parametrize("n, stride, tau", [(3, 1, -1), (3, 1, 2), (3, 1, 5), (5, 2, 3), (5, 2, -2)])
+@pytest.mark.parametrize(
+    "n, stride, tau", [(3, 1, -1), (3, 1, 2), (3, 1, 5), (5, 2, 3), (5, 2, -2), (3, 1, 0.5), (3, 1, True)]
+)
 def test_pair_index_out_of_range_is_rejected(n, stride, tau):
-    # a negative tau would pair the last frames with frame 0 under another flow file
+    # a negative tau would pair the last frames with frame 0 under another flow file;
+    # a float would index a list, and True would stand in for frame 1
     with pytest.raises(InputError, match=rf"0 <= tau < len\(video\) - flow_stride = {n - stride}, got {tau}"):
         make_bundle(n=n, stride=stride).pair(tau)
 

@@ -51,6 +51,11 @@ def read_lines(path):
 STATIC_PATH = {"kind": "linear", "velocity": [0.0, 0.0, 0.0], "frames": 3}
 TRANS_PATH = {"kind": "linear", "velocity": [0.1, 0.0, 0.0], "frames": 3}
 PAIR_PATH = {"kind": "linear", "velocity": [0.0, 0.0, 0.0], "frames": 2}
+# the second camera looks along +x, parallel to the plane, so its rays escape
+ESCAPING_PATH = [
+    {"r": np.eye(3).tolist(), "t": [0.0, 0.0, 0.0]},
+    {"r": [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]], "t": [0.0, 0.0, 0.0]},
+]
 
 
 @pytest.fixture(scope="module")
@@ -194,14 +199,20 @@ def test_lock_message_names_the_holding_pid(tmp_path, capsys):
 
 
 def test_escaping_ray_leaves_no_output_directory(tmp_path, capsys):
-    # the second camera looks along +x, parallel to the plane, so its rays escape
-    side = {"r": [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]], "t": [0.0, 0.0, 0.0]}
-    front = {"r": np.eye(3).tolist(), "t": [0.0, 0.0, 0.0]}
-    spec = write_json(tmp_path / "spec.json", {"camera_path": [front, side]})
+    spec = write_json(tmp_path / "spec.json", {"camera_path": ESCAPING_PATH})
     out = tmp_path / "dump"
     assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
     assert "escape" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_failed_run_removes_the_parent_directories_it_made(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", {"camera_path": ESCAPING_PATH})
+    cfg = write_json(tmp_path / "cfg.json", {"seed": -1})
+    for command in (["synth", "--spec", spec], ["pretrain", "--config", cfg], ["grpo", "--config", cfg]):
+        assert main(command + ["--out", str(tmp_path / "new" / "deeper" / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "new").exists()
 
 
 def test_failed_synth_keeps_a_directory_it_did_not_create(tmp_path, monkeypatch):
@@ -479,6 +490,8 @@ NAMED = {
     "flow_stride_huge": "flow_stride",
     "extrinsics_bool": "extrinsics",
     "config_not_utf8": "cfg.json",
+    "score_config_missing": "missing.json",
+    "policy_manifest_missing": "no policy manifest at ",
     "synth_seed_overflow": "seed",
     "scene_texture_seed_overflow": "texture_seed",
     "trainer_seed_overflow": "seed",
@@ -569,7 +582,9 @@ NAMED = {
         *BAD_SHAPES,
         *TRUNCATED,
         "policy_manifest_list",
+        "policy_manifest_missing",
         "config_not_utf8",
+        "score_config_missing",
     ],
 )
 def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
@@ -627,6 +642,8 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
     elif case in BAD_GRPO:
         cfg = write_json(tmp_path / "cfg.json", BAD_GRPO[case])
         argv = ["grpo", "--config", cfg, "--out", out]
+    elif case == "score_config_missing":
+        argv = ["score", "--input", static_dump, "--config", str(tmp_path / "missing.json"), "--out", report]
     elif case == "config_not_utf8":
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xff\xfe{")
@@ -634,7 +651,8 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
     else:
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
-        write_json(ckpt / "policy.json", [])
+        if case == "policy_manifest_list":
+            write_json(ckpt / "policy.json", [])
         cfg = write_json(tmp_path / "cfg.json", {"init_checkpoint": str(ckpt)})
         argv = ["grpo", "--config", cfg, "--out", out]
     assert main(argv) == 2

@@ -1,5 +1,6 @@
-"""Every function, class and method that src/georeward defines is used
-somewhere in src/georeward: code that nothing calls is deleted, not kept.
+"""Every function, class, method and module-level constant that
+src/georeward defines is used somewhere in src/georeward: code that nothing
+calls is deleted, not kept.
 
 A use counts only outside the definition's own body, so recursion or a
 class naming itself does not keep it alive. A method or property counts as
@@ -16,17 +17,21 @@ ALLOWED = {"PoseSE3.apply"}
 
 
 def _definitions(tree):
-    """(qualified name, node, is_method) of every top-level function and
-    class and every non-dunder method."""
+    """(qualified name, name, node, is_method) of every top-level function,
+    class and constant (`NAME = ...`) and every non-dunder method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node, False
+            yield node.name, node.name, node, False
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
-                    yield f"{node.name}.{item.name}", item, True
+                    yield f"{node.name}.{item.name}", item.name, item, True
 
 
 def _uses(node, inside=()):
@@ -40,7 +45,7 @@ def _uses(node, inside=()):
         yield node.name, False, inside
         if node.asname:
             yield node.asname, False, inside
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign)):
         inside = inside + (id(node),)
     for child in ast.iter_child_nodes(node):
         yield from _uses(child, inside)
@@ -55,8 +60,8 @@ def test_every_definition_in_src_is_used_in_src():
     unused = sorted(
         qual
         for tree in trees
-        for qual, node, is_method in _definitions(tree)
-        if not any((attr or not is_method) and id(node) not in inside for attr, inside in uses.get(node.name, []))
+        for qual, name, node, is_method in _definitions(tree)
+        if not any((attr or not is_method) and id(node) not in inside for attr, inside in uses.get(name, []))
     )
     assert [qual for qual in unused if qual not in ALLOWED] == []
     assert unused == sorted(ALLOWED), "an allowed name is used now: take it off the list"
