@@ -15,9 +15,15 @@ Each cameras.json entry holds "intrinsics" [fx, fy, cx, cy] and
 "extrinsics" as a 3x4 row-major [R|t] world-to-camera matrix. File names
 are zero-padded frame (or pair) indices; a real predictor and the
 synthetic renderer write the exact same shape of directory.
+
+read_bundle checks the whole layout and every tensor header at once, but
+loads a payload only when the bundle's sequences are indexed, so a scorer
+holds the tensors of the pairs in flight, not of the whole clip.
 """
 
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +33,6 @@ from .errors import ConfigError, FormatError, InputError
 from .grid import _dump_json, _json_type_ok, _load_json, _numbers, _shown, load_tensor, save_tensor, tensor_shape
 
 _REQUIRED_DIRS = ("frames", "depth", "flow_fwd", "flow_bwd")
-_OPTIONAL_DIRS = ("confidence", "features", "dynamic")
 
 
 @dataclass
@@ -63,21 +68,34 @@ class FramePair:
 
 @dataclass
 class VideoBundle:
-    """In-memory form of one adapter directory."""
+    """One video: frames, depths, flows and cameras, plus optional per-frame
+    maps. render_video builds one in memory. read_bundle returns one whose
+    tensor sequences load each payload when indexed: headers are checked on
+    read, and each payload when it is loaded."""
 
-    images: list
-    depths: list
-    flows_fwd: list
-    flows_bwd: list
+    images: Sequence
+    depths: Sequence
+    flows_fwd: Sequence
+    flows_bwd: Sequence
     intrinsics: list
     poses: list
     flow_stride: int = 1
-    confidences: list = None
-    features: list = None
-    dynamic_masks: list = None
+    confidences: Sequence = None
+    features: Sequence = None
+    dynamic_masks: Sequence = None
 
     def __len__(self):
         return len(self.images)
+
+    def _frame(self, i):
+        """Frame i's image, depth and optional maps, keyed by FramePair's
+        field stems; from read_bundle, each one is loaded here."""
+        fields = {"image": self.images[i], "depth": self.depths[i]}
+        for stem, maps in (("confidence", self.confidences), ("features", self.features),
+                           ("dynamic", self.dynamic_masks)):
+            if maps is not None:
+                fields[stem] = maps[i]
+        return fields
 
     def pair(self, tau) -> FramePair:
         """The pair of frames (tau, tau + flow_stride), with flow file tau
@@ -87,19 +105,9 @@ class VideoBundle:
             raise InputError(f"pair index tau must be an integer with 0 <= tau < len(video) - flow_stride = "
                              f"{len(self) - self.flow_stride}, got {tau}")
         a, b = tau, tau + self.flow_stride
-        optional = {}
-        for name, maps in (
-            ("confidence", self.confidences),
-            ("features", self.features),
-            ("dynamic", self.dynamic_masks),
-        ):
-            if maps is not None:
-                optional[f"{name}_a"], optional[f"{name}_b"] = maps[a], maps[b]
+        sides = {f"{stem}_{side}": value
+                 for side, i in (("a", a), ("b", b)) for stem, value in self._frame(i).items()}
         return FramePair(
-            image_a=self.images[a],
-            image_b=self.images[b],
-            depth_a=self.depths[a],
-            depth_b=self.depths[b],
             flow_fwd=self.flows_fwd[tau],
             flow_bwd=self.flows_bwd[tau],
             intrinsics_a=self.intrinsics[a],
@@ -108,7 +116,7 @@ class VideoBundle:
             pose_b=self.poses[b],
             frame_a=a,
             frame_b=b,
-            **optional,
+            **sides,
         )
 
 
@@ -158,14 +166,31 @@ def _read(reader, root, name, file_name):
         raise
 
 
-def _load_dir(root, name, expected, shape, load=True):
-    """Check the `expected` tensors of one directory; returns (tensors or
-    None if the directory is absent, the shape they share).
+class _Payloads(Sequence):
+    """The tensors of one adapter directory, whose headers read_bundle has
+    checked. Indexing loads one payload through load_tensor, which checks
+    its length and finiteness, and converts it; nothing is cached, so a
+    caller holds only the tensors it keeps."""
+
+    def __init__(self, root, name, count, convert):
+        self._root, self._name, self._count, self._convert = root, name, count, convert
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, index):
+        index = range(self._count)[operator.index(index)]  # IndexError past the end ends iteration
+        return self._convert(_read(load_tensor, self._root, self._name, _tensor_name(index)))
+
+
+def _load_dir(root, name, expected, shape, convert):
+    """Check the `expected` tensors of one directory: names, count, and each
+    header, payload length and shape, without reading a payload. Returns
+    (their _Payloads, loading with `convert`, or None if the directory is
+    absent; the shape they share).
 
     Every tensor must have `shape`; a None axis takes the first tensor's
-    size, so all tensors of one directory share one shape. Without `load`
-    only each file's header and payload length are checked, and the list
-    holds shapes in place of arrays.
+    size, so all tensors of one directory share one shape.
     """
     d = os.path.join(root, name)
     if not os.path.isdir(d):
@@ -177,11 +202,7 @@ def _load_dir(root, name, expected, shape, load=True):
     bad = sorted(set(names) - set(want))
     if bad:
         raise InputError(f'"{name}/" under {root} holds {bad[0]}; tensors must be named {want[0]} to {want[-1]}')
-    if load:
-        tensors = [_read(load_tensor, root, name, n) for n in names]
-        shapes = [t.shape for t in tensors]
-    else:
-        tensors = shapes = [_read(tensor_shape, root, name, n) for n in names]
+    shapes = [_read(tensor_shape, root, name, n) for n in names]
     first = shapes[0]
     if len(first) == len(shape):
         shape = tuple(f if s is None else s for s, f in zip(shape, first))
@@ -189,7 +210,7 @@ def _load_dir(root, name, expected, shape, load=True):
         if s != shape:
             text = "x".join("?" if a is None else str(a) for a in shape)
             raise InputError(f'"{name}/{n}" under {root} has shape {s}, expected {text}')
-    return tensors, shape
+    return _Payloads(root, name, expected, convert), shape
 
 
 def _read_cameras(in_dir):
@@ -241,63 +262,33 @@ def _read_cameras(in_dir):
     return intrinsics, poses, stride
 
 
-def _read_tensors(in_dir, n, stride, load):
-    """Check every tensor directory of an n-frame video, in one order, and
-    load the payloads of the directories named in `load`; returns
-    {directory: tensors (shapes when not loaded) or None if absent}."""
-    out = {}
-    out["frames"], (h, w, _) = _load_dir(in_dir, "frames", n, (None, None, 3), "frames" in load)
-    for name, count, shape in (
-        ("depth", n, (h, w)),
-        ("flow_fwd", n - stride, (h, w, 2)),
-        ("flow_bwd", n - stride, (h, w, 2)),
-        ("confidence", n, (h, w)),
-        ("features", n, (None, None, None)),
-        ("dynamic", n, (h, w)),
-    ):
-        out[name], _ = _load_dir(in_dir, name, count, shape, name in load)
-    return out
+def _as_f64(a):
+    return np.asarray(a, dtype=np.float64)
 
 
 def read_bundle(in_dir) -> VideoBundle:
-    """Load and validate one adapter directory."""
-    intrinsics, poses, stride = _read_cameras(in_dir)
-    t = _read_tensors(in_dir, len(poses), stride, _REQUIRED_DIRS + _OPTIONAL_DIRS)
-    images = [
-        img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else np.asarray(img, dtype=np.float64)
-        for img in t["frames"]
-    ]
-    dynamic = t["dynamic"]
-    if dynamic is not None:
-        dynamic = [d.astype(bool) for d in dynamic]
-    return VideoBundle(
-        images=images,
-        depths=[np.asarray(d, dtype=np.float64) for d in t["depth"]],
-        flows_fwd=[np.asarray(f, dtype=np.float64) for f in t["flow_fwd"]],
-        flows_bwd=[np.asarray(f, dtype=np.float64) for f in t["flow_bwd"]],
-        intrinsics=intrinsics,
-        poses=poses,
-        flow_stride=stride,
-        confidences=t["confidence"],
-        features=t["features"],
-        dynamic_masks=dynamic,
-    )
+    """Validate one adapter directory and return it as a VideoBundle.
 
-
-def read_flows(in_dir):
-    """The forward flows and dynamic masks of one adapter directory, for
-    epipolar metrics; returns (flows_fwd, dynamic masks or None,
-    flow_stride).
-
-    Runs every structural check read_bundle runs (cameras.json, the
-    required directories, tensor names and counts, and each tensor's
-    header, payload length and shape) but reads payloads only for flow_fwd
-    and dynamic. So a NaN inside a frame, depth, backward-flow or
-    confidence payload, which read_bundle rejects, passes here.
+    cameras.json and every tensor's name, count, header, payload length and
+    shape are checked here, and each payload when an entry of the bundle's
+    sequences is indexed: loaded, checked for finiteness and converted.
+    Frames come back as float64 in [0, 1] (u8 frames are divided by 255),
+    depths and flows as float64 and dynamic masks as bool; confidences and
+    feature grids keep their stored dtype.
     """
-    _, poses, stride = _read_cameras(in_dir)
-    t = _read_tensors(in_dir, len(poses), stride, ("flow_fwd", "dynamic"))
-    dynamic = t["dynamic"]
-    if dynamic is not None:
-        dynamic = [d.astype(bool) for d in dynamic]
-    return [np.asarray(f, dtype=np.float64) for f in t["flow_fwd"]], dynamic, stride
+    intrinsics, poses, stride = _read_cameras(in_dir)
+    n = len(poses)
+    images, (h, w, _) = _load_dir(in_dir, "frames", n, (None, None, 3),
+                                  lambda a: a.astype(np.float64) / 255.0 if a.dtype == np.uint8 else _as_f64(a))
+    fields = {
+        field: _load_dir(in_dir, name, count, shape, convert)[0]
+        for field, name, count, shape, convert in (
+            ("depths", "depth", n, (h, w), _as_f64),
+            ("flows_fwd", "flow_fwd", n - stride, (h, w, 2), _as_f64),
+            ("flows_bwd", "flow_bwd", n - stride, (h, w, 2), _as_f64),
+            ("confidences", "confidence", n, (h, w), np.asarray),
+            ("features", "features", n, (None, None, None), np.asarray),
+            ("dynamic_masks", "dynamic", n, (h, w), lambda m: m.astype(bool)),
+        )
+    }
+    return VideoBundle(images=images, intrinsics=intrinsics, poses=poses, flow_stride=stride, **fields)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import runtime
 from ._version import __version__
-from .adapter import read_bundle, read_flows, write_bundle
+from .adapter import read_bundle, write_bundle
 from .errors import (
     ConfigError,
     DegeneracyError,
@@ -108,11 +108,9 @@ def cmd_score(args):
     config_doc = _load_json(args.config) if args.config else {}
     cfg = _from_dict(RewardConfig, config_doc, "reward config")
 
-    score = score_video(bundle, cfg)
-    _dump_json(score.report(cfg), args.out)
+    score = score_video(bundle, cfg, keep_maps=bool(args.dump_maps))
     outputs = [args.out]
-
-    if args.dump_maps:
+    if args.dump_maps:  # before the report, so a failed map dump leaves no report behind
         os.makedirs(args.dump_maps, exist_ok=True)
         for ps in score.pair_scores:
             for name in ("q_geo", "omega", "epe", "depth_err"):
@@ -121,6 +119,7 @@ def cmd_score(args):
                     m = m.astype(np.uint8)
                 save_tensor(m, os.path.join(args.dump_maps, f"{name}_{ps.tau:03d}.gft"))
         outputs.append(args.dump_maps)
+    _dump_json(score.report(cfg), args.out)
     return config_doc, None, [args.input], outputs
 
 
@@ -302,8 +301,8 @@ def cmd_grpo(args):
 # metrics
 
 def cmd_metrics(args):
-    flows, dynamic, flow_stride = read_flows(args.input)
-    n = len(flows) + flow_stride
+    bundle = read_bundle(args.input)
+    n, flow_stride = len(bundle), bundle.flow_stride
     stride = flow_stride if args.stride is None else args.stride
     if stride > n - 1:
         raise ConfigError(f"stride {stride} needs at least {stride + 1} frames, got {n}")
@@ -312,6 +311,8 @@ def cmd_metrics(args):
             f"stride {stride} does not match the dump's flow_stride {flow_stride}; "
             "re-synthesize with the matching stride"
         )
+    flows = list(bundle.flows_fwd)  # loaded once: the loop and dynamic_degree both read every flow
+    dynamic = bundle.dynamic_masks
 
     all_errors = []
     skipped = 0

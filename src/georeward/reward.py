@@ -303,7 +303,7 @@ def _feature_term(pair, config, conf_patch):
     return r_dino(warped, target, weights)
 
 
-def score_pair(pair: FramePair, config: RewardConfig = None):
+def score_pair(pair: FramePair, config: RewardConfig = None, keep_maps=True):
     """Score one frame pair.
 
     pair.flow_fwd is the predicted flow a->b (compared against rigid flow);
@@ -311,6 +311,8 @@ def score_pair(pair: FramePair, config: RewardConfig = None):
     warp, because backward sampling is the only dense, differentiable,
     hole-free warp. The pair's optional confidence maps feed the gating
     mode; its optional feature grids replace the built-in extractor.
+    The score's maps hold epe, depth_err, q_geo and omega, or only omega
+    without keep_maps.
     """
     cfg = config if config is not None else RewardConfig()
     d_a = np.asarray(pair.depth_a, dtype=np.float64)
@@ -372,17 +374,21 @@ def score_pair(pair: FramePair, config: RewardConfig = None):
         r_dino=rd,
         r_pair=rp,
         valid_fraction=float(omega.sum()) / float(h * w),
-        maps={"epe": epe, "depth_err": depth_err, "q_geo": q, "omega": omega},
+        maps={"epe": epe, "depth_err": depth_err, "q_geo": q, "omega": omega} if keep_maps else {"omega": omega},
         tau=pair.frame_a,
     )
 
 
-def score_video(video: VideoBundle, config: RewardConfig = None):
+def score_video(video: VideoBundle, config: RewardConfig = None, keep_maps=False):
     """Score all (tau, tau + video.flow_stride) pairs of a clip and average.
 
     video.flows_fwd[tau] must map frame tau to frame tau + stride and
     video.flows_bwd[tau] back again, so both lists hold len(video) - stride
     entries. Confidences and feature grids are used when the video has them.
+    Each pair is read inside the task that scores it, so a bundle from
+    read_bundle holds only the pairs in flight; a frame in no pair is read
+    once, which checks its payloads. Pair scores keep all their maps with
+    keep_maps, else only omega.
     """
     cfg = config if config is not None else RewardConfig()
     n = len(video)
@@ -400,7 +406,9 @@ def score_video(video: VideoBundle, config: RewardConfig = None):
             f"got {len(video.flows_fwd)} forward / {len(video.flows_bwd)} backward"
         )
 
+    for i in range(expected, stride):  # frames between the last a and the first b, when n < 2 * stride
+        video._frame(i)
     tasks = runtime.Tasks(range(expected), np.size(video.depths[0]))
-    scores = runtime.ordered_map(lambda tau: score_pair(video.pair(tau), cfg), tasks)
+    scores = runtime.ordered_map(lambda tau: score_pair(video.pair(tau), cfg, keep_maps), tasks)
     r_video = float(np.mean([p.r_pair for p in scores]))
     return VideoScore(pair_scores=scores, r_video=r_video)

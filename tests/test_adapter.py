@@ -20,7 +20,7 @@ from georeward import (
     save_tensor,
     write_bundle,
 )
-from georeward.adapter import read_flows
+from georeward import adapter
 from georeward.errors import InputError
 from georeward.synth import ObjectSpec
 
@@ -274,23 +274,59 @@ def test_tensor_shape_mismatch(tmp_path, name, shape):
         read_bundle(tmp_path / "v")
 
 
+def _record_loads(monkeypatch, root):
+    """Make adapter.load_tensor record each file it loads, relative to root."""
+    loaded = []
+    real = adapter.load_tensor
+
+    def load(path):
+        loaded.append(os.path.relpath(path, root))
+        return real(path)
+
+    monkeypatch.setattr(adapter, "load_tensor", load)
+    return loaded
+
+
 @pytest.mark.parametrize("name,shape", SHAPE_MISMATCHES)
-def test_read_flows_checks_every_shape(tmp_path, name, shape):
+def test_read_flows_checks_every_shape(tmp_path, name, shape, monkeypatch):
+    # metrics reads its flows from read_bundle, which checks the shape of
+    # every tensor in every directory before it loads any payload
     write_bundle(tmp_path / "v", make_bundle())
     save_tensor(np.zeros(shape), str(tmp_path / "v" / name))
+    loaded = _record_loads(monkeypatch, tmp_path / "v")
     with pytest.raises(InputError, match=f'"{name}" under .* has shape {re.escape(str(shape))}'):
-        read_flows(tmp_path / "v")
+        read_bundle(tmp_path / "v")
+    assert loaded == []
 
 
 @pytest.mark.parametrize("stride,with_optional", [(1, True), (2, False)])
-def test_read_flows_matches_read_bundle(tmp_path, stride, with_optional):
-    write_bundle(tmp_path / "v", make_bundle(n=4, stride=stride, with_optional=with_optional))
-    flows, dynamic, flow_stride = read_flows(tmp_path / "v")
-    bundle = read_bundle(tmp_path / "v")
-    assert flow_stride == bundle.flow_stride == stride
-    assert [f.tobytes() for f in flows] == [f.tobytes() for f in bundle.flows_fwd]
+def test_read_flows_matches_read_bundle(tmp_path, stride, with_optional, monkeypatch):
+    # the forward flows and dynamic masks that metrics reads from
+    # read_bundle are the written ones, and reading them loads no frame,
+    # depth, backward-flow or confidence payload
+    bundle = make_bundle(n=4, stride=stride, with_optional=with_optional)
+    write_bundle(tmp_path / "v", bundle)
+    loaded = _record_loads(monkeypatch, tmp_path / "v")
+    back = read_bundle(tmp_path / "v")
+    assert loaded == []
+    assert back.flow_stride == stride
+    assert [f.tobytes() for f in back.flows_fwd] == [f.tobytes() for f in bundle.flows_fwd]
     if with_optional:
+        dynamic = list(back.dynamic_masks)
         assert [d.dtype for d in dynamic] == [np.dtype(bool)] * 4
         assert [d.tobytes() for d in dynamic] == [d.tobytes() for d in bundle.dynamic_masks]
     else:
-        assert dynamic is None and bundle.dynamic_masks is None
+        assert back.dynamic_masks is None
+    assert {os.path.dirname(p) for p in loaded} == ({"flow_fwd", "dynamic"} if with_optional else {"flow_fwd"})
+
+
+def test_pair_loads_only_its_own_tensors(tmp_path, monkeypatch):
+    write_bundle(tmp_path / "v", make_bundle(n=4, stride=1))
+    loaded = _record_loads(monkeypatch, tmp_path / "v")
+    pair = read_bundle(tmp_path / "v").pair(1)
+    assert sorted(loaded) == sorted(
+        [os.path.join(d, f"00{i}.gft") for d in ("frames", "depth", "confidence", "features", "dynamic") for i in (1, 2)]
+        + [os.path.join("flow_fwd", "001.gft"), os.path.join("flow_bwd", "001.gft")]
+    )
+    assert pair.frame_a == 1 and pair.frame_b == 2 and pair.dynamic_a.dtype == bool
+    assert pair.image_a.dtype == pair.depth_b.dtype == pair.flow_bwd.dtype == np.float64

@@ -275,6 +275,49 @@ def test_score_clean_static_video(static_dump, tmp_path):
     assert manifest["outputs"] == [report_path, maps_dir]
 
 
+def test_score_writes_no_report_when_the_maps_cannot_be_written(static_dump, tmp_path, capsys):
+    maps = tmp_path / "maps"
+    maps.write_text("")  # a file where the map directory should go
+    report = tmp_path / "r.json"
+    assert main(["score", "--input", static_dump, "--out", str(report), "--dump-maps", str(maps)]) == 2
+    assert str(maps) in capsys.readouterr().err
+    assert not report.exists()
+    assert not os.path.exists(f"{report}.manifest.json")
+
+
+def _poison(path):
+    """Overwrite the last element of a float GFT payload with NaN."""
+    blob = bytearray(path.read_bytes())
+    fmt = {1: "<f", 2: "<d"}[blob[4]]
+    blob[-struct.calcsize(fmt):] = struct.pack(fmt, float("nan"))
+    path.write_bytes(bytes(blob))
+
+
+# frame 1 of a 3-frame stride-2 dump is in no pair; frame 0 is in pair 0
+@pytest.mark.parametrize("stride,name", [
+    (2, "frames/001.gft"),
+    (2, "depth/001.gft"),
+    (2, "confidence/001.gft"),
+    (1, "confidence/000.gft"),
+    (1, "features/000.gft"),
+])
+def test_score_checks_every_payload(stride, name, tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", {"camera_path": TRANS_PATH})
+    dump = tmp_path / "dump"
+    assert main(["synth", "--spec", spec, "--stride", str(stride), "--out", str(dump)]) == 0
+    (dump / "features").mkdir()
+    rng = np.random.default_rng(3)
+    for i in range(3):
+        save_tensor(rng.uniform(0.1, 1.0, (6, 8, 4)), str(dump / "features" / f"{i:03d}.gft"))
+    assert main(["score", "--input", str(dump), "--out", str(tmp_path / "clean.json")]) == 0
+    _poison(dump / name)
+    report = tmp_path / "r.json"
+    assert main(["score", "--input", str(dump), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "non-finite" in err
+    assert not report.exists()
+
+
 def test_score_accepts_the_relative_pose_of_two_accepted_poses(tmp_path, capsys):
     # each rotation passes the 1e-9 orthonormality check; their product
     # diag((1 + 4.5e-10)**2, (1 - 4.5e-10)**2, 1) misses it
@@ -979,11 +1022,7 @@ def test_metrics_reads_no_frame_payload(trans_dump, tmp_path, capsys):
     # payloads, so it reports on the dump as if the frame were clean
     dump = tmp_path / "dump"
     shutil.copytree(trans_dump, dump)
-    frame = dump / "frames" / "001.gft"
-    blob = bytearray(frame.read_bytes())
-    assert blob[4] == 1  # f32 frames
-    blob[-4:] = struct.pack("<f", float("nan"))
-    frame.write_bytes(bytes(blob))
+    _poison(dump / "frames" / "001.gft")
     assert main(["score", "--input", str(dump), "--out", str(tmp_path / "s.json")]) == 2
     err = capsys.readouterr().err
     assert "frames/001.gft" in err and "non-finite" in err

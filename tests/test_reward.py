@@ -1,6 +1,7 @@
 """Pair scoring: error maps, quality aggregation, feature term, video mean."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from georeward import (
     geo_quality,
     normalized_epe,
     pair_reward,
+    read_bundle,
     relative_depth_error,
     render_pair,
     render_video,
     score_pair,
     score_video,
+    write_bundle,
 )
 from georeward.errors import (
     ConfigError,
@@ -394,6 +397,36 @@ def test_video_stride_pairs_against_direct_pair_score(score_rendered):
     direct = score_rendered(render_pair(spec, 0, stride=2))
     assert len(vs.pair_scores) == 1
     assert vs.pair_scores[0].r_pair == direct.r_pair
+
+
+def test_video_keeps_maps_only_on_request():
+    video = render_video(_walking_scene(0.05, 3))
+    lean, full = score_video(video), score_video(video, keep_maps=True)
+    assert [p.summary() for p in lean.pair_scores] == [p.summary() for p in full.pair_scores]
+    for tau, (p, q) in enumerate(zip(lean.pair_scores, full.pair_scores)):
+        assert set(p.maps) == {"omega"}
+        direct = score_pair(video.pair(tau)).maps
+        assert set(q.maps) == set(direct) == {"epe", "depth_err", "q_geo", "omega"}
+        for name, m in direct.items():
+            np.testing.assert_array_equal(q.maps[name], m)
+        np.testing.assert_array_equal(p.maps["omega"], direct["omega"])
+
+
+def test_video_memory_is_flat_in_clip_length(tmp_path, monkeypatch):
+    # a bundle from read_bundle loads each pair inside the task that scores
+    # it and keeps only omega, so scoring 12 frames peaks where 3 do
+    monkeypatch.setenv("GEOFLOW_THREADS", "1")
+    peaks = []
+    for frames in (3, 12):
+        dump = tmp_path / str(frames)
+        write_bundle(dump, render_video(_walking_scene(0.02, frames)))
+        tracemalloc.start()
+        try:
+            score_video(read_bundle(dump))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.15 * min(peaks), peaks
 
 
 def test_video_flow_count_mismatch():
