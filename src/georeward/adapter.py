@@ -71,7 +71,11 @@ class VideoBundle:
     """One video: frames, depths, flows and cameras, plus optional per-frame
     maps. render_video builds one in memory. read_bundle returns one whose
     tensor sequences load each payload when indexed: headers are checked on
-    read, and each payload when it is loaded."""
+    read, and each payload when it is loaded. n frames at flow_stride s (an
+    integer, 1 <= s < n) hold n depths, intrinsics, poses and optional maps
+    each, and n - s flows: flows_fwd[i] maps frame i to frame i + s and
+    flows_bwd[i] back. Building one checks these counts with len() alone
+    and raises InputError naming the field that breaks them."""
 
     images: Sequence
     depths: Sequence
@@ -83,6 +87,16 @@ class VideoBundle:
     confidences: Sequence = None
     features: Sequence = None
     dynamic_masks: Sequence = None
+
+    def __post_init__(self):
+        n, s = len(self.images), self.flow_stride
+        if not (isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 1 <= s < n):
+            raise InputError(f"flow_stride must be an integer, 1 <= flow_stride < len(images) = {n}, got {_shown(s)}")
+        maps = ("confidences", "features", "dynamic_masks")
+        for name in ("depths", "intrinsics", "poses", "flows_fwd", "flows_bwd") + maps:
+            entries, want = getattr(self, name), n - s if name.startswith("flows_") else n
+            if not (entries is None and name in maps) and len(entries) != want:
+                raise InputError(f"len({name}) is {len(entries)}; {n} frames at flow_stride {s} need {want}")
 
     def __len__(self):
         return len(self.images)

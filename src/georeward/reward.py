@@ -382,30 +382,15 @@ def score_pair(pair: FramePair, config: RewardConfig = None, keep_maps=True):
 def score_video(video: VideoBundle, config: RewardConfig = None, keep_maps=False):
     """Score all (tau, tau + video.flow_stride) pairs of a clip and average.
 
-    video.flows_fwd[tau] must map frame tau to frame tau + stride and
-    video.flows_bwd[tau] back again, so both lists hold len(video) - stride
-    entries. Confidences and feature grids are used when the video has them.
+    Confidences and feature grids are used when the video has them.
     Each pair is read inside the task that scores it, so a bundle from
     read_bundle holds only the pairs in flight; a frame in no pair is read
     once, which checks its payloads. Pair scores keep all their maps with
     keep_maps, else only omega.
     """
     cfg = config if config is not None else RewardConfig()
-    n = len(video)
     stride = video.flow_stride
-    if stride < 1:
-        raise InputError(f"flow_stride must be >= 1, got {stride}")
-    if n < stride + 1:
-        raise InputError(f"need at least flow_stride + 1 = {stride + 1} frames, got {n}")
-    if not (len(video.depths) == len(video.intrinsics) == len(video.poses) == n):
-        raise InputError("frames, depths, intrinsics and poses must align")
-    expected = n - stride
-    if len(video.flows_fwd) != expected or len(video.flows_bwd) != expected:
-        raise InputError(
-            f"need {expected} flow pairs for {n} frames at flow_stride {stride}, "
-            f"got {len(video.flows_fwd)} forward / {len(video.flows_bwd)} backward"
-        )
-
+    expected = len(video) - stride
     for i in range(expected, stride):  # frames between the last a and the first b, when n < 2 * stride
         video._frame(i)
     tasks = runtime.Tasks(range(expected), np.size(video.depths[0]))

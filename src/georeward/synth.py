@@ -319,14 +319,14 @@ class PerturbationSpec:
     """Controlled corruption amplitudes.
 
     wobble_px warps the second frame by a smooth divergence-free field of
-    that peak amplitude (or, with corrupt_flow, adds the field to the
-    predicted forward flow instead, emulating a flow-predictor failure).
+    that peak amplitude; in a video every frame after the first gets its own
+    field, keyed by its index. corrupt_flow adds the field to the forward
+    flow into that frame instead, emulating a flow-predictor failure.
     texture_drift_px slides the background texture of the second frame;
     object_morph rescales the quad's appearance in the second frame (1 is
     identity); depth_noise_rel multiplies both depth maps by lognormal noise
-    of that log-stddev. Flow tensors stay clean unless corrupt_flow is set,
-    so the scorer sees an appearance/geometry mismatch, which is the failure
-    mode these corruptions model.
+    of that log-stddev. Flow tensors stay clean unless corrupt_flow is set:
+    the scorer sees the appearance/geometry mismatch these corruptions model.
     """
 
     wobble_px: float = 0.0

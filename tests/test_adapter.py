@@ -1,5 +1,6 @@
 """Round trips and validation for the on-disk video bundle layout."""
 
+import dataclasses
 import json
 import os
 import re
@@ -133,6 +134,19 @@ def test_pair_index_out_of_range_is_rejected(n, stride, tau):
     # a float would index a list, and True would stand in for frame 1
     with pytest.raises(InputError, match=rf"0 <= tau < len\(video\) - flow_stride = {n - stride}, got {tau}"):
         make_bundle(n=n, stride=stride).pair(tau)
+
+
+@pytest.mark.parametrize("field", ["confidences", "features", "dynamic_masks"])
+def test_bundle_rejects_a_mis_sized_map(field):
+    # checked where the bundle is built, so neither score_video (a bare
+    # IndexError at the last pair) nor write_bundle ever sees it
+    video = make_bundle()
+    short = {field: getattr(video, field)[:-1]}
+    message = rf"len\({field}\) is 2; 3 frames at flow_stride 1 need 3"
+    with pytest.raises(InputError, match=message):
+        VideoBundle(**{**vars(video), **short})
+    with pytest.raises(InputError, match=message):
+        dataclasses.replace(video, **short)
 
 
 def test_rendered_pair_masks_match_the_video_pair():

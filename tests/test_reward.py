@@ -429,29 +429,32 @@ def test_video_memory_is_flat_in_clip_length(tmp_path, monkeypatch):
     assert max(peaks) <= 1.15 * min(peaks), peaks
 
 
+# A mis-sized bundle fails where it is built, so score_video never sees one.
+
 def test_video_flow_count_mismatch():
     video = render_video(_walking_scene(0.0, 3))
-    video = dataclasses.replace(video, flows_fwd=video.flows_fwd[:1])
-    with pytest.raises(InputError):
-        score_video(video, RewardConfig())
+    for name in ("flows_fwd", "flows_bwd"):
+        with pytest.raises(InputError, match=rf"len\({name}\) is 1; 3 frames at flow_stride 1 need 2"):
+            dataclasses.replace(video, **{name: getattr(video, name)[:1]})
 
 
 def test_video_pose_count_mismatch():
     video = render_video(_walking_scene(0.0, 3))
-    video = dataclasses.replace(video, poses=video.poses[:-1])
-    with pytest.raises(InputError, match="must align"):
-        score_video(video, RewardConfig())
+    for name in ("depths", "intrinsics", "poses"):
+        with pytest.raises(InputError, match=rf"len\({name}\) is 2; 3 frames at flow_stride 1 need 3"):
+            dataclasses.replace(video, **{name: getattr(video, name)[:-1]})
 
 
 def test_video_rejects_zero_flow_stride():
-    video = dataclasses.replace(render_video(_walking_scene(0.0, 3)), flow_stride=0)
-    with pytest.raises(InputError, match="flow_stride"):
-        score_video(video)
+    video = render_video(_walking_scene(0.0, 3))
+    for stride in (0, -1, 3, True, 1.0):
+        with pytest.raises(InputError, match=rf"1 <= flow_stride < len\(images\) = 3, got {stride}"):
+            dataclasses.replace(video, flow_stride=stride)
 
 
 def test_video_too_few_frames(static_scene):
     video = render_video(static_scene)
-    short = {key: getattr(video, key)[:1] for key in ("images", "depths", "confidences", "poses", "intrinsics")}
-    video = dataclasses.replace(video, flows_fwd=[], flows_bwd=[], **short)
-    with pytest.raises(InputError):
-        score_video(video, RewardConfig())
+    short = {key: getattr(video, key)[:1]
+             for key in ("images", "depths", "confidences", "dynamic_masks", "poses", "intrinsics")}
+    with pytest.raises(InputError, match=r"1 <= flow_stride < len\(images\) = 1, got 1"):
+        dataclasses.replace(video, flows_fwd=[], flows_bwd=[], **short)

@@ -376,6 +376,9 @@ def test_object_vectors_must_have_three_entries():
 # ---------------------------------------------------------------------------
 # perturbations
 
+_KEYED_PATH = tuple(PoseSE3(np.eye(3), np.array([0.05 * i, 0.0, 0.0])) for i in range(4))
+
+
 def test_noop_perturbation_is_identity(translating_scene):
     pair = render_pair(translating_scene, 0)
     same = inject_perturbation(pair, PerturbationSpec(), 0)
@@ -398,6 +401,20 @@ def test_corrupt_flow_moves_the_flow_not_the_image(translating_scene):
     assert not np.array_equal(out.flow_fwd, pair.flow_fwd)
     delta = out.flow_fwd - pair.flow_fwd
     assert np.linalg.norm(delta, axis=-1).max() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("tau, stride", [(0, 1), (2, 1), (1, 2)])
+def test_inject_perturbation_keys_every_pair_with_salt_11(translating_scene, tau, stride):
+    # a pair's wobble does not depend on where the pair sits in its video
+    spec = dataclasses.replace(translating_scene, camera_path=_KEYED_PATH)
+    pair = render_pair(spec, tau, stride)
+    field = wobble_field(pair.image_b.shape[:2], 0.8, 5, salt=11)
+    shaken = inject_perturbation(pair, PerturbationSpec(wobble_px=0.8), 5)
+    assert shaken.image_b.tobytes() == synth._warp_image(pair.image_b, field).tobytes()
+    moved = inject_perturbation(pair, PerturbationSpec(wobble_px=0.8, corrupt_flow=True), 5)
+    assert moved.flow_fwd.tobytes() == (pair.flow_fwd + field).tobytes()
+    for out in (shaken, moved):
+        assert out.image_a.tobytes() == pair.image_a.tobytes()
 
 
 def test_texture_drift_spares_the_object():
@@ -552,6 +569,31 @@ def test_video_of_pairs_matches_render_pair(translating_scene):
     np.testing.assert_array_equal(video.images[1], pair.image_b)
     np.testing.assert_array_equal(video.flows_fwd[0], pair.flow_fwd)
     np.testing.assert_array_equal(video.flows_bwd[0], pair.flow_bwd)
+
+
+def test_video_wobbles_frame_i_with_salt_11_plus_i(translating_scene):
+    # the corruption key schedule, pinned against its own recomputation:
+    # every frame after the first draws its field from (seed, 11 + i)
+    spec = dataclasses.replace(translating_scene, camera_path=_KEYED_PATH)
+    video = render_video(spec, PerturbationSpec(wobble_px=0.8), seed=5)
+    for i in range(1, len(_KEYED_PATH)):
+        clean = render_frame(spec, i)[0]
+        want = synth._warp_image(clean, wobble_field(clean.shape[:2], 0.8, 5, salt=11 + i))
+        assert video.images[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_video_corrupt_flow_keys_pair_a_with_salt_11_plus_a_plus_stride(translating_scene, stride):
+    # under corrupt_flow the frames keep their pixels, and forward flow a
+    # takes the field of its second frame, a + stride
+    spec = dataclasses.replace(translating_scene, camera_path=_KEYED_PATH)
+    clean = render_video(spec, stride=stride)
+    video = render_video(spec, PerturbationSpec(wobble_px=0.8, corrupt_flow=True), seed=5, stride=stride)
+    for a, flow in enumerate(video.flows_fwd):
+        want = clean.flows_fwd[a] + wobble_field(flow.shape[:2], 0.8, 5, salt=11 + a + stride)
+        assert flow.tobytes() == want.tobytes()
+        assert video.flows_bwd[a].tobytes() == clean.flows_bwd[a].tobytes()
+    assert [f.tobytes() for f in video.images] == [f.tobytes() for f in clean.images]
 
 
 # ---------------------------------------------------------------------------
