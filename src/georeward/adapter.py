@@ -18,7 +18,9 @@ synthetic renderer write the exact same shape of directory.
 
 read_bundle checks the whole layout and every tensor header at once, but
 loads a payload only when the bundle's sequences are indexed, so a scorer
-holds the tensors of the pairs in flight, not of the whole clip.
+holds the tensors of the pairs in flight, not of the whole clip. Its
+sequences are Lazy, as are the fields render_video derives from its
+frames: each entry is computed when indexed and nothing is cached.
 """
 
 import operator
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import runtime
 from .camera import Intrinsics, PoseSE3
 from .errors import ConfigError, FormatError, InputError
 from .grid import _dump_json, _json_type_ok, _load_json, _numbers, _shown, load_tensor, save_tensor, tensor_shape
@@ -66,12 +69,35 @@ class FramePair:
     dynamic_b: np.ndarray = None
 
 
-@dataclass
+class Lazy(Sequence):
+    """Tensors of one shape whose entry i is fn(i), computed each time it
+    is indexed; nothing is cached, so a caller holds only the entries it
+    keeps. A slice is a Lazy over the same fn. Iterating runs the entries
+    on runtime.ordered_iter, which computes a few ahead of the consumer."""
+
+    def __init__(self, fn, indices, shape):
+        self._fn, self._indices, self.shape = fn, indices, tuple(shape)
+
+    def __len__(self):
+        return len(self._indices)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Lazy(self._fn, self._indices[index], self.shape)
+        return self._fn(self._indices[operator.index(index)])  # IndexError past the end
+
+    def __iter__(self):
+        return runtime.ordered_iter(self._fn, runtime.Tasks(self._indices, self.shape[0] * self.shape[1]))
+
+
+@dataclass(frozen=True)
 class VideoBundle:
     """One video: frames, depths, flows and cameras, plus optional per-frame
-    maps. render_video builds one in memory. read_bundle returns one whose
-    tensor sequences load each payload when indexed: headers are checked on
-    read, and each payload when it is loaded. n frames at flow_stride s (an
+    maps; its fields cannot be reassigned. render_video builds one whose
+    frames and masks are lists and whose flows, depths and confidences are
+    Lazy. read_bundle returns one whose tensor sequences are Lazy, loading
+    each payload when indexed: headers are checked on read, and each
+    payload when it is loaded. n frames at flow_stride s (an
     integer, 1 <= s < n) hold n depths, intrinsics, poses and optional maps
     each, and n - s flows: flows_fwd[i] maps frame i to frame i + s and
     flows_bwd[i] back. Building one checks these counts with len() alone
@@ -138,11 +164,23 @@ def _tensor_name(index):
     return f"{index:03d}.gft"
 
 
+def _pixels(tensors):
+    """The pixels of one tensor of a non-empty sequence; a Lazy knows its
+    shape without computing an entry."""
+    shape = tensors.shape if isinstance(tensors, Lazy) else np.shape(tensors[0])
+    return shape[0] * shape[1]
+
+
 def _save_dir(root, name, tensors, dtype):
+    """Save each tensor in a task of runtime.ordered_map that indexes it,
+    so an entry of a Lazy is computed, saved and dropped in one task."""
     d = os.path.join(root, name)
     os.makedirs(d, exist_ok=True)
-    for i, t in enumerate(tensors):
-        save_tensor(np.asarray(t).astype(dtype), os.path.join(d, _tensor_name(i)))
+
+    def save(i):
+        save_tensor(np.asarray(tensors[i]).astype(dtype, copy=False), os.path.join(d, _tensor_name(i)))
+
+    runtime.ordered_map(save, runtime.Tasks(range(len(tensors)), _pixels(tensors)))
 
 
 def write_bundle(out_dir, bundle: VideoBundle):
@@ -180,28 +218,12 @@ def _read(reader, root, name, file_name):
         raise
 
 
-class _Payloads(Sequence):
-    """The tensors of one adapter directory, whose headers read_bundle has
-    checked. Indexing loads one payload through load_tensor, which checks
-    its length and finiteness, and converts it; nothing is cached, so a
-    caller holds only the tensors it keeps."""
-
-    def __init__(self, root, name, count, convert):
-        self._root, self._name, self._count, self._convert = root, name, count, convert
-
-    def __len__(self):
-        return self._count
-
-    def __getitem__(self, index):
-        index = range(self._count)[operator.index(index)]  # IndexError past the end ends iteration
-        return self._convert(_read(load_tensor, self._root, self._name, _tensor_name(index)))
-
-
 def _load_dir(root, name, expected, shape, convert):
     """Check the `expected` tensors of one directory: names, count, and each
     header, payload length and shape, without reading a payload. Returns
-    (their _Payloads, loading with `convert`, or None if the directory is
-    absent; the shape they share).
+    (a Lazy of them, None if the directory is absent; the shape they
+    share). Indexing it loads one payload through load_tensor, which checks
+    its length and finiteness, and converts it with `convert`.
 
     Every tensor must have `shape`; a None axis takes the first tensor's
     size, so all tensors of one directory share one shape.
@@ -224,7 +246,7 @@ def _load_dir(root, name, expected, shape, convert):
         if s != shape:
             text = "x".join("?" if a is None else str(a) for a in shape)
             raise InputError(f'"{name}/{n}" under {root} has shape {s}, expected {text}')
-    return _Payloads(root, name, expected, convert), shape
+    return Lazy(lambda i: convert(_read(load_tensor, root, name, _tensor_name(i))), range(expected), shape), shape
 
 
 def _read_cameras(in_dir):

@@ -131,9 +131,11 @@ def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
     return _lattice_flow(pts, transform, k_dst, valid)
 
 
-def _lattice_flow(points, transform: PoseSE3, k: Intrinsics, valid):
+def _lattice_flow(points, transform: PoseSE3, k: Intrinsics, valid, row0=0):
     """Move the HxWx3 `points` of the pixel lattice by `transform` into a
-    camera with intrinsics k and project them there.
+    camera with intrinsics k and project them there. The points are the
+    lattice's rows row0 to row0 + H, so a band of a frame gets the flow of
+    the whole frame's pass.
 
     Returns `rigid_flow`'s (flow, valid, target, z); `valid` is narrowed in
     place to the points that land at z > Z_MIN.
@@ -149,7 +151,7 @@ def _lattice_flow(points, transform: PoseSE3, k: Intrinsics, valid):
     target[..., 1] = k.fy * moved[..., 1] / z + k.cy
     flow = np.empty((h, w, 2))
     np.subtract(target[..., 0], np.arange(w, dtype=np.float64), out=flow[..., 0])
-    np.subtract(target[..., 1], np.arange(h, dtype=np.float64)[:, None], out=flow[..., 1])
+    np.subtract(target[..., 1], np.arange(row0, row0 + h, dtype=np.float64)[:, None], out=flow[..., 1])
     flow[~valid] = 0.0
     return flow, valid, target, z
 

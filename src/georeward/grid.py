@@ -159,9 +159,10 @@ def save_tensor(grid, path):
     code = _CODE_FOR_KIND[kind]
     header = _MAGIC + struct.pack("<BBH", code, arr.ndim, 0)
     dims = np.asarray(arr.shape, dtype="<u8").tobytes()
-    payload = arr.astype(_DTYPE_CODES[code], copy=False).tobytes()
+    payload = arr.astype(_DTYPE_CODES[code], copy=False)
     with open(path, "wb") as f:
-        f.write(header + dims + payload)
+        f.write(header + dims)
+        f.write(memoryview(payload).cast("B"))  # the array's own bytes, not a copy of them
 
 
 def _load_json(path):

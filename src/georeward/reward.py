@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import runtime
-from .adapter import FramePair, VideoBundle
+from .adapter import FramePair, VideoBundle, _pixels
 from .camera import relative_transform, reproject_depth, rigid_flow
 from .errors import ConfigError, EmptyMaskError, InputError, NumericError, ShapeError
 from .grid import _shown, _xy_norm, backward_warp, bilinear_sample
@@ -393,7 +393,7 @@ def score_video(video: VideoBundle, config: RewardConfig = None, keep_maps=False
     expected = len(video) - stride
     for i in range(expected, stride):  # frames between the last a and the first b, when n < 2 * stride
         video._frame(i)
-    tasks = runtime.Tasks(range(expected), np.size(video.depths[0]))
+    tasks = runtime.Tasks(range(expected), _pixels(video.depths))
     scores = runtime.ordered_map(lambda tau: score_pair(video.pair(tau), cfg, keep_maps), tasks)
     r_video = float(np.mean([p.r_pair for p in scores]))
     return VideoScore(pair_scores=scores, r_video=r_video)

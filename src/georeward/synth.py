@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import runtime
-from .adapter import FramePair, VideoBundle
+from .adapter import FramePair, Lazy, VideoBundle
 from .camera import Intrinsics, PoseSE3, Z_MIN, _lattice_flow
 from .errors import ConfigError, DomainError, ShapeError
 from .grid import _check_floats, _checked, _from_dict, _numbers, _shown, _xy_norm, bilinear_sample
@@ -229,7 +229,9 @@ def _texture(u, v, octaves):
             noise = _lattice_noise(uv * f, key, table)
             noise *= amp
             acc += noise
-    return np.moveaxis(acc / 1.75, 0, -1)
+            del noise  # its corner table, before the next octave builds one
+    acc /= 1.75
+    return np.moveaxis(acc, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +349,53 @@ class PerturbationSpec:
 
 
 # ---------------------------------------------------------------------------
+# row bands
+
+# Pixels one band of a frame kernel covers. _trace, _shade, the warps, the
+# wobble potential and _flow each work through a frame a band at a time,
+# so their temporaries stay this size however large the frame. Each kernel
+# is per-pixel math, so the bands give the bytes of a whole-frame pass.
+# A 256x320 frame is three bands, and its frame task peaks at 4.9 times
+# the frame's image, depth and mask bytes, against 7.7 unbanded. Smaller
+# bands cost time on the pool, where each numpy call is a GIL handoff
+# between the workers: at 16384 px, 2 threads rendered frames 1.2x slower.
+_BAND_PIXELS = 32768
+
+
+def _by_rows(h, w, band):
+    """band(r0, r1), an array or a tuple of arrays for the rows r0:r1 of an
+    h x w frame, over the fewest bands of whole rows, of even heights,
+    with at most _BAND_PIXELS pixels each (one row at least), joined along
+    the first axis. A frame of one band is band(0, h) as it is returned."""
+    bands = -(-h // max(1, _BAND_PIXELS // w))
+    if bands == 1:
+        return band(0, h)
+    rows = -(-h // bands)
+    outs = None
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        part = band(r0, r1)
+        parts = part if isinstance(part, tuple) else (part,)
+        if outs is None:
+            outs = tuple(np.empty((h,) + a.shape[1:], a.dtype) for a in parts)
+        for out, a in zip(outs, parts):
+            out[r0:r1] = a
+    return outs if isinstance(part, tuple) else outs[0]
+
+
+# ---------------------------------------------------------------------------
 # ray tracing
 
-def _pixel_rays(spec, pose):
+def _pixel_rays(spec, pose, rows=None):
     """Each pixel's world-space ray, scaled to unit depth in the camera
-    frame; it depends on the pose's rotation only."""
+    frame; it depends on the pose's rotation only. rows, when given, is a
+    (first, end) band of rows, whose rays are those of the whole frame's."""
     h, w = spec.resolution
+    r0, r1 = (0, h) if rows is None else rows
     k = spec.intrinsics
-    d_cam = np.empty((h, w, 3))
+    d_cam = np.empty((r1 - r0, w, 3))
     d_cam[..., 0] = (np.arange(w, dtype=np.float64) - k.cx) / k.fx
-    d_cam[..., 1] = (np.arange(h, dtype=np.float64)[:, None] - k.cy) / k.fy
+    d_cam[..., 1] = (np.arange(r0, r1, dtype=np.float64)[:, None] - k.cy) / k.fy
     d_cam[..., 2] = 1.0
     return d_cam @ pose.r  # rows R^T d: camera rays in world coordinates
 
@@ -413,28 +452,28 @@ def _trace(spec, frame, dirs=None):
     """Nearest surface along each pixel ray of the frame; dirs, when given,
     are its _pixel_rays.
 
-    Returns (points_world, depth, surf_id). Raises when a ray escapes the
-    backdrop or the camera sits on the geometry, both of which make the
-    scene spec invalid.
+    Returns (points_world, depth, surf_id), traced in row bands. Raises
+    when a ray escapes the backdrop or the camera sits on the geometry,
+    both of which make the scene spec invalid.
     """
     pose = spec.camera_path[frame]
-    if dirs is None:
-        dirs = _pixel_rays(spec, pose)
     c = _center(pose)
-    hits = _surface_hits(spec, frame, c, dirs)
+    h, w = spec.resolution
 
-    best_s = np.full(spec.resolution, np.inf)
-    best_id = np.full(spec.resolution, -1, dtype=np.int8)
-    for surf_id, s, ok in hits:
-        s_ok = np.where(ok, s, np.inf)
-        take = s_ok < best_s
-        best_s = np.where(take, s_ok, best_s)
-        best_id = np.where(take, np.int8(surf_id), best_id)
+    def band(r0, r1):
+        rays = _pixel_rays(spec, pose, (r0, r1)) if dirs is None else dirs[r0:r1]
+        best_s = np.full((r1 - r0, w), np.inf)
+        best_id = np.full((r1 - r0, w), -1, dtype=np.int8)
+        for surf_id, s, ok in _surface_hits(spec, frame, c, rays):
+            s_ok = np.where(ok, s, np.inf)
+            take = s_ok < best_s
+            best_s = np.where(take, s_ok, best_s)
+            best_id = np.where(take, np.int8(surf_id), best_id)
+        if not np.isfinite(best_s).all():
+            raise DomainError("a pixel ray escapes the scene geometry; check camera path and planes")
+        return c + best_s[..., None] * rays, best_s, best_id
 
-    if not np.isfinite(best_s).all():
-        raise DomainError("a pixel ray escapes the scene geometry; check camera path and planes")
-    points = c + best_s[..., None] * dirs
-    return points, best_s, best_id
+    return _by_rows(h, w, band)
 
 
 def _scene_textures(spec, dirs=None, poses=()):
@@ -486,25 +525,29 @@ def _scene_textures(spec, dirs=None, poses=()):
 
 
 def _shade(spec, frame, points, surf_id, textures=None):
-    """Procedural color of world points on their surfaces; textures, when
-    given, are the scene's _scene_textures."""
+    """Procedural color of world points on their surfaces, each surface's
+    points in blocks of _BAND_PIXELS; textures, when given, are the
+    scene's _scene_textures."""
     flat_id = surf_id.reshape(-1)
     flat_points = points.reshape(-1, 3)
-    rgb = np.zeros((3, flat_id.size))  # channel-major, so each surface's colors land in whole rows
+    image = np.zeros(points.shape)
+    rgb = image.reshape(-1, 3)
     for sid, (basis, octaves) in (textures if textures is not None else _scene_textures(spec)).items():
         idx = np.flatnonzero(flat_id == sid)
-        if idx.size == 0:
-            continue
-        pts = np.take(flat_points, idx, axis=0)
         if basis is None:
             oc = spec.moving_object.center_at(frame)
-            u = pts[:, 0] - oc[0]
-            v = pts[:, 1] - oc[1]
-        else:
-            u = pts @ basis[0]
-            v = pts @ basis[1]
-        rgb[:, idx] = np.moveaxis(_texture(u, v, octaves), -1, 0)
-    return np.ascontiguousarray(rgb.T).reshape(points.shape)
+        for start in range(0, idx.size, _BAND_PIXELS):
+            block = idx[start : start + _BAND_PIXELS]
+            pts = np.take(flat_points, block, axis=0)
+            if basis is None:
+                u = pts[:, 0] - oc[0]
+                v = pts[:, 1] - oc[1]
+            else:
+                u = pts @ basis[0]
+                v = pts @ basis[1]
+            del pts
+            rgb[block] = _texture(u, v, octaves)
+    return image
 
 
 def render_frame(spec: SceneSpec, frame: int, *, state=None):
@@ -537,20 +580,26 @@ def _flow(spec, a, b, depth_a, object_a, dirs=None):
     (object_a) move by the object's displacement, and _lattice_flow projects
     them all into frame b. The flow is zero where a point lands behind (or
     numerically at) the frame-b camera plane; occlusion is not checked.
-    dirs, when given, are frame a's _pixel_rays.
+    dirs, when given, are frame a's _pixel_rays. Works in row bands.
     """
-    if dirs is None:
-        dirs = _pixel_rays(spec, spec.camera_path[a])
-    c = _center(spec.camera_path[a])
+    pose_a = spec.camera_path[a]
+    c = _center(pose_a)
     obj = spec.moving_object
-    points = np.empty(dirs.shape)
-    for i in range(3):  # one plane per axis: numpy loops over a 3-wide last axis run slowly
-        p = points[..., i]
-        np.multiply(depth_a, dirs[..., i], out=p)
-        p += c[i]
-        if obj is not None:
-            np.add(p, (b - a) * float(obj.velocity[i]), out=p, where=object_a)
-    return _lattice_flow(points, spec.camera_path[b], spec.intrinsics, np.ones(spec.resolution, dtype=bool))[0]
+    h, w = spec.resolution
+
+    def band(r0, r1):
+        rays = _pixel_rays(spec, pose_a, (r0, r1)) if dirs is None else dirs[r0:r1]
+        points = np.empty(rays.shape)
+        for i in range(3):  # one plane per axis: numpy loops over a 3-wide last axis run slowly
+            p = points[..., i]
+            np.multiply(depth_a[r0:r1], rays[..., i], out=p)
+            p += c[i]
+            if obj is not None:
+                np.add(p, (b - a) * float(obj.velocity[i]), out=p, where=object_a[r0:r1])
+        valid = np.ones((r1 - r0, w), dtype=bool)
+        return _lattice_flow(points, spec.camera_path[b], spec.intrinsics, valid, r0)[0]
+
+    return _by_rows(h, w, band)
 
 
 def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, state=None) -> FramePair:
@@ -600,17 +649,30 @@ def render_pair(spec: SceneSpec, frame_index: int, stride: int = 1, *, state=Non
 # perturbations
 
 def _wobble_curl(shape, seed, salt):
-    """The unscaled field of wobble_field and its peak magnitude."""
+    """The unscaled field of wobble_field and its peak magnitude, built in
+    row bands."""
     h, w = shape
-    ys, xs = np.mgrid[-1 : h + 1, -1 : w + 1].astype(np.float64)
     freq = 3.0 / min(h, w)
-    with np.errstate(over="ignore"):
-        psi = _lattice_noise(np.stack([xs, ys]) * freq, _key(seed, salt)) - 0.5
-    taper = np.maximum(np.sin(np.pi * xs / (w - 1.0)), 0.0) * np.maximum(np.sin(np.pi * ys / (h - 1.0)), 0.0)
-    psi = psi * taper
-    vx = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / 2.0
-    vy = -(psi[1:-1, 2:] - psi[1:-1, :-2]) / 2.0
-    field_ = np.stack([vx, vy], axis=-1)
+    key = _key(seed, salt)
+    xs = np.arange(-1, w + 1, dtype=np.float64)
+    taper_x = np.maximum(np.sin(np.pi * xs / (w - 1.0)), 0.0)
+
+    def band(r0, r1):
+        # the potential on the pixel lattice padded by one, at rows r0 - 1
+        # to r1: what the central differences of rows r0:r1 read
+        ys = np.arange(r0 - 1, r1 + 1, dtype=np.float64)[:, None]
+        uv = np.empty((2, r1 - r0 + 2, w + 2))
+        uv[0] = xs
+        uv[1] = ys
+        uv *= freq
+        with np.errstate(over="ignore"):
+            psi = _lattice_noise(uv, key) - 0.5
+        psi *= taper_x * np.maximum(np.sin(np.pi * ys / (h - 1.0)), 0.0)
+        vx = (psi[2:, 1:-1] - psi[:-2, 1:-1]) / 2.0
+        vy = -(psi[1:-1, 2:] - psi[1:-1, :-2]) / 2.0
+        return np.stack([vx, vy], axis=-1)
+
+    field_ = _by_rows(h, w, band)
     return field_, _xy_norm(field_).max()
 
 
@@ -633,15 +695,29 @@ def _warp_image(img, disp):
     """Sample img at each pixel plus disp, bilinear with border clamp; for
     the corruption paths only, the reward path must keep the zero-plus-flag
     rule."""
+    return _warp_rows(img, lambda r0, r1: disp[r0:r1])
+
+
+def _warp_rows(img, disp_rows):
+    """_warp_image in output row bands, whose displacements come from
+    disp_rows(r0, r1), the (r1 - r0, w, 2) displacements of rows r0:r1."""
     h, w = img.shape[:2]
-    xy = np.empty((h, w, 2))
-    x, y = xy[..., 0], xy[..., 1]
-    np.add(np.arange(w, dtype=np.float64), disp[..., 0], out=x)
-    np.add(np.arange(h, dtype=np.float64)[:, None], disp[..., 1], out=y)
-    np.clip(x, 0.0, w - 1.0, out=x)
-    np.clip(y, 0.0, h - 1.0, out=y)
-    vals, _ = bilinear_sample(img, xy.reshape(-1, 2))
-    return vals.reshape(img.shape)
+    # a channel-major copy, made once: bilinear_sample reads it without
+    # making its own for every band
+    planes = np.moveaxis(np.ascontiguousarray(np.moveaxis(img, -1, 0)), 0, -1)
+
+    def band(r0, r1):
+        disp = disp_rows(r0, r1)
+        xy = np.empty((r1 - r0, w, 2))
+        x, y = xy[..., 0], xy[..., 1]
+        np.add(np.arange(w, dtype=np.float64), disp[..., 0], out=x)
+        np.add(np.arange(r0, r1, dtype=np.float64)[:, None], disp[..., 1], out=y)
+        np.clip(x, 0.0, w - 1.0, out=x)
+        np.clip(y, 0.0, h - 1.0, out=y)
+        vals, _ = bilinear_sample(planes, xy.reshape(-1, 2))
+        return vals.reshape(r1 - r0, w, -1)
+
+    return _by_rows(h, w, band)
 
 
 def _morph_pixels(img, object_mask, scale):
@@ -653,13 +729,15 @@ def _morph_pixels(img, object_mask, scale):
     cy = ys_m.mean()
     radius = max(xs_m.max() - xs_m.min(), ys_m.max() - ys_m.min()) / 2.0 + 1.0
     reach = radius * max(scale, 1.0) * 1.5
-    h, w = img.shape[:2]
-    ys, xs = np.ogrid[0:h, 0:w]
-    dx = xs - cx
-    dy = ys - cy
-    falloff = np.exp(-((dx * dx + dy * dy) / (reach * reach)))
-    gain = (1.0 / scale - 1.0) * falloff
-    return _warp_image(img, np.stack([dx * gain, dy * gain], axis=-1))
+    dx = np.arange(img.shape[1]) - cx
+
+    def disp_rows(r0, r1):
+        dy = np.arange(r0, r1)[:, None] - cy
+        falloff = np.exp(-((dx * dx + dy * dy) / (reach * reach)))
+        gain = (1.0 / scale - 1.0) * falloff
+        return np.stack([dx * gain, dy * gain], axis=-1)
+
+    return _warp_rows(img, disp_rows)
 
 
 def _corrupt_image(img, object_mask, p: PerturbationSpec, seed, salt, frames):
@@ -667,14 +745,18 @@ def _corrupt_image(img, object_mask, p: PerturbationSpec, seed, salt, frames):
     one, in order: wobble (unless corrupt_flow routes it into the flow),
     texture drift, which grows linearly with frames, then an object morph,
     which compounds (object_morph ** frames)."""
+    w = img.shape[1]
     if p.wobble_px > 0 and not p.corrupt_flow:
         img = _warp_image(img, wobble_field(img.shape[:2], p.wobble_px, seed, salt=salt))
     if p.texture_drift_px > 0:
         # a zero displacement samples the pixel's own lattice point, so the
         # quad keeps its values
-        drift = np.zeros(img.shape[:2] + (2,))
-        drift[~object_mask, 0] = p.texture_drift_px * frames
-        img = _warp_image(img, drift)
+        def drift(r0, r1):
+            d = np.zeros((r1 - r0, w, 2))
+            d[~object_mask[r0:r1], 0] = p.texture_drift_px * frames
+            return d
+
+        img = _warp_rows(img, drift)
     if p.object_morph != 1.0:
         img = _morph_pixels(img, object_mask, p.object_morph**frames)
     return img
@@ -721,10 +803,15 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     map frame i to frame i + stride; the moving quad's pixels are the
     bundle's dynamic masks.
 
-    The frames, then the flow pairs, are rendered on runtime.ordered_map,
-    each task covering one frame's pixels. Each task is pure and returns
-    the arrays it allocated, so the bundle is the same at every thread
-    count.
+    The frames are rendered on runtime.ordered_map, each task covering one
+    frame's pixels and returning its image, clean depth and object mask.
+    The depths and masks are read-only, because the rest of the bundle is
+    derived from them: the flows, the noisy depths and the confidences are
+    adapter.Lazy sequences, which compute an entry when it is indexed and
+    cache nothing, so a caller holds the frames and the derived tensors it
+    keeps: write_bundle computes, saves and drops each in one pool task.
+    Each task is pure and returns the arrays it allocated, so the bundle
+    is the same at every thread count.
     """
     p = perturb if perturb is not None else PerturbationSpec()
     n = len(spec.camera_path)
@@ -732,7 +819,7 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
         raise ConfigError(f"stride must be >= 1, got {stride}")
     if n < stride + 1:
         raise ConfigError(f"camera path has {n} frames; need at least stride + 1 = {stride + 1}")
-    pixels = spec.resolution[0] * spec.resolution[1]
+    h, w = spec.resolution
 
     def frame(i):
         img, dep, msk = render_frame(spec, i)
@@ -740,30 +827,34 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
             img = _corrupt_image(img, msk, p, seed, 11 + i, i)
         return img, dep, msk
 
-    images, depths, masks = map(list, zip(*runtime.ordered_map(frame, runtime.Tasks(range(n), pixels))))
+    images, depths, masks = map(list, zip(*runtime.ordered_map(frame, runtime.Tasks(range(n), h * w))))
+    for arr in (*depths, *masks):
+        arr.flags.writeable = False
 
     # the flows are built from the clean depths, then the depths take their noise
-    def flow_pair(a):
+    def flow_fwd(a):
         b = a + stride
         fwd = _flow(spec, a, b, depths[a], masks[a])
         if p.wobble_px > 0 and p.corrupt_flow:
             fwd += wobble_field(fwd.shape[:2], p.wobble_px, seed, salt=11 + b)
-        return fwd, _flow(spec, b, a, depths[b], masks[b])
+        return fwd
 
-    pairs = runtime.Tasks(range(n - stride), pixels)
-    flows_fwd, flows_bwd = map(list, zip(*runtime.ordered_map(flow_pair, pairs)))
-    for i in range(1, n):
-        depths[i] = _noisy_depth(depths[i], p, seed, i)
+    def flow_bwd(a):
+        return _flow(spec, a + stride, a, depths[a + stride], masks[a + stride])
 
+    def noisy_depth(i):  # frame 0 keeps its clean depth
+        return _noisy_depth(depths[i], p, seed, i) if i > 0 else depths[0]
+
+    pairs = range(n - stride)
     return VideoBundle(
         images=images,
-        depths=depths,
-        flows_fwd=flows_fwd,
-        flows_bwd=flows_bwd,
+        depths=Lazy(noisy_depth, range(n), (h, w)),
+        flows_fwd=Lazy(flow_fwd, pairs, (h, w, 2)),
+        flows_bwd=Lazy(flow_bwd, pairs, (h, w, 2)),
         intrinsics=[spec.intrinsics] * n,
         poses=list(spec.camera_path),
         flow_stride=stride,
-        confidences=[np.ones(spec.resolution) for _ in range(n)],
+        confidences=Lazy(lambda i: np.ones((h, w)), range(n), (h, w)),
         dynamic_masks=masks,
     )
 

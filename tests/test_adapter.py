@@ -19,6 +19,7 @@ from georeward import (
     render_pair,
     render_video,
     save_tensor,
+    score_video,
     write_bundle,
 )
 from georeward import adapter
@@ -332,6 +333,31 @@ def test_read_flows_matches_read_bundle(tmp_path, stride, with_optional, monkeyp
     else:
         assert back.dynamic_masks is None
     assert {os.path.dirname(p) for p in loaded} == ({"flow_fwd", "dynamic"} if with_optional else {"flow_fwd"})
+
+
+def test_read_bundle_sequences_slice_without_loading(tmp_path, monkeypatch):
+    bundle = make_bundle(n=4)
+    write_bundle(tmp_path / "v", bundle)
+    back = read_bundle(tmp_path / "v")
+    loaded = _record_loads(monkeypatch, tmp_path / "v")
+    tail = back.depths[1:]
+    assert isinstance(tail, adapter.Lazy) and len(tail) == 3 and tail.shape == back.depths.shape == (12, 16)
+    assert back.features.shape == (3, 4, 5)  # the first tensor's shape, for axes left open
+    assert loaded == []
+    np.testing.assert_array_equal(tail[-1], bundle.depths[3])
+    assert loaded == [os.path.join("depth", "003.gft")]
+    with pytest.raises(IndexError):
+        tail[3]
+
+
+def test_score_sizes_its_pool_without_loading_a_depth(tmp_path, monkeypatch):
+    spec = SceneSpec(camera_path=tuple(PoseSE3(np.eye(3), np.array([0.05 * i, 0.0, 0.0])) for i in range(3)))
+    write_bundle(tmp_path / "v", render_video(spec))
+    loaded = _record_loads(monkeypatch, tmp_path / "v")
+    score_video(read_bundle(tmp_path / "v"))
+    # pairs (0, 1) and (1, 2) read their own depths; nothing else reads one
+    depths = sorted(p for p in loaded if os.path.dirname(p) == "depth")
+    assert depths == [os.path.join("depth", f"00{i}.gft") for i in (0, 1, 1, 2)]
 
 
 def test_pair_loads_only_its_own_tensors(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""runtime.ordered_map pools only tasks large enough to gain from it;
+"""runtime.ordered_iter and ordered_map pool only tasks large enough to
+gain from it, and ordered_iter runs a bounded number of them ahead;
 runtime.retain_heap tunes the C allocator only where it can, and only the
 CLI calls it."""
 
@@ -48,6 +49,28 @@ def test_pooled_results_keep_item_order(monkeypatch):
     assert runtime.ordered_map(late_first, runtime.Tasks(range(6), runtime._POOL_MIN_PIXELS)) == [
         0, 1, 4, 9, 16, 25
     ]
+
+
+def test_pooled_iteration_runs_one_task_per_worker_ahead(monkeypatch):
+    monkeypatch.setenv("GEOFLOW_THREADS", "2")
+    started = []
+
+    def record(i):
+        started.append(i)
+        return i * i
+
+    results = runtime.ordered_iter(record, runtime.Tasks(range(8), runtime._POOL_MIN_PIXELS))
+    assert next(results) == 0
+    time.sleep(0.05)
+    # the result taken, plus one task per worker, running or done
+    assert sorted(started) == [0, 1, 2]
+    assert list(results) == [1, 4, 9, 16, 25, 36, 49]
+    stopped = runtime.ordered_iter(record, runtime.Tasks(range(8), runtime._POOL_MIN_PIXELS))
+    started.clear()
+    next(stopped)
+    stopped.close()  # a consumer that stops early starts nothing more
+    time.sleep(0.05)
+    assert sorted(started) == [0, 1, 2]
 
 
 class _NoMallopt:

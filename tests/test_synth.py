@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from georeward import (
     toy_scene,
 )
 from georeward import synth
+from georeward.adapter import Lazy
 from georeward.camera import Z_MIN, Intrinsics, relative_transform, rigid_flow
 from georeward.errors import ConfigError, ShapeError
 from georeward.grid import bilinear_sample
@@ -327,16 +329,117 @@ def test_render_video_is_thread_count_invariant(perturb, stride, pooled_fields, 
     sys.setswitchinterval(1e-6)
     try:
         pooled = render_video(spec, perturb, seed=3, stride=stride)
+        assert "_flow" not in off_main  # the flows are computed when the bundle is read
+        # iterating a derived field runs its entries on the pool
+        fields = {name: list(getattr(pooled, name)) for name in _VIDEO_FIELDS}
     finally:
         sys.setswitchinterval(interval)
     assert off_main["render_frame"] == [True] * 5
     assert set(off_main["_flow"]) == {stride < 4}
     for name in _VIDEO_FIELDS:
-        arrays = getattr(serial, name), getattr(pooled, name)
+        arrays = list(getattr(serial, name)), fields[name]
         assert len(arrays[0]) == len(arrays[1]) > 0
         for a, b in zip(*arrays):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes(), name
+
+
+# every corruption at once, so every banded kernel runs
+_ALL_CORRUPTIONS = PerturbationSpec(wobble_px=1.0, texture_drift_px=0.5, object_morph=1.1, depth_noise_rel=0.05)
+
+
+def _bytes(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _banded_outputs(spec, state_template):
+    """The bytes of every band-built output: render_video under each
+    corruption routing and stride, render_pair, inject_perturbation and a
+    decode through a DecodeState."""
+    out = []
+    for corrupt_flow in (False, True):
+        perturb = dataclasses.replace(_ALL_CORRUPTIONS, corrupt_flow=corrupt_flow)
+        for stride in (1, 2):
+            video = render_video(spec, perturb, seed=3, stride=stride)
+            out += [_bytes(getattr(video, name)) for name in _VIDEO_FIELDS]
+        pair = inject_perturbation(render_pair(spec, 1, 2), perturb, seed=3)
+        out += [_bytes([getattr(pair, f.name)]) for f in dataclasses.fields(pair)
+                if isinstance(getattr(pair, f.name), np.ndarray)]
+    state = synth.DecodeState(state_template, seed=3)
+    pair = decode_latent(np.array([0.5, -0.3, 0.8, 1.0]), state_template, seed=3, state=state)
+    out += [_bytes([getattr(pair, f.name)]) for f in dataclasses.fields(pair)
+            if isinstance(getattr(pair, f.name), np.ndarray)]
+    return out
+
+
+@pytest.mark.parametrize("scene_name", ["two_plane", "inclined"])
+def test_band_budget_leaves_every_byte(scene_name, monkeypatch):
+    # 7 rows of a 48x64 frame per band: six bands of 7 rows and one of 6,
+    # and surface blocks that end mid-row
+    spec = _ORACLE_SCENES[scene_name]
+    template = dataclasses.replace(spec, camera_path=spec.camera_path[:1])
+    monkeypatch.setenv("GEOFLOW_THREADS", "1")
+    whole = _banded_outputs(spec, template)
+    monkeypatch.setattr(synth, "_BAND_PIXELS", 7 * 64)
+    assert _banded_outputs(spec, template) == whole
+
+
+def test_render_video_retains_its_frames_and_a_frame_task_stays_small(pooled_fields, monkeypatch):
+    # 96x128: a frame of 4096-px bands splits in three, as a 256x320 frame
+    # does at the default budget
+    spec = dataclasses.replace(_ORACLE_SCENES["two_plane"], **pooled_fields)
+    h, w = spec.resolution
+    frame_bytes = h * w * (3 * 8 + 8 + 1)  # f64 image, f64 depth, bool mask
+    monkeypatch.setattr(synth, "_BAND_PIXELS", 4096)
+    monkeypatch.setenv("GEOFLOW_THREADS", "1")
+
+    def task():  # render_video's frame task
+        image, depth, mask = render_frame(spec, 2)
+        return synth._corrupt_image(image, mask, _ALL_CORRUPTIONS, 3, 13, 2), depth, mask
+
+    task()  # first calls cache what they cache outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        video = render_video(spec, _ALL_CORRUPTIONS, seed=3)
+        kept = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        task()
+        task_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the flows, noisy depths and confidences are computed when read
+    assert kept <= len(video) * frame_bytes + 64 * 1024
+    # about 7.8 frames before the bands, 4.9 with them
+    assert task_peak <= 5.5 * frame_bytes
+
+
+def test_derived_fields_are_lazy_and_their_sources_read_only():
+    spec = _ORACLE_SCENES["two_plane"]
+    perturb = dataclasses.replace(_ALL_CORRUPTIONS, corrupt_flow=True)
+    video = render_video(spec, perturb, seed=3, stride=2)
+    for name in ("depths", "flows_fwd", "flows_bwd", "confidences"):
+        seq = getattr(video, name)
+        n = len(seq)
+        assert isinstance(seq, Lazy) and n == (3 if name.startswith("flows") else 5)
+        assert _bytes(seq) == _bytes(seq) == _bytes(seq[i] for i in range(n))  # nothing is cached, nothing drifts
+        assert _bytes([seq[-1], seq[-n]]) == _bytes([seq[n - 1], seq[0]])
+        assert isinstance(seq[1:], Lazy) and len(seq[n:]) == 0
+        assert _bytes(seq[1:]) == _bytes([seq[i] for i in range(1, n)])
+        assert _bytes(seq[1:][1:2]) == _bytes([seq[2]])
+        assert _bytes(seq[::-2]) == _bytes([seq[i] for i in range(n - 1, -1, -2)])
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                seq[index]
+    # the flows and noisy depths are derived from the clean depths and the
+    # masks when read, so those cannot change under them
+    assert video.depths[0] is video.depths[0]  # frame 0 keeps its clean depth
+    for clean in (video.depths[0], video.dynamic_masks[3]):
+        with pytest.raises(ValueError, match="read-only"):
+            clean[0, 0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        video.flows_fwd = video.flows_fwd[:1]
 
 
 def test_resolution_floor():
