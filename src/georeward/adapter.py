@@ -36,6 +36,7 @@ from .errors import ConfigError, FormatError, InputError
 from .grid import _dump_json, _json_type_ok, _load_json, _numbers, _shown, load_tensor, save_tensor, tensor_shape
 
 _REQUIRED_DIRS = ("frames", "depth", "flow_fwd", "flow_bwd")
+_LAYOUT_DIRS = _REQUIRED_DIRS + ("confidence", "features", "dynamic")
 
 
 @dataclass
@@ -72,8 +73,8 @@ class FramePair:
 class Lazy(Sequence):
     """Tensors of one shape whose entry i is fn(i), computed each time it
     is indexed; nothing is cached, so a caller holds only the entries it
-    keeps. A slice is a Lazy over the same fn. Iterating runs the entries
-    on runtime.ordered_iter, which computes a few ahead of the consumer."""
+    keeps. A slice is a Lazy over the same fn. Iterating indexes the
+    entries one at a time, on the caller's thread."""
 
     def __init__(self, fn, indices, shape):
         self._fn, self._indices, self.shape = fn, indices, tuple(shape)
@@ -85,9 +86,6 @@ class Lazy(Sequence):
         if isinstance(index, slice):
             return Lazy(self._fn, self._indices[index], self.shape)
         return self._fn(self._indices[operator.index(index)])  # IndexError past the end
-
-    def __iter__(self):
-        return runtime.ordered_iter(self._fn, runtime.Tasks(self._indices, self.shape[0] * self.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,12 @@ def _save_dir(root, name, tensors, dtype):
 
 def write_bundle(out_dir, bundle: VideoBundle):
     """Serialize a bundle. Frames go out as f32; depth, flow and
-    confidence keep f64 so oracle dumps stay exact; masks are u8."""
+    confidence keep f64 so oracle dumps stay exact; masks are u8. Raises
+    InputError, before writing anything, when out_dir already holds a
+    layout directory: a shorter clip would leave the old tensors behind."""
+    for name in _LAYOUT_DIRS:
+        if os.path.exists(os.path.join(out_dir, name)):
+            raise InputError(f'"{name}/" already exists under {out_dir}; write the bundle to a fresh directory')
     os.makedirs(out_dir, exist_ok=True)
     _save_dir(out_dir, "frames", bundle.images, np.float32)
     _save_dir(out_dir, "depth", bundle.depths, np.float64)

@@ -4,27 +4,23 @@ GEOFLOW_THREADS caps internal parallelism for the whole package:
 unset or 0 means auto (one thread per core, capped at 8), 1 disables
 threading, any other positive integer is used as-is.
 
-ordered_iter is the package's one fan-out: a generator that yields each
-task's result in order and keeps at most one task per worker running or
-finished beyond the result its consumer holds, so a consumer that drops
-each result holds a bounded number of them. ordered_map is its list. It
-runs render_video's frames, score_video's pairs, the members of a GRPO
-group (each member's rollout and latent reward as one task) and
-write_bundle's files (each tensor computed, if it is lazy, and saved in
-one task); ordered_iter runs the entries of an adapter.Lazy when it is
-iterated. render_video's flows, noisy depths and confidences are Lazy,
-so their stage runs when the bundle is read, in write_bundle, not in
-render_video. Each stage comes as a Tasks, which carries the pixels one
-task covers, and runs serially when that is below _POOL_MIN_PIXELS, so
-GEOFLOW_THREADS is a cap rather than a count. Threads pay off only when
-a task's numpy calls are long enough to amortise the GIL handoffs
-between them. On a 2-core host, 2 workers took 1.23-1.73x the serial
-time at 3072 px per task and 0.95-1.32x at 6912 px, but 0.70-0.99x at
-12288 px and 0.62-0.87x at 20480 px, over a GRPO group, render_video and
-score_video (tools/pool_sweep.py; BENCH_16.json, "sweep"). So the 48x64
-trainer, toy renders and toy scores run serially and every 256x320 stage
-keeps its pool. The same handoffs are why synth's row bands
-(synth._BAND_PIXELS) are not smaller.
+ordered_map is the package's one fan-out. It runs four stages:
+render_video's frames, score_video's pairs, the members of a GRPO group
+(each member's rollout and latent reward as one task) and write_bundle's
+files (each tensor computed, if it is lazy, and saved in one task).
+render_video's flows, noisy depths and confidences are lazy, so their
+stage runs when the bundle is written, in write_bundle, not in
+render_video. Each stage hands it a Tasks, which carries the pixels one
+task covers, and ordered_map runs the stage serially when that is below
+_POOL_MIN_PIXELS, so GEOFLOW_THREADS is a cap rather than a count.
+Threads pay off only when a task's numpy calls are long enough to
+amortise the GIL handoffs between them. On a 2-core host, 2 workers took
+1.23-1.73x the serial time at 3072 px per task and 0.95-1.32x at 6912
+px, but 0.70-0.99x at 12288 px and 0.62-0.87x at 20480 px, over a GRPO
+group, render_video and score_video (tools/pool_sweep.py; BENCH_16.json,
+"sweep"). So the 48x64 trainer, toy renders and toy scores run serially
+and every 256x320 stage keeps its pool. The same handoffs are why
+synth's row bands (synth._BAND_PIXELS) are not smaller.
 
 retain_heap keeps one malloc heap for the process. Only the CLI calls
 it, because it owns its process; importing the package leaves the
@@ -36,14 +32,13 @@ a library caller's process they can, which costs peak memory
 
 import ctypes
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ConfigError
 
 _ENV_VAR = "GEOFLOW_THREADS"
-# Smallest task, in pixels, that ordered_iter runs on the pool; the
+# Smallest task, in pixels, that ordered_map runs on the pool; the
 # pool/serial crossover of the sweep lies between 6912 and 12288 px.
 _POOL_MIN_PIXELS = 8192
 
@@ -67,44 +62,26 @@ def thread_count() -> int:
 
 @dataclass(frozen=True)
 class Tasks:
-    """The inputs of one ordered_iter stage and the pixels each task covers."""
+    """The inputs of one ordered_map stage and the pixels each task covers."""
 
     items: object  # any iterable
     pixels: int
 
 
-def ordered_iter(fn, tasks):
-    """Yield `fn(x)` for each x of `tasks.items`, in order.
+def ordered_map(fn, tasks):
+    """Map `fn` over `tasks.items`, preserving order.
 
     Runs on a thread pool when GEOFLOW_THREADS allows more than one worker
-    and each task covers at least _POOL_MIN_PIXELS pixels. The pool holds
-    one task per worker, running or finished, beyond the result the
-    consumer has; the next task starts when the consumer takes a result.
-    Every `fn` call must be pure, so the results are identical to the
-    serial map regardless of worker count.
+    and each task covers at least _POOL_MIN_PIXELS pixels. Every `fn` call
+    must be pure, so the result is identical to the serial map regardless
+    of worker count.
     """
     items = list(tasks.items)
     workers = min(thread_count(), len(items))
     if workers <= 1 or tasks.pixels < _POOL_MIN_PIXELS:
-        yield from map(fn, items)
-        return
+        return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        ahead = deque()
-        try:
-            for x in items:
-                ahead.append(pool.submit(fn, x))
-                if len(ahead) > workers:
-                    yield ahead.popleft().result()
-            while ahead:
-                yield ahead.popleft().result()
-        finally:  # a consumer that stops early, or a failed task, starts nothing more
-            for future in ahead:
-                future.cancel()
-
-
-def ordered_map(fn, tasks):
-    """The list of ordered_iter(fn, tasks)."""
-    return list(ordered_iter(fn, tasks))
+        return list(pool.map(fn, items))
 
 
 # glibc's mallopt parameters (malloc.h)

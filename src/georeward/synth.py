@@ -691,16 +691,11 @@ def wobble_field(shape, amplitude_px, seed, salt=11, *, curl=None):
     return np.zeros_like(field_)
 
 
-def _warp_image(img, disp):
-    """Sample img at each pixel plus disp, bilinear with border clamp; for
-    the corruption paths only, the reward path must keep the zero-plus-flag
-    rule."""
-    return _warp_rows(img, lambda r0, r1: disp[r0:r1])
-
-
 def _warp_rows(img, disp_rows):
-    """_warp_image in output row bands, whose displacements come from
-    disp_rows(r0, r1), the (r1 - r0, w, 2) displacements of rows r0:r1."""
+    """Sample img at each pixel plus its displacement, bilinear with border
+    clamp, in output row bands; disp_rows(r0, r1) gives the (r1 - r0, w, 2)
+    displacements of rows r0:r1. For the corruption paths only: the reward
+    path must keep the zero-plus-flag rule."""
     h, w = img.shape[:2]
     # a channel-major copy, made once: bilinear_sample reads it without
     # making its own for every band
@@ -747,7 +742,9 @@ def _corrupt_image(img, object_mask, p: PerturbationSpec, seed, salt, frames):
     which compounds (object_morph ** frames)."""
     w = img.shape[1]
     if p.wobble_px > 0 and not p.corrupt_flow:
-        img = _warp_image(img, wobble_field(img.shape[:2], p.wobble_px, seed, salt=salt))
+        field = wobble_field(img.shape[:2], p.wobble_px, seed, salt=salt)
+        img = _warp_rows(img, lambda r0, r1: field[r0:r1])
+        del field  # a frame of f64 pairs; the drift and morph warps need none of it
     if p.texture_drift_px > 0:
         # a zero displacement samples the pixel's own lattice point, so the
         # quad keeps its values

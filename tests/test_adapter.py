@@ -243,29 +243,17 @@ def test_too_few_frames_for_stride(tmp_path):
 
 
 def test_camera_entry_validation(tmp_path):
-    write_bundle(tmp_path / "v", make_bundle(with_optional=False))
-
-    _edit_cameras(tmp_path / "v", lambda d: d["cameras"][1].pop("extrinsics"))
-    with pytest.raises(InputError, match="camera 1"):
-        read_bundle(tmp_path / "v")
-
-    write_bundle(tmp_path / "v", make_bundle(with_optional=False))
-    _edit_cameras(tmp_path / "v", lambda d: d["cameras"][0].update(intrinsics=[1.0, 2.0, 3.0]))
-    with pytest.raises(InputError, match=r"\[fx, fy, cx, cy\]"):
-        read_bundle(tmp_path / "v")
-
-    write_bundle(tmp_path / "v", make_bundle(with_optional=False))
-    _edit_cameras(
-        tmp_path / "v",
-        lambda d: d["cameras"][0].update(extrinsics=[[1.0, 0.0], [0.0, 1.0]]),
-    )
-    with pytest.raises(InputError, match="3x4"):
-        read_bundle(tmp_path / "v")
-
-    write_bundle(tmp_path / "v", make_bundle(with_optional=False))
-    _edit_cameras(tmp_path / "v", lambda d: d.update(cameras=[]))
-    with pytest.raises(InputError, match="non-empty"):
-        read_bundle(tmp_path / "v")
+    # one fresh dump per broken entry: write_bundle refuses a dump's directory
+    for i, (edit, message) in enumerate((
+        (lambda d: d["cameras"][1].pop("extrinsics"), "camera 1"),
+        (lambda d: d["cameras"][0].update(intrinsics=[1.0, 2.0, 3.0]), r"\[fx, fy, cx, cy\]"),
+        (lambda d: d["cameras"][0].update(extrinsics=[[1.0, 0.0], [0.0, 1.0]]), "3x4"),
+        (lambda d: d.update(cameras=[]), "non-empty"),
+    )):
+        write_bundle(tmp_path / f"v{i}", make_bundle(with_optional=False))
+        _edit_cameras(tmp_path / f"v{i}", edit)
+        with pytest.raises(InputError, match=message):
+            read_bundle(tmp_path / f"v{i}")
 
 
 SHAPE_MISMATCHES = [

@@ -224,6 +224,19 @@ def test_failed_synth_keeps_a_directory_it_did_not_create(tmp_path, monkeypatch)
     assert out.is_dir() and not any(out.iterdir())
 
 
+def test_synth_into_an_existing_dump_leaves_it_as_it_was(tmp_path, capsys):
+    # a shorter clip over a longer one would leave the old extra tensors behind
+    out = tmp_path / "dump"
+    five, three = (write_json(tmp_path / f"spec{n}.json", {"camera_path": dict(TRANS_PATH, frames=n)}) for n in (5, 3))
+    assert main(["synth", "--spec", five, "--out", str(out)]) == 0
+    before = {f: f.read_bytes() for f in out.rglob("*") if f.is_file()}
+    assert main(["synth", "--spec", three, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and '"frames/"' in err and str(out) in err
+    assert {f: f.read_bytes() for f in out.rglob("*") if f.is_file()} == before
+    assert main(["score", "--input", str(out), "--out", str(tmp_path / "report.json")]) == 0
+
+
 @pytest.mark.parametrize(
     "message",
     ["Unable to allocate 894. GiB for an array with shape (200000, 200000, 3) and data type float64", ""],

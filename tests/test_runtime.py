@@ -1,5 +1,5 @@
-"""runtime.ordered_iter and ordered_map pool only tasks large enough to
-gain from it, and ordered_iter runs a bounded number of them ahead;
+"""runtime.ordered_map, the package's one fan-out, pools only tasks large
+enough to gain from it, and iterating a lazy sequence does not pool;
 runtime.retain_heap tunes the C allocator only where it can, and only the
 CLI calls it."""
 
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from georeward import runtime
+from georeward.adapter import Lazy
 
 
 def _thread_of(i):
@@ -51,26 +52,10 @@ def test_pooled_results_keep_item_order(monkeypatch):
     ]
 
 
-def test_pooled_iteration_runs_one_task_per_worker_ahead(monkeypatch):
-    monkeypatch.setenv("GEOFLOW_THREADS", "2")
-    started = []
-
-    def record(i):
-        started.append(i)
-        return i * i
-
-    results = runtime.ordered_iter(record, runtime.Tasks(range(8), runtime._POOL_MIN_PIXELS))
-    assert next(results) == 0
-    time.sleep(0.05)
-    # the result taken, plus one task per worker, running or done
-    assert sorted(started) == [0, 1, 2]
-    assert list(results) == [1, 4, 9, 16, 25, 36, 49]
-    stopped = runtime.ordered_iter(record, runtime.Tasks(range(8), runtime._POOL_MIN_PIXELS))
-    started.clear()
-    next(stopped)
-    stopped.close()  # a consumer that stops early starts nothing more
-    time.sleep(0.05)
-    assert sorted(started) == [0, 1, 2]
+def test_iterating_a_lazy_sequence_stays_on_the_calling_thread(monkeypatch):
+    monkeypatch.setenv("GEOFLOW_THREADS", "4")
+    lazy = Lazy(_thread_of, range(6), (96, 128))  # pool-sized entries
+    assert list(lazy) == [threading.get_ident()] * 6
 
 
 class _NoMallopt:

@@ -19,6 +19,7 @@ from georeward import (
     render_pair,
     render_video,
     toy_scene,
+    write_bundle,
 )
 from georeward import synth
 from georeward.adapter import Lazy
@@ -316,10 +317,12 @@ _VIDEO_FIELDS = ("images", "depths", "flows_fwd", "flows_bwd", "dynamic_masks", 
     ],
     ids=["frames", "corrupt_flow"],
 )
-def test_render_video_is_thread_count_invariant(perturb, stride, pooled_fields, watch_threads, monkeypatch):
+def test_render_video_is_thread_count_invariant(perturb, stride, pooled_fields, watch_threads, monkeypatch,
+                                                 tmp_path):
     spec = dataclasses.replace(_ORACLE_SCENES["two_plane"], **pooled_fields)
     monkeypatch.setenv("GEOFLOW_THREADS", "1")
     serial = render_video(spec, perturb, seed=3, stride=stride)
+    write_bundle(tmp_path / "serial", serial)
     # more workers than cores, switching often, so the tasks interleave
     monkeypatch.setenv("GEOFLOW_THREADS", "4")
     watch, off_main = watch_threads
@@ -330,8 +333,10 @@ def test_render_video_is_thread_count_invariant(perturb, stride, pooled_fields, 
     try:
         pooled = render_video(spec, perturb, seed=3, stride=stride)
         assert "_flow" not in off_main  # the flows are computed when the bundle is read
-        # iterating a derived field runs its entries on the pool
         fields = {name: list(getattr(pooled, name)) for name in _VIDEO_FIELDS}
+        assert set(off_main.pop("_flow")) == {False}  # iterating a derived field stays on this thread
+        # writing the bundle computes each derived entry in a pool task
+        write_bundle(tmp_path / "pooled", pooled)
     finally:
         sys.setswitchinterval(interval)
     assert off_main["render_frame"] == [True] * 5
@@ -342,6 +347,9 @@ def test_render_video_is_thread_count_invariant(perturb, stride, pooled_fields, 
         for a, b in zip(*arrays):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes(), name
+    written = [{f.relative_to(root): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+               for root in (tmp_path / "serial", tmp_path / "pooled")]
+    assert written[0] == written[1]
 
 
 # every corruption at once, so every banded kernel runs
@@ -513,7 +521,7 @@ def test_inject_perturbation_keys_every_pair_with_salt_11(translating_scene, tau
     pair = render_pair(spec, tau, stride)
     field = wobble_field(pair.image_b.shape[:2], 0.8, 5, salt=11)
     shaken = inject_perturbation(pair, PerturbationSpec(wobble_px=0.8), 5)
-    assert shaken.image_b.tobytes() == synth._warp_image(pair.image_b, field).tobytes()
+    assert shaken.image_b.tobytes() == synth._warp_rows(pair.image_b, lambda r0, r1: field[r0:r1]).tobytes()
     moved = inject_perturbation(pair, PerturbationSpec(wobble_px=0.8, corrupt_flow=True), 5)
     assert moved.flow_fwd.tobytes() == (pair.flow_fwd + field).tobytes()
     for out in (shaken, moved):
@@ -606,7 +614,7 @@ def test_warp_image_matches_the_mgrid_lattice():
     x = np.clip(xs + disp[..., 0], 0.0, 63.0)
     y = np.clip(ys + disp[..., 1], 0.0, 47.0)
     want, _ = bilinear_sample(img, np.stack([x, y], axis=-1).reshape(-1, 2))
-    assert synth._warp_image(img, disp).tobytes() == want.reshape(img.shape).tobytes()
+    assert synth._warp_rows(img, lambda r0, r1: disp[r0:r1]).tobytes() == want.reshape(img.shape).tobytes()
 
 
 def test_wobble_field_properties():
@@ -681,7 +689,8 @@ def test_video_wobbles_frame_i_with_salt_11_plus_i(translating_scene):
     video = render_video(spec, PerturbationSpec(wobble_px=0.8), seed=5)
     for i in range(1, len(_KEYED_PATH)):
         clean = render_frame(spec, i)[0]
-        want = synth._warp_image(clean, wobble_field(clean.shape[:2], 0.8, 5, salt=11 + i))
+        field = wobble_field(clean.shape[:2], 0.8, 5, salt=11 + i)
+        want = synth._warp_rows(clean, lambda r0, r1: field[r0:r1])
         assert video.images[i].tobytes() == want.tobytes()
 
 

@@ -23,7 +23,10 @@ median is worse than the parent's by more than the bound, relative to the
 parent's median; otherwise `within bound`. Quartiles are
 statistics.quantiles(method="inclusive"). One JSON document goes to stdout:
 every run's metric values, whether both sides printed the same output
-digests on every seed, and the failure counts.
+digests on every seed, and the failure counts. Each run also records its
+CPU time (user plus sys seconds of the benchmark process and its children)
+as `cpu_s`, shown on its stderr line: a diagnostic that tells host
+contention (wall time up, CPU time flat) from work, and no verdict reads it.
 """
 
 import argparse
@@ -32,22 +35,32 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
+def _children_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_bench(checkout, workload, seed, seconds):
     """One benchmark run; returns {"metrics", "correct", "failed",
-    "attempted", "digests"} or {"error": text} when the run failed."""
+    "attempted", "digests", "cpu_s"} or {"error": text, "cpu_s"} when the
+    run failed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    cpu_before = _children_cpu_s()
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    cpu_s = _children_cpu_s() - cpu_before
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"error": (proc.stderr or proc.stdout).strip().splitlines()[-5:]}
+        return {"error": (proc.stderr or proc.stdout).strip().splitlines()[-5:], "cpu_s": cpu_s}
     result = json.loads(lines[-1])
+    result["cpu_s"] = cpu_s
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
     result["digests"] = dict(
         line.split()[1:3] for line in lines if line.startswith("digest ")
@@ -150,7 +163,7 @@ def main(argv=None):
                 r["seed"] = seed
                 runs[side].append(r)
                 shown = r.get("metrics", r.get("error"))
-                print(f"{workload} pair {i} seed {seed} {side}: {shown}", file=sys.stderr)
+                print(f"{workload} pair {i} seed {seed} {side}: {shown}, cpu {r['cpu_s']:.3f} s", file=sys.stderr)
         ok = [i for i in range(args.pairs) if "error" not in runs["parent"][i] and "error" not in runs["change"][i]]
         row = {
             "failed_runs": {side: sum("error" in r for r in rs) for side, rs in runs.items()},

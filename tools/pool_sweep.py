@@ -6,9 +6,11 @@
 Times the runtime.ordered_map stages at several frame sizes, once with
 the stage forced onto a 2-worker pool (the pixel gate set to 0) and once
 serially (GEOFLOW_THREADS=1), interleaved, and prints one JSON object:
-per stage and size, the median seconds of each side and pool / serial. A ratio below 1 means the pool pays off at that task size.
-The stages are one GRPO group (4 members, each a rollout and a latent
-reward), render_video's frames and flow pairs together, and score_video's
+per stage and size, the median seconds of each side and pool / serial. A
+ratio below 1 means the pool pays off at that task size. The stages are
+one GRPO group (4 members, each a rollout and a latent reward), synth
+(render_video's frames, then write_bundle computing and saving each tensor
+into a temporary directory, which it empties first), and score_video's
 pairs. Like the CLI, the process keeps one malloc heap
 (runtime.retain_heap). The package is imported from src/ of this checkout.
 """
@@ -17,8 +19,10 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -38,6 +42,7 @@ from georeward import (  # noqa: E402
     sample_group,
     score_video,
     toy_scene,
+    write_bundle,
 )
 from georeward import runtime  # noqa: E402
 from georeward.synth import ObjectSpec  # noqa: E402
@@ -54,8 +59,15 @@ def _fields(h, w):
     return {"resolution": (h, w), "intrinsics": Intrinsics(100.0 * s, 100.0 * s, (w - 1) / 2.0, (h - 1) / 2.0)}
 
 
-def stages(h, w):
-    """{stage name: zero-argument callable} at frame size h x w."""
+def _synth(scene, root):
+    """The synth command's work, written to root/dump."""
+    shutil.rmtree(root / "dump", ignore_errors=True)
+    write_bundle(root / "dump", render_video(scene, PERTURB, seed=1))
+
+
+def stages(h, w, root):
+    """{stage name: zero-argument callable} at frame size h x w; synth
+    writes under the directory root."""
     path = tuple(PoseSE3(np.eye(3), np.array([0.02 * i, 0.0, 0.0])) for i in range(FRAMES))
     scene = SceneSpec(
         geometry="two_plane",
@@ -69,7 +81,7 @@ def stages(h, w):
     config = TrainerConfig(group_size=4, seed=1)
     return {
         "grpo_group_x4": lambda: sample_group(snapshot, template, config, np.random.default_rng(1)),
-        "render_video": lambda: render_video(scene, PERTURB, seed=1),
+        "synth": lambda: _synth(scene, root),
         "score_video": lambda: score_video(video),
     }
 
@@ -89,9 +101,10 @@ def main(argv=None):
     gate = runtime._POOL_MIN_PIXELS
     runtime._POOL_MIN_PIXELS = 0
     rows = []
+    root = tempfile.TemporaryDirectory()
     try:
         for h, w in SIZES:
-            for name, fn in stages(h, w).items():
+            for name, fn in stages(h, w, Path(root.name)).items():
                 fn()  # warm-up
                 pool, serial = [], []
                 for rep in range(args.reps):
@@ -111,6 +124,7 @@ def main(argv=None):
                 print(json.dumps(row), file=sys.stderr)
     finally:
         runtime._POOL_MIN_PIXELS = gate
+        root.cleanup()
     print(json.dumps({
         "cpu_count": os.cpu_count(),
         "pool_threads": 2,
