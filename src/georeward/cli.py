@@ -108,13 +108,14 @@ def cmd_score(args):
     config_doc = _load_json(args.config) if args.config else {}
     cfg = _from_dict(RewardConfig, config_doc, "reward config")
 
+    if args.dump_maps and os.path.isdir(args.dump_maps) and any(n.endswith(".gft") for n in os.listdir(args.dump_maps)):
+        raise InputError(f"{args.dump_maps} already holds maps; dump them to a fresh directory")
     score = score_video(bundle, cfg, keep_maps=bool(args.dump_maps))
     outputs = [args.out]
     if args.dump_maps:  # before the report, so a failed map dump leaves no report behind
         os.makedirs(args.dump_maps, exist_ok=True)
         for ps in score.pair_scores:
-            for name in ("q_geo", "omega", "epe", "depth_err"):
-                m = ps.maps[name]
+            for name, m in ps.maps.items():
                 if m.dtype == bool:  # omega; GFT stores masks as u8
                     m = m.astype(np.uint8)
                 save_tensor(m, os.path.join(args.dump_maps, f"{name}_{ps.tau:03d}.gft"))
@@ -274,7 +275,7 @@ def cmd_grpo(args):
     resolved = {
         "trainer": dataclasses.asdict(tcfg),
         "pretrain": pretrain_resolved,
-        "reward": reward_cfg.to_dict(),
+        "reward": dataclasses.asdict(reward_cfg),
         "scene": doc.get("scene", "toy_scene"),
     }
     # config.json only once training ran: a run that cannot start leaves no output

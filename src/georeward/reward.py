@@ -20,7 +20,7 @@ validity, depth-warp coverage, positive target depth and, when hard gating
 is on, the confidence threshold.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class RewardConfig:
         if self.feature_patch < 1:
             raise ConfigError(f"feature_patch must be >= 1, got {_shown(self.feature_patch)}")
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class PairScore:
@@ -101,7 +98,7 @@ class VideoScore:
         return {
             "pairs": [p.summary() for p in self.pair_scores],
             "r_video": self.r_video,
-            "config": config.to_dict(),
+            "config": asdict(config),
         }
 
 
@@ -303,7 +300,7 @@ def _feature_term(pair, config, conf_patch):
     return r_dino(warped, target, weights)
 
 
-def score_pair(pair: FramePair, config: RewardConfig = None, keep_maps=True):
+def score_pair(pair: FramePair, config: RewardConfig = None):
     """Score one frame pair.
 
     pair.flow_fwd is the predicted flow a->b (compared against rigid flow);
@@ -311,8 +308,7 @@ def score_pair(pair: FramePair, config: RewardConfig = None, keep_maps=True):
     warp, because backward sampling is the only dense, differentiable,
     hole-free warp. The pair's optional confidence maps feed the gating
     mode; its optional feature grids replace the built-in extractor.
-    The score's maps hold epe, depth_err, q_geo and omega, or only omega
-    without keep_maps.
+    The score's maps hold epe, depth_err, q_geo and omega.
     """
     cfg = config if config is not None else RewardConfig()
     d_a = np.asarray(pair.depth_a, dtype=np.float64)
@@ -342,7 +338,6 @@ def score_pair(pair: FramePair, config: RewardConfig = None, keep_maps=True):
     omega = rig_valid & covered & (d_b > 0)
 
     conf = None
-    cands = []
     for side, c in (("a", pair.confidence_a), ("b", pair.confidence_b)):
         if c is None:
             continue
@@ -352,9 +347,7 @@ def score_pair(pair: FramePair, config: RewardConfig = None, keep_maps=True):
         # NaN fails both comparisons
         if not (c.min() >= 0.0 and c.max() <= 1.0):
             raise InputError(f"confidence_{side} must lie in [0, 1], got [{c.min()}, {c.max()}]")
-        cands.append(c)
-    if cands:
-        conf = cands[0] if len(cands) == 1 else np.minimum(cands[0], cands[1])
+        conf = c if conf is None else np.minimum(conf, c)
 
     if cfg.gating == "hard" and conf is not None:
         omega = omega & (conf >= cfg.conf_threshold)
@@ -374,7 +367,7 @@ def score_pair(pair: FramePair, config: RewardConfig = None, keep_maps=True):
         r_dino=rd,
         r_pair=rp,
         valid_fraction=float(omega.sum()) / float(h * w),
-        maps={"epe": epe, "depth_err": depth_err, "q_geo": q, "omega": omega} if keep_maps else {"omega": omega},
+        maps={"epe": epe, "depth_err": depth_err, "q_geo": q, "omega": omega},
         tau=pair.frame_a,
     )
 
@@ -385,8 +378,8 @@ def score_video(video: VideoBundle, config: RewardConfig = None, keep_maps=False
     Confidences and feature grids are used when the video has them.
     Each pair is read inside the task that scores it, so a bundle from
     read_bundle holds only the pairs in flight; a frame in no pair is read
-    once, which checks its payloads. Pair scores keep all their maps with
-    keep_maps, else only omega.
+    once, which checks its payloads. Pair scores keep their maps with
+    keep_maps, else none: each task drops its pair's maps.
     """
     cfg = config if config is not None else RewardConfig()
     stride = video.flow_stride
@@ -394,6 +387,11 @@ def score_video(video: VideoBundle, config: RewardConfig = None, keep_maps=False
     for i in range(expected, stride):  # frames between the last a and the first b, when n < 2 * stride
         video._frame(i)
     tasks = runtime.Tasks(range(expected), _pixels(video.depths))
-    scores = runtime.ordered_map(lambda tau: score_pair(video.pair(tau), cfg, keep_maps), tasks)
+
+    def score(tau):
+        ps = score_pair(video.pair(tau), cfg)
+        return ps if keep_maps else replace(ps, maps={})
+
+    scores = runtime.ordered_map(score, tasks)
     r_video = float(np.mean([p.r_pair for p in scores]))
     return VideoScore(pair_scores=scores, r_video=r_video)

@@ -2,7 +2,8 @@
 run lists, with no benchmark run: nine tenths of all pairs run must be won,
 by a median gap wider than the parent's interquartile range, with no more
 failed operations; a median worse by more than the bound regresses, and a
-parent spread wider than the bound leaves the metric unresolved."""
+parent spread wider than the bound leaves the metric unresolved. The
+bootstrap interval of the per-pair ratios is pinned on fixed lists too."""
 
 import importlib.util
 from pathlib import Path
@@ -114,3 +115,19 @@ def test_no_regression_verdict(ab, parent, change, better, worse_by, verdict):
 )
 def test_verdict(ab, worse_by, spread, all_better, verdict):
     assert ab.verdict(worse_by, spread, all_better, BOUND) == verdict
+
+
+# per-pair ratios 0.95 to 1.2, median 1.03
+RATIOS = [1.05, 0.97, 1.10, 1.02, 0.99, 1.20, 1.01, 1.04, 0.95, 1.08]
+
+
+def test_ratio_interval_is_a_seeded_bootstrap_of_the_pair_ratios(ab):
+    assert ab.ratio_interval([1.0] * 10, RATIOS) == pytest.approx([0.99, 1.08])
+    # pairs, not sides: doubling both runs of a pair leaves its ratio alone
+    assert ab.ratio_interval([2.0] * 5 + [1.0] * 5, [2 * r for r in RATIOS[:5]] + RATIOS[5:]) == pytest.approx(
+        [0.99, 1.08]
+    )
+    assert ab.ratio_interval(PARENT, NOISY) == pytest.approx([0.693069306930693, 1.2745098039215685])
+
+    s = ab.compare(PARENT, SLOWER, "lower", BOUND, 10, NO_FAILS)
+    assert s["ratio_interval_90"] == ab.ratio_interval(PARENT, SLOWER)

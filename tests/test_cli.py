@@ -1,5 +1,6 @@
 """End-to-end command-line runs, all in-process via cli.main."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -275,7 +276,7 @@ def test_score_clean_static_video(static_dump, tmp_path):
     report = read_json(report_path)
     assert abs(report["r_video"]) < 1e-6
     assert len(report["pairs"]) == 2
-    assert report["config"] == RewardConfig().to_dict()
+    assert report["config"] == dataclasses.asdict(RewardConfig())
 
     # the dumped maps must reproduce the scalar: soft gating with unit
     # confidence reduces to a plain mean of q over the valid region
@@ -296,6 +297,33 @@ def test_score_writes_no_report_when_the_maps_cannot_be_written(static_dump, tmp
     assert str(maps) in capsys.readouterr().err
     assert not report.exists()
     assert not os.path.exists(f"{report}.manifest.json")
+
+
+def test_score_refuses_to_dump_maps_over_old_maps(tmp_path, monkeypatch, capsys):
+    # a shorter clip's maps beside a longer one's would not match its report
+    maps = tmp_path / "maps"
+    maps.mkdir()  # an existing empty directory is fine
+    dumps = {}
+    for n in (5, 3):
+        spec = write_json(tmp_path / f"spec{n}.json", {"camera_path": dict(TRANS_PATH, frames=n)})
+        dumps[n] = str(tmp_path / f"dump{n}")
+        assert main(["synth", "--spec", spec, "--out", dumps[n]]) == 0
+    first = str(tmp_path / "first.json")
+    assert main(["score", "--input", dumps[5], "--out", first, "--dump-maps", str(maps)]) == 0
+    before = {f: f.read_bytes() for f in maps.iterdir()}
+    assert len(before) == 16
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored before refusing the map directory")
+
+    monkeypatch.setattr(cli, "score_video", no_scoring)
+    report = tmp_path / "second.json"
+    assert main(["score", "--input", dumps[3], "--out", str(report), "--dump-maps", str(maps)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(maps) in err
+    assert not report.exists()
+    assert not os.path.exists(f"{report}.manifest.json")
+    assert {f: f.read_bytes() for f in maps.iterdir()} == before
 
 
 def _poison(path):

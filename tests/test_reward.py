@@ -49,11 +49,6 @@ def test_config_validation():
         RewardConfig(gating="maybe")
 
 
-def test_config_to_dict_round_trip():
-    cfg = RewardConfig(lam=0.25, gating="hard")
-    assert RewardConfig(**cfg.to_dict()) == cfg
-
-
 # ---------------------------------------------------------------------------
 # error maps
 
@@ -404,17 +399,16 @@ def test_video_keeps_maps_only_on_request():
     lean, full = score_video(video), score_video(video, keep_maps=True)
     assert [p.summary() for p in lean.pair_scores] == [p.summary() for p in full.pair_scores]
     for tau, (p, q) in enumerate(zip(lean.pair_scores, full.pair_scores)):
-        assert set(p.maps) == {"omega"}
+        assert p.maps == {}
         direct = score_pair(video.pair(tau)).maps
         assert set(q.maps) == set(direct) == {"epe", "depth_err", "q_geo", "omega"}
         for name, m in direct.items():
             np.testing.assert_array_equal(q.maps[name], m)
-        np.testing.assert_array_equal(p.maps["omega"], direct["omega"])
 
 
 def test_video_memory_is_flat_in_clip_length(tmp_path, monkeypatch):
     # a bundle from read_bundle loads each pair inside the task that scores
-    # it and keeps only omega, so scoring 12 frames peaks where 3 do
+    # it and keeps no map, so scoring 12 frames peaks where 3 do
     monkeypatch.setenv("GEOFLOW_THREADS", "1")
     peaks = []
     for frames in (3, 12):

@@ -27,6 +27,9 @@ digests on every seed, and the failure counts. Each run also records its
 CPU time (user plus sys seconds of the benchmark process and its children)
 as `cpu_s`, shown on its stderr line: a diagnostic that tells host
 contention (wall time up, CPU time flat) from work, and no verdict reads it.
+Each metric also gets a 90% interval for the median of its per-pair
+change/parent ratios, from a bootstrap seeded with random.Random(0) over
+2000 resamples of the pairs. It is a diagnostic too: no verdict reads it.
 """
 
 import argparse
@@ -35,6 +38,7 @@ import json
 import math
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -73,6 +77,18 @@ def quartiles(values):
     return [q1, q3]
 
 
+def ratio_interval(parent, change):
+    """The 90% bootstrap interval for the median of the per-pair
+    change/parent ratios: the 5th and 95th percentiles of the medians of
+    2000 resamples of the pairs, drawn with replacement from
+    random.Random(0)."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    rng = random.Random(0)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(2000)]
+    cuts = statistics.quantiles(medians, n=20, method="inclusive")
+    return [cuts[0], cuts[-1]]
+
+
 def gain_rule(wins, pairs, gap, parent_iqr, failed_ops):
     """Whether a gain counts: the change won at least nine tenths of all
     pairs run (a pair with a failed run is not won), its median is better
@@ -105,6 +121,7 @@ def compare(parent, change, better, bound, pairs, failed_ops):
         "parent_median": pm,
         "change_median": cm,
         "change_over_parent": cm / pm if pm else None,
+        "ratio_interval_90": ratio_interval(parent, change),
         "parent_quartiles": pq,
         "change_quartiles": quartiles(change),
         "parent_iqr": pq[1] - pq[0],
@@ -185,11 +202,13 @@ def main(argv=None):
             row["metrics"][metric]["better"] = m["better"]
         doc["workloads"][workload] = row
         for metric, s in row["metrics"].items():
+            ci = s["ratio_interval_90"]
             print(
                 f"{workload} {metric}: parent {s['parent_median']:.4g} [{s['parent_quartiles'][0]:.4g}, "
                 f"{s['parent_quartiles'][1]:.4g}], change {s['change_median']:.4g} "
                 f"[{s['change_quartiles'][0]:.4g}, {s['change_quartiles'][1]:.4g}], "
-                f"ratio {s['change_over_parent']:.3f}, change won {s['change_wins']} of {s['pairs']}, "
+                f"ratio {s['change_over_parent']:.3f} (pair ratios 90% [{ci[0]:.3f}, {ci[1]:.3f}]), "
+                f"change won {s['change_wins']} of {s['pairs']}, "
                 f"gain rule {'met' if s['gain_rule_met'] else 'not met'}, "
                 f"worse by {s['worse_by']:+.3f} (bound {s['bound']:g}): {s['verdict']}",
                 file=sys.stderr,
