@@ -20,7 +20,8 @@ read_bundle checks the whole layout and every tensor header at once, but
 loads a payload only when the bundle's sequences are indexed, so a scorer
 holds the tensors of the pairs in flight, not of the whole clip. Its
 sequences are Lazy, as are the fields render_video derives from its
-frames: each entry is computed when indexed and nothing is cached.
+frames' traces, the images among them: each entry is computed when
+indexed and nothing is cached.
 """
 
 import operator
@@ -92,7 +93,7 @@ class Lazy(Sequence):
 class VideoBundle:
     """One video: frames, depths, flows and cameras, plus optional per-frame
     maps; its fields cannot be reassigned. render_video builds one whose
-    frames and masks are lists and whose flows, depths and confidences are
+    masks are a list and whose images, flows, depths and confidences are
     Lazy. read_bundle returns one whose tensor sequences are Lazy, loading
     each payload when indexed: headers are checked on read, and each
     payload when it is loaded. n frames at flow_stride s (an

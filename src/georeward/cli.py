@@ -108,6 +108,8 @@ def cmd_score(args):
     config_doc = _load_json(args.config) if args.config else {}
     cfg = _from_dict(RewardConfig, config_doc, "reward config")
 
+    if args.dump_maps and os.path.lexists(args.dump_maps) and not os.path.isdir(args.dump_maps):
+        raise InputError(f"{args.dump_maps} exists and is not a directory; dump the maps to a fresh directory")
     if args.dump_maps and os.path.isdir(args.dump_maps) and any(n.endswith(".gft") for n in os.listdir(args.dump_maps)):
         raise InputError(f"{args.dump_maps} already holds maps; dump them to a fresh directory")
     score = score_video(bundle, cfg, keep_maps=bool(args.dump_maps))

@@ -241,8 +241,7 @@ def reference_features(image, patch: int):
     lum = img @ np.array([0.299, 0.587, 0.114])
     gy, gx = np.gradient(lum)
     mag = np.hypot(gx, gy)
-    theta = np.mod(np.arctan2(gy, gx), np.pi)
-    bins = np.minimum((theta / (np.pi / 6.0)).astype(np.intp), 5)
+    bins = _orientation_bins(gy, gx)
 
     row_idx = np.repeat(np.arange(ph), patch)[:, None]
     col_idx = np.repeat(np.arange(pw), patch)[None, :]
@@ -252,6 +251,20 @@ def reference_features(image, patch: int):
     hist = hist.reshape(ph, pw, 6) / float(patch * patch)
 
     return np.concatenate([mean, std, hist], axis=-1)
+
+
+def _orientation_bins(gy, gx):
+    """The 6-bin index of each gradient's orientation mod pi: the bins of
+    np.mod(np.arctan2(gy, gx), np.pi), folded without np.mod, which takes
+    3x as long. pi goes to 0, as fmod takes it, and a negative angle gains
+    pi, as numpy's divmod correction adds it (the rest gain an exact 0.0);
+    -pi and -0.0 both land in bin 0."""
+    theta = np.arctan2(gy, gx)
+    theta[theta == np.pi] = 0.0
+    theta += (theta < 0) * np.pi
+    theta /= np.pi / 6.0
+    bins = theta.astype(np.int32)  # at most 6; int32 converts faster than intp
+    return np.minimum(bins, 5, out=bins)
 
 
 def _blocks(a, patch):

@@ -5,14 +5,15 @@ unset or 0 means auto (one thread per core, capped at 8), 1 disables
 threading, any other positive integer is used as-is.
 
 ordered_map is the package's one fan-out. It runs four stages:
-render_video's frames, score_video's pairs, the members of a GRPO group
-(each member's rollout and latent reward as one task) and write_bundle's
-files (each tensor computed, if it is lazy, and saved in one task).
-render_video's flows, noisy depths and confidences are lazy, so their
-stage runs when the bundle is written, in write_bundle, not in
-render_video. Each stage hands it a Tasks, which carries the pixels one
-task covers, and ordered_map runs the stage serially when that is below
-_POOL_MIN_PIXELS, so GEOFLOW_THREADS is a cap rather than a count.
+render_video's frame traces, score_video's pairs, the members of a GRPO
+group (each member's rollout and latent reward as one task) and
+write_bundle's files (each tensor computed, if it is lazy, and saved in
+one task). render_video's images, flows, noisy depths and confidences
+are lazy, so the frames are shaded and the rest computed when the bundle
+is written, in write_bundle, not in render_video. Each stage hands it a
+Tasks, which carries the pixels one task covers, and ordered_map runs
+the stage serially when that is below _POOL_MIN_PIXELS, so
+GEOFLOW_THREADS is a cap rather than a count.
 Threads pay off only when a task's numpy calls are long enough to
 amortise the GIL handoffs between them. On a 2-core host, 2 workers took
 1.23-1.73x the serial time at 3072 px per task and 0.95-1.32x at 6912

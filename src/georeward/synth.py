@@ -362,18 +362,24 @@ class PerturbationSpec:
 _BAND_PIXELS = 32768
 
 
+def _row_bands(h, w):
+    """The (r0, r1) bands of whole rows that cover an h x w frame: the
+    fewest, of even heights, with at most _BAND_PIXELS pixels each (one
+    row at least)."""
+    bands = -(-h // max(1, _BAND_PIXELS // w))
+    rows = -(-h // bands)
+    return [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+
+
 def _by_rows(h, w, band):
     """band(r0, r1), an array or a tuple of arrays for the rows r0:r1 of an
-    h x w frame, over the fewest bands of whole rows, of even heights,
-    with at most _BAND_PIXELS pixels each (one row at least), joined along
-    the first axis. A frame of one band is band(0, h) as it is returned."""
-    bands = -(-h // max(1, _BAND_PIXELS // w))
-    if bands == 1:
+    h x w frame, over its _row_bands, joined along the first axis. A frame
+    of one band is band(0, h) as it is returned."""
+    bands = _row_bands(h, w)
+    if len(bands) == 1:
         return band(0, h)
-    rows = -(-h // bands)
     outs = None
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
+    for r0, r1 in bands:
         part = band(r0, r1)
         parts = part if isinstance(part, tuple) else (part,)
         if outs is None:
@@ -452,9 +458,10 @@ def _trace(spec, frame, dirs=None):
     """Nearest surface along each pixel ray of the frame; dirs, when given,
     are its _pixel_rays.
 
-    Returns (points_world, depth, surf_id), traced in row bands. Raises
-    when a ray escapes the backdrop or the camera sits on the geometry,
-    both of which make the scene spec invalid.
+    Returns (depth, surf_id), traced in row bands; _hit_points rebuilds
+    the hit points from the depth. Raises when a ray escapes the backdrop
+    or the camera sits on the geometry, both of which make the scene spec
+    invalid.
     """
     pose = spec.camera_path[frame]
     c = _center(pose)
@@ -471,130 +478,198 @@ def _trace(spec, frame, dirs=None):
             best_id = np.where(take, np.int8(surf_id), best_id)
         if not np.isfinite(best_s).all():
             raise DomainError("a pixel ray escapes the scene geometry; check camera path and planes")
-        return c + best_s[..., None] * rays, best_s, best_id
+        return best_s, best_id
 
     return _by_rows(h, w, band)
 
 
-def _scene_textures(spec, dirs=None, poses=()):
-    """(in-plane basis, texture _octaves) of every surface the scene can
-    show, by surface id.
+def _hit_points(spec, pose, depth, rows, dirs=None):
+    """The world points c + depth * ray of the rows r0:r1 of a frame seen
+    from pose, with the frame's rays dirs when given. A ray's parameter is
+    its depth, so from a traced depth this rebuilds the hit points bit for
+    bit."""
+    r0, r1 = rows
+    rays = _pixel_rays(spec, pose, rows) if dirs is None else dirs[r0:r1]
+    c = _center(pose)
+    points = np.empty(rays.shape)
+    for i in range(3):  # one plane per axis: numpy loops over a 3-wide last axis run slowly
+        p = points[..., i]
+        np.multiply(depth[r0:r1], rays[..., i], out=p)
+        p += c[i]
+    return points
 
-    The quad has no basis: its texture coordinates are its hit points' x
-    and y relative to its center, which _surface_hits keeps within
-    +-size/2, so its octaves get lattice tables. Given the rays dirs and
-    camera poses, so does each background plane, for its hits from any
-    camera on the segments between the poses: a ray's hit moves linearly
-    with a camera that moves along a line, so the box of the end poses'
-    hits holds them all (the tables' slack absorbs rounding). A table holds
-    at most as many corners as a frame has pixels, so with its three
-    channels it is never larger than one RGB frame.
-    """
-    textures = {}
-    pixels = spec.resolution[0] * spec.resolution[1]
-    for sid, p0, n in _background_planes(spec):
-        # in-plane basis; reduces to world x/y for fronto-parallel planes
+
+def _surface_bases(spec):
+    """The in-plane basis (e1, e2) of every surface the scene can show, by
+    surface id; None for the quad, whose texture coordinates are its hit
+    points' x and y relative to its center."""
+    bases = {}
+    for sid, _, n in _background_planes(spec):
+        # reduces to world x/y for fronto-parallel planes
         a = np.array([1.0, 0.0, 0.0])
         e1 = a - n * (n @ a)
         e1 /= np.linalg.norm(e1)
-        e2 = np.cross(n, e1)
-        box = None
-        if poses:
-            uv = []
-            for pose in poses:
-                c = _center(pose)
-                s = _plane_s(p0, n, c, dirs)
-                ok = np.isfinite(s) & (s > Z_MIN)
-                pts = c + s[ok][:, None] * dirs[ok]
-                uv.append(np.stack([pts @ e1, pts @ e2]))
-            uv = np.concatenate(uv, axis=1)
-            if uv.size:
-                box = (uv.min(axis=1), uv.max(axis=1))
-        octaves = _octaves(spec.texture_freq, spec.texture_seed, sid, box=box, max_corners=pixels)
-        textures[sid] = (e1, e2), octaves
+        bases[sid] = e1, np.cross(n, e1)
     if spec.moving_object is not None:
-        # object texture is denser than the backdrop so the quad stays
-        # feature-rich even when it covers only a few patches
-        half = spec.moving_object.size / 2.0
-        box = ((-half, -half), (half, half))
-        octaves = _octaves(
-            4.0 * spec.texture_freq, spec.texture_seed, 100 + _OBJ_SURF, box=box, max_corners=pixels
-        )
-        textures[_OBJ_SURF] = None, octaves
+        bases[_OBJ_SURF] = None
+    return bases
+
+
+def _pose_boxes(spec, dirs, poses):
+    """The box ((u_lo, v_lo), (u_hi, v_hi)) of each background plane's
+    texture coordinates, by surface id, for its hits along the rays dirs
+    from any camera on the segments between the poses: a ray's hit moves
+    linearly with a camera that moves along a line, so the box of the end
+    poses' hits holds them all (the tables' slack absorbs rounding)."""
+    bases = _surface_bases(spec)
+    boxes = {}
+    for sid, p0, n in _background_planes(spec):
+        uv = []
+        for pose in poses:
+            c = _center(pose)
+            s = _plane_s(p0, n, c, dirs)
+            ok = np.isfinite(s) & (s > Z_MIN)
+            pts = c + s[ok][:, None] * dirs[ok]
+            uv.append(np.stack([pts @ e for e in bases[sid]]))
+        uv = np.concatenate(uv, axis=1)
+        if uv.size:
+            boxes[sid] = (uv.min(axis=1), uv.max(axis=1))
+    return boxes
+
+
+def _scene_textures(spec, boxes=None):
+    """(in-plane basis, texture _octaves) of every surface the scene can
+    show, by surface id.
+
+    boxes, when given, maps surface ids to boxes known to hold their
+    texture coordinates ahead of any point; the background planes' octaves
+    then get lattice tables. The quad's always do, for the box +-size/2
+    that _surface_hits keeps its coordinates within. A table holds at most
+    as many corners as a frame has pixels, so with its three channels it
+    is never larger than one RGB frame.
+    """
+    textures = {}
+    pixels = spec.resolution[0] * spec.resolution[1]
+    for sid, basis in _surface_bases(spec).items():
+        if basis is None:
+            # object texture is denser than the backdrop so the quad stays
+            # feature-rich even when it covers only a few patches
+            half = spec.moving_object.size / 2.0
+            octaves = _octaves(4.0 * spec.texture_freq, spec.texture_seed, 100 + _OBJ_SURF,
+                               box=((-half, -half), (half, half)), max_corners=pixels)
+        else:
+            box = boxes.get(sid) if boxes else None
+            octaves = _octaves(spec.texture_freq, spec.texture_seed, sid, box=box, max_corners=pixels)
+        textures[sid] = basis, octaves
     return textures
 
 
-def _shade(spec, frame, points, surf_id, textures=None):
-    """Procedural color of world points on their surfaces, each surface's
-    points in blocks of _BAND_PIXELS; textures, when given, are the
-    scene's _scene_textures."""
-    flat_id = surf_id.reshape(-1)
-    flat_points = points.reshape(-1, 3)
-    image = np.zeros(points.shape)
-    rgb = image.reshape(-1, 3)
-    for sid, (basis, octaves) in (textures if textures is not None else _scene_textures(spec)).items():
-        idx = np.flatnonzero(flat_id == sid)
-        if basis is None:
-            oc = spec.moving_object.center_at(frame)
-        for start in range(0, idx.size, _BAND_PIXELS):
-            block = idx[start : start + _BAND_PIXELS]
-            pts = np.take(flat_points, block, axis=0)
+def _texture_coords(spec, frame, depth, surf_id, bases, dirs=None):
+    """{surface id: (flat pixel indices, u, v)} of the frame's pixels on
+    each surface of bases (a _surface_bases) that it shows, in row-major
+    order, from its trace (depth, surf_id) and its rays dirs when given.
+    The hit points are rebuilt a row band at a time."""
+    pose = spec.camera_path[frame]
+    w = spec.resolution[1]
+    oc = spec.moving_object.center_at(frame) if spec.moving_object is not None else None
+    parts = {}
+    for r0, r1 in _row_bands(*spec.resolution):
+        points = _hit_points(spec, pose, depth, (r0, r1), dirs).reshape(-1, 3)
+        ids = surf_id[r0:r1].reshape(-1)
+        for sid, basis in bases.items():
+            idx = np.flatnonzero(ids == sid)
+            pts = np.take(points, idx, axis=0)
             if basis is None:
-                u = pts[:, 0] - oc[0]
-                v = pts[:, 1] - oc[1]
+                u, v = pts[:, 0] - oc[0], pts[:, 1] - oc[1]
             else:
-                u = pts @ basis[0]
-                v = pts @ basis[1]
-            del pts
-            rgb[block] = _texture(u, v, octaves)
+                u, v = pts @ basis[0], pts @ basis[1]
+            idx += r0 * w
+            parts.setdefault(sid, []).append((idx, u, v))
+    coords = {}
+    for sid, p in parts.items():
+        idx, u, v = p[0] if len(p) == 1 else [np.concatenate(a) for a in zip(*p)]
+        if idx.size:
+            coords[sid] = idx, u, v
+    return coords
+
+
+def _shade(spec, frame, depth, surf_id, textures=None, dirs=None):
+    """Procedural color of a frame's pixels from its trace (depth,
+    surf_id), each surface's pixels in blocks of _BAND_PIXELS; textures,
+    when given, are the scene's _scene_textures, and dirs the frame's
+    _pixel_rays."""
+    if textures is None:
+        textures = _scene_textures(spec)
+    image = np.zeros(depth.shape + (3,))
+    rgb = image.reshape(-1, 3)
+    bases = {sid: basis for sid, (basis, _) in textures.items()}
+    for sid, (idx, u, v) in _texture_coords(spec, frame, depth, surf_id, bases, dirs).items():
+        for start in range(0, idx.size, _BAND_PIXELS):
+            block = slice(start, start + _BAND_PIXELS)
+            rgb[idx[block]] = _texture(u[block], v[block], textures[sid][1])
     return image
+
+
+class _ClipTrace:
+    """render_video's state for render_frame: the clip's _scene_textures
+    and each frame's trace (depth, surf_id). It holds no rays: each band
+    builds its own, as a render without state does."""
+
+    dirs = None
+
+    def __init__(self, spec, textures, traces):
+        self.spec, self.textures, self.traces = spec, textures, traces
+
+    def check(self, spec):
+        if spec is not self.spec:
+            raise ConfigError("the clip trace was built for another scene")
 
 
 def render_frame(spec: SceneSpec, frame: int, *, state=None):
     """Render one frame: (image [0,1), depth, object mask).
 
-    state, when given, is the DecodeState of the decode that renders spec;
-    the frame then reuses its rays and textures.
+    state, when given, is what the frames of spec share: the DecodeState
+    of the decode that renders spec, whose rays and textures the frame
+    reuses, or render_video's trace of the clip, from which the frame is
+    shaded without tracing again.
     """
     if not 0 <= frame < len(spec.camera_path):
         raise ConfigError(f"frame {frame} outside the camera path of length {len(spec.camera_path)}")
     if state is None:
         return _render(spec, frame)
     state.check(spec)
-    return _render(spec, frame, state.dirs, state.textures)
+    trace = state.traces[frame] if isinstance(state, _ClipTrace) else None
+    return _render(spec, frame, state.dirs, state.textures, trace)
 
 
-def _render(spec, frame, dirs=None, textures=None):
-    """render_frame with the frame's _pixel_rays and the scene's
-    _scene_textures, each built here when not given."""
-    points, depth, surf = _trace(spec, frame, dirs)
-    image = _shade(spec, frame, points, surf, textures)
+def _render(spec, frame, dirs=None, textures=None, trace=None):
+    """render_frame from the frame's _pixel_rays, the scene's
+    _scene_textures and the frame's _trace, each built here when not
+    given."""
+    depth, surf = _trace(spec, frame, dirs) if trace is None else trace
+    image = _shade(spec, frame, depth, surf, textures, dirs)
     return image, depth, surf == _OBJ_SURF
 
 
 def _flow(spec, a, b, depth_a, object_a, dirs=None):
     """Exact flow from frame a to frame b on the pixel lattice.
 
-    A ray's parameter is its depth, so c + depth_a * ray rebuilds frame a's
-    hit points bit for bit from its rendered depth; the quad's points
-    (object_a) move by the object's displacement, and _lattice_flow projects
-    them all into frame b. The flow is zero where a point lands behind (or
-    numerically at) the frame-b camera plane; occlusion is not checked.
-    dirs, when given, are frame a's _pixel_rays. Works in row bands.
+    _hit_points rebuilds frame a's hit points from its rendered depth; the
+    quad's points (object_a) move by the object's displacement, and
+    _lattice_flow projects them all into frame b. The flow is zero where a
+    point lands behind (or numerically at) the frame-b camera plane;
+    occlusion is not checked. dirs, when given, are frame a's _pixel_rays.
+    Works in row bands.
     """
     pose_a = spec.camera_path[a]
-    c = _center(pose_a)
     obj = spec.moving_object
     h, w = spec.resolution
 
     def band(r0, r1):
-        rays = _pixel_rays(spec, pose_a, (r0, r1)) if dirs is None else dirs[r0:r1]
-        points = np.empty(rays.shape)
-        for i in range(3):  # one plane per axis: numpy loops over a 3-wide last axis run slowly
-            p = points[..., i]
-            np.multiply(depth_a[r0:r1], rays[..., i], out=p)
-            p += c[i]
-            if obj is not None:
+        points = _hit_points(spec, pose_a, depth_a, (r0, r1), dirs)
+        if obj is not None:
+            for i in range(3):
+                p = points[..., i]
                 np.add(p, (b - a) * float(obj.velocity[i]), out=p, where=object_a[r0:r1])
         valid = np.ones((r1 - r0, w), dtype=bool)
         return _lattice_flow(points, spec.camera_path[b], spec.intrinsics, valid, r0)[0]
@@ -800,15 +875,17 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     map frame i to frame i + stride; the moving quad's pixels are the
     bundle's dynamic masks.
 
-    The frames are rendered on runtime.ordered_map, each task covering one
-    frame's pixels and returning its image, clean depth and object mask.
-    The depths and masks are read-only, because the rest of the bundle is
-    derived from them: the flows, the noisy depths and the confidences are
-    adapter.Lazy sequences, which compute an entry when it is indexed and
-    cache nothing, so a caller holds the frames and the derived tensors it
-    keeps: write_bundle computes, saves and drops each in one pool task.
-    Each task is pure and returns the arrays it allocated, so the bundle
-    is the same at every thread count.
+    The frames are traced on runtime.ordered_map, each task covering one
+    frame's pixels and returning its clean depth, surface ids and object
+    mask. They are read-only, because the rest of the bundle is derived
+    from them: the images, the flows, the noisy depths and the confidences
+    are adapter.Lazy sequences, which compute an entry when it is indexed
+    and cache nothing, so a caller holds the tensors it keeps: write_bundle
+    computes, saves and drops each in one pool task. An image entry shades
+    its frame from the stored trace through render_frame, then corrupts
+    it. A texture lattice that leaves the int64 range raises DomainError
+    here, before any frame is shaded. Each task is pure and returns the
+    arrays it allocated, so the bundle is the same at every thread count.
     """
     p = perturb if perturb is not None else PerturbationSpec()
     n = len(spec.camera_path)
@@ -817,16 +894,35 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     if n < stride + 1:
         raise ConfigError(f"camera path has {n} frames; need at least stride + 1 = {stride + 1}")
     h, w = spec.resolution
+    bases = _surface_bases(spec)
 
-    def frame(i):
-        img, dep, msk = render_frame(spec, i)
-        if i > 0:
-            img = _corrupt_image(img, msk, p, seed, 11 + i, i)
-        return img, dep, msk
+    def trace(i):  # frame i's trace and mask, and the box of each surface's texture coordinates
+        dirs = _pixel_rays(spec, spec.camera_path[i])  # built once for both passes
+        depth, surf = _trace(spec, i, dirs)
+        coords = _texture_coords(spec, i, depth, surf, bases, dirs)
+        boxes = [(sid, (u.min(), v.min()), (u.max(), v.max())) for sid, (_, u, v) in coords.items()]
+        return depth, surf, surf == _OBJ_SURF, boxes
 
-    images, depths, masks = map(list, zip(*runtime.ordered_map(frame, runtime.Tasks(range(n), h * w))))
-    for arr in (*depths, *masks):
+    depths, surfs, masks, frame_boxes = zip(*runtime.ordered_map(trace, runtime.Tasks(range(n), h * w)))
+    for arr in (*depths, *surfs, *masks):
         arr.flags.writeable = False
+    clip_boxes = {}
+    for sid, lo, hi in (box for boxes in frame_boxes for box in boxes):
+        lo0, hi0 = clip_boxes.get(sid, (lo, hi))
+        clip_boxes[sid] = np.minimum(lo0, lo), np.maximum(hi0, hi)
+    textures = _scene_textures(spec, clip_boxes)
+    # every shaded point's lattice cells, checked before any frame is shaded:
+    # floor and a positive frequency keep the order of floats, so the cells
+    # of a box's corners bound those of every point in it
+    with np.errstate(over="ignore"):
+        for sid, box in clip_boxes.items():
+            for _, f, _, _ in textures[sid][1]:
+                _lattice_bits(np.floor(np.asarray(box) * f))
+    clip = _ClipTrace(spec, textures, list(zip(depths, surfs)))
+
+    def image(i):
+        img, _, msk = render_frame(spec, i, state=clip)
+        return _corrupt_image(img, msk, p, seed, 11 + i, i) if i > 0 else img
 
     # the flows are built from the clean depths, then the depths take their noise
     def flow_fwd(a):
@@ -844,7 +940,7 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
 
     pairs = range(n - stride)
     return VideoBundle(
-        images=images,
+        images=Lazy(image, range(n), (h, w, 3)),
         depths=Lazy(noisy_depth, range(n), (h, w)),
         flows_fwd=Lazy(flow_fwd, pairs, (h, w, 2)),
         flows_bwd=Lazy(flow_bwd, pairs, (h, w, 2)),
@@ -852,7 +948,7 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
         poses=list(spec.camera_path),
         flow_stride=stride,
         confidences=Lazy(lambda i: np.ones((h, w)), range(n), (h, w)),
-        dynamic_masks=masks,
+        dynamic_masks=list(masks),
     )
 
 
@@ -916,7 +1012,7 @@ class DecodeState:
         first = template.camera_path[0]
         self.dirs = _pixel_rays(template, first)
         fastest = PoseSE3(first.r, first.t + np.array([CAM_TX_RANGE[1], 0.0, 0.0]))
-        self.textures = _scene_textures(template, self.dirs, (first, fastest))
+        self.textures = _scene_textures(template, _pose_boxes(template, self.dirs, (first, fastest)))
         self.frame_a = _render(template, 0, self.dirs, self.textures)
         self.curl = _wobble_curl(template.resolution, seed, 11)
         for arr in (*self.frame_a, self.dirs, self.curl[0]):

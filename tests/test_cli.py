@@ -326,6 +326,29 @@ def test_score_refuses_to_dump_maps_over_old_maps(tmp_path, monkeypatch, capsys)
     assert {f: f.read_bytes() for f in maps.iterdir()} == before
 
 
+def test_score_refuses_to_dump_maps_into_a_file(tmp_path, monkeypatch, capsys):
+    spec = write_json(tmp_path / "spec.json", {"camera_path": dict(TRANS_PATH, frames=3)})
+    dump = str(tmp_path / "dump")
+    assert main(["synth", "--spec", spec, "--out", dump]) == 0
+    maps = tmp_path / "maps"
+    maps.write_bytes(b"not a directory")
+    calls, score_video = [], cli.score_video
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return score_video(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "score_video", counting)
+    report = tmp_path / "score.json"
+    assert main(["score", "--input", dump, "--out", str(report), "--dump-maps", str(maps)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(maps) in err and "Errno" not in err
+    assert not report.exists()
+    assert not os.path.exists(f"{report}.manifest.json")
+    assert maps.read_bytes() == b"not a directory"
+
+
 def _poison(path):
     """Overwrite the last element of a float GFT payload with NaN."""
     blob = bytearray(path.read_bytes())

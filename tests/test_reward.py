@@ -28,6 +28,7 @@ from georeward.errors import (
     NumericError,
     ShapeError,
 )
+from georeward import reward
 from georeward.reward import HOLE_SENTINEL, r_dino, r_geo, reference_features
 
 
@@ -215,6 +216,24 @@ def test_patch_mean_std_match_the_blocks_reduction(dtype, shape, patch):
     # a strided view of the same pixels gives the same bits
     view = np.repeat(img, 2, axis=1)[:, ::2]
     assert reference_features(view, patch).tobytes() == feats.tobytes()
+
+
+def test_orientation_bins_fold_as_np_mod_does():
+    # arctan2 gives pi at (+0, -x), -pi at (-0, -x) and +-0 at (+-0, +x) and
+    # (+-0, +-0); a tiny negative angle rounds to pi once pi is added
+    tiny = -np.nextafter(0.0, 1.0)
+    gy = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, tiny, -1e-17, -1e-300, 1e-17, -1.0, 1.0])
+    gx = np.array([-1.0, -1.0, 1.0, 1.0, 0.0, 0.0, -0.0, -0.0, 1.0, 1.0, 1.0, -1.0, -1e-17, 1e-17])
+    rng = np.random.default_rng(3)
+    gy = np.concatenate([gy, rng.normal(size=500), rng.integers(-1, 2, 200) * 0.5])
+    gx = np.concatenate([gx, rng.normal(size=500), rng.integers(-1, 2, 200) * 0.5])
+    theta = np.arctan2(gy, gx)
+    assert np.pi in theta and -np.pi in theta and (theta[:8] == 0).sum() == 4
+    assert ((theta < 0) & (theta + np.pi == np.pi)).sum() >= 2
+    want = np.minimum((np.mod(theta, np.pi) / (np.pi / 6.0)).astype(np.intp), 5)
+    bins = reward._orientation_bins(gy, gx)
+    assert bins.tolist() == want.tolist()
+    assert bins[:8].tolist() == [0] * 8 and bins[8:11].tolist() == [5] * 3
 
 
 def test_features_reject_oversized_patch():

@@ -224,7 +224,9 @@ def _rotation(ax, ay, az):
 def _flow_ref(spec, a, b):
     """The old tracer path: re-trace frame a's rays, move the quad's hit
     points, project them into frame b. Returns (flow, in front of camera b)."""
-    points, _, surf = synth._trace(spec, a)
+    depth, surf = synth._trace(spec, a)
+    pose_a = spec.camera_path[a]
+    points = synth._center(pose_a) + depth[..., None] * synth._pixel_rays(spec, pose_a)
     h, w = spec.resolution
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     moved = points.copy()
@@ -332,9 +334,12 @@ def test_render_video_is_thread_count_invariant(perturb, stride, pooled_fields, 
     sys.setswitchinterval(1e-6)
     try:
         pooled = render_video(spec, perturb, seed=3, stride=stride)
-        assert "_flow" not in off_main  # the flows are computed when the bundle is read
+        # the frames are shaded and the flows computed when the bundle is read
+        assert "render_frame" not in off_main and "_flow" not in off_main
         fields = {name: list(getattr(pooled, name)) for name in _VIDEO_FIELDS}
-        assert set(off_main.pop("_flow")) == {False}  # iterating a derived field stays on this thread
+        # iterating a derived field stays on this thread
+        assert off_main.pop("render_frame") == [False] * 5
+        assert set(off_main.pop("_flow")) == {False}
         # writing the bundle computes each derived entry in a pool task
         write_bundle(tmp_path / "pooled", pooled)
     finally:
@@ -392,20 +397,30 @@ def test_band_budget_leaves_every_byte(scene_name, monkeypatch):
     assert _banded_outputs(spec, template) == whole
 
 
-def test_render_video_retains_its_frames_and_a_frame_task_stays_small(pooled_fields, monkeypatch):
+def _clip_trace(video, monkeypatch):
+    """The state through which video's image entries shade their frames."""
+    render, states = synth.render_frame, []
+
+    def capturing(spec, frame, *, state):
+        states.append(state)
+        return render(spec, frame, state=state)
+
+    with monkeypatch.context() as m:
+        m.setattr(synth, "render_frame", capturing)
+        video.images[0]
+    return states[0]
+
+
+def test_render_video_retains_its_traces_and_a_frame_task_stays_small(pooled_fields, monkeypatch):
     # 96x128: a frame of 4096-px bands splits in three, as a 256x320 frame
     # does at the default budget
     spec = dataclasses.replace(_ORACLE_SCENES["two_plane"], **pooled_fields)
     h, w = spec.resolution
     frame_bytes = h * w * (3 * 8 + 8 + 1)  # f64 image, f64 depth, bool mask
+    trace_bytes = h * w * (8 + 1 + 1)  # f64 depth, int8 surface ids, bool mask
     monkeypatch.setattr(synth, "_BAND_PIXELS", 4096)
     monkeypatch.setenv("GEOFLOW_THREADS", "1")
-
-    def task():  # render_video's frame task
-        image, depth, mask = render_frame(spec, 2)
-        return synth._corrupt_image(image, mask, _ALL_CORRUPTIONS, 3, 13, 2), depth, mask
-
-    task()  # first calls cache what they cache outside the measurement
+    render_video(spec, _ALL_CORRUPTIONS, seed=3).images[2]  # first calls cache what they cache outside the measurement
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -413,21 +428,41 @@ def test_render_video_retains_its_frames_and_a_frame_task_stays_small(pooled_fie
         kept = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        task()
+        video.images[2]  # write_bundle's frame task, before the save
         task_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the flows, noisy depths and confidences are computed when read
-    assert kept <= len(video) * frame_bytes + 64 * 1024
-    # about 7.8 frames before the bands, 4.9 with them
+    # the images, flows, noisy depths and confidences are computed when read;
+    # the image entries share the clip's lattice tables
+    tables = [t for _, octaves in _clip_trace(video, monkeypatch).textures.values() for *_, t in octaves]
+    assert kept <= len(video) * trace_bytes + sum(t.values.nbytes for t in tables if t is not None) + 64 * 1024
+    # about 7.8 frames before the bands, 4.9 with them, 4.7 shading a stored trace
     assert task_peak <= 5.5 * frame_bytes
 
 
-def test_derived_fields_are_lazy_and_their_sources_read_only():
+def test_render_video_traces_each_frame_once_and_shades_each_read(monkeypatch):
+    spec = _ORACLE_SCENES["two_plane"]
+    calls = {"_trace": [], "_shade": []}
+    for name, frames in calls.items():
+        def counting(spec, frame, *args, _fn=getattr(synth, name), _frames=frames):
+            _frames.append(frame)
+            return _fn(spec, frame, *args)
+
+        monkeypatch.setattr(synth, name, counting)
+    monkeypatch.setenv("GEOFLOW_THREADS", "1")
+    video = render_video(spec, _ALL_CORRUPTIONS, seed=3)
+    assert calls == {"_trace": [0, 1, 2, 3, 4], "_shade": []}
+    calls["_trace"].clear()
+    for i in (3, 0, 3):
+        video.images[i]
+    assert calls == {"_trace": [], "_shade": [3, 0, 3]}
+
+
+def test_derived_fields_are_lazy_and_their_sources_read_only(monkeypatch):
     spec = _ORACLE_SCENES["two_plane"]
     perturb = dataclasses.replace(_ALL_CORRUPTIONS, corrupt_flow=True)
     video = render_video(spec, perturb, seed=3, stride=2)
-    for name in ("depths", "flows_fwd", "flows_bwd", "confidences"):
+    for name in ("images", "depths", "flows_fwd", "flows_bwd", "confidences"):
         seq = getattr(video, name)
         n = len(seq)
         assert isinstance(seq, Lazy) and n == (3 if name.startswith("flows") else 5)
@@ -440,10 +475,11 @@ def test_derived_fields_are_lazy_and_their_sources_read_only():
         for index in (n, -n - 1):
             with pytest.raises(IndexError):
                 seq[index]
-    # the flows and noisy depths are derived from the clean depths and the
-    # masks when read, so those cannot change under them
+    # the images, flows and noisy depths are derived from the clean depths,
+    # the surface ids and the masks when read, so those cannot change under them
     assert video.depths[0] is video.depths[0]  # frame 0 keeps its clean depth
-    for clean in (video.depths[0], video.dynamic_masks[3]):
+    _, surf = _clip_trace(video, monkeypatch).traces[3]
+    for clean in (video.depths[0], surf, video.dynamic_masks[3]):
         with pytest.raises(ValueError, match="read-only"):
             clean[0, 0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -9,9 +9,11 @@ serially (GEOFLOW_THREADS=1), interleaved, and prints one JSON object:
 per stage and size, the median seconds of each side and pool / serial. A
 ratio below 1 means the pool pays off at that task size. The stages are
 one GRPO group (4 members, each a rollout and a latent reward), synth
-(render_video's frames, then write_bundle computing and saving each tensor
-into a temporary directory, which it empties first), and score_video's
-pairs. Like the CLI, the process keeps one malloc heap
+(render_video's traces, then write_bundle shading each frame and computing
+and saving each tensor into a temporary directory, which it empties
+first), and score_video's pairs, over a bundle whose images are rendered
+ahead, so that stage times scoring alone. synth is also swept at the
+benchmark's 256x320. Like the CLI, the process keeps one malloc heap
 (runtime.retain_heap). The package is imported from src/ of this checkout.
 """
 
@@ -48,8 +50,8 @@ from georeward import runtime  # noqa: E402
 from georeward.synth import ObjectSpec  # noqa: E402
 
 # 48x64 is the toy size; the others keep its 3:4 aspect and scale its
-# intrinsics with the width.
-SIZES = ((48, 64), (72, 96), (96, 128), (128, 160))
+# intrinsics with the width. Each size names the stages swept at it.
+SIZES = tuple(((h, w), None) for h, w in ((48, 64), (72, 96), (96, 128), (128, 160))) + (((256, 320), {"synth"}),)
 FRAMES = 5
 PERTURB = PerturbationSpec(wobble_px=1.0, texture_drift_px=0.5, object_morph=1.05, depth_noise_rel=0.01)
 
@@ -76,6 +78,7 @@ def stages(h, w, root):
         **_fields(h, w),
     )
     video = render_video(scene, PERTURB, seed=1)
+    video = dataclasses.replace(video, images=list(video.images))  # shaded here, not in score_video's timing
     template = dataclasses.replace(toy_scene(), **_fields(h, w))
     snapshot = PolicySnapshot.from_policy(init_policy(4, 32, np.random.default_rng(1)))
     config = TrainerConfig(group_size=4, seed=1)
@@ -103,8 +106,10 @@ def main(argv=None):
     rows = []
     root = tempfile.TemporaryDirectory()
     try:
-        for h, w in SIZES:
+        for (h, w), names in SIZES:
             for name, fn in stages(h, w, Path(root.name)).items():
+                if names is not None and name not in names:
+                    continue
                 fn()  # warm-up
                 pool, serial = [], []
                 for rep in range(args.reps):
