@@ -106,21 +106,23 @@ def project(points, k: Intrinsics):
     return np.stack([u, v], axis=-1)
 
 
-def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
+def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3, row0=0):
     """Flow induced by camera motion over a static scene, from one projection.
 
     flow(u) = project(T(D(u) * K_src^-1 [u, 1])) - u. Returns (flow, valid,
     target, z): validity (finite D > 0 and moved z > Z_MIN), the projected
     (x, y) of every pixel, and the moved z with invalid pixels set to 1 so
     that `target` stays finite. Invalid pixels carry zero flow; no exception
-    is raised for them. `reproject_depth` splats `target` and `z`.
+    is raised for them. `reproject_depth` splats `target` and `z`. The
+    depth's rows are the lattice's rows row0 to row0 + H, so a band of a
+    depth map gets the rows of the whole map's flow.
     """
     d = np.asarray(depth, dtype=np.float64)
     if d.ndim != 2:
         raise ShapeError(f"depth must be HxW, got shape {d.shape}")
     h, w = d.shape
     xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)[:, None]
+    ys = np.arange(row0, row0 + h, dtype=np.float64)[:, None]
 
     valid = np.isfinite(d) & (d > 0)
     ds = np.where(valid, d, 1.0)  # placeholder depth, masked out by valid
@@ -128,7 +130,7 @@ def rigid_flow(depth, k_src: Intrinsics, k_dst: Intrinsics, transform: PoseSE3):
     pts[..., 0] = ds * (xs - k_src.cx) / k_src.fx
     pts[..., 1] = ds * (ys - k_src.cy) / k_src.fy
     pts[..., 2] = ds
-    return _lattice_flow(pts, transform, k_dst, valid)
+    return _lattice_flow(pts, transform, k_dst, valid, row0)
 
 
 def _lattice_flow(points, transform: PoseSE3, k: Intrinsics, valid, row0=0):
@@ -156,7 +158,7 @@ def _lattice_flow(points, transform: PoseSE3, k: Intrinsics, valid, row0=0):
     return flow, valid, target, z
 
 
-def reproject_depth(target, z, valid):
+def reproject_depth(target, z, valid, zbuf=None):
     """Forward-splat the moved depths of `rigid_flow` into the target view.
 
     Each valid source pixel contributes its moved z at the target cell
@@ -165,14 +167,21 @@ def reproject_depth(target, z, valid):
     is False at holes, i.e. target cells no source pixel reached. The
     min-reduction makes the result independent of traversal order, so
     parallel splatting stays deterministic.
+
+    Given `zbuf`, the target view's z-buffer (inf where nothing has landed
+    yet), the pixels, which may be a band of the source rows, are splatted
+    into it in place and zbuf is returned: bands that share one buffer
+    leave in it the minima of a whole-frame splat.
     """
-    h, w = valid.shape
+    buf = np.full(valid.shape, np.inf) if zbuf is None else zbuf
+    h, w = buf.shape
     ix = np.floor(target[..., 0] + 0.5).astype(np.int64)
     iy = np.floor(target[..., 1] + 0.5).astype(np.int64)
     hit = valid & (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
 
-    buf = np.full((h, w), np.inf)
     # one flat index: the same cells and minima as the (row, column) pair
     np.minimum.at(buf.reshape(-1), iy[hit] * w + ix[hit], z[hit])
+    if zbuf is not None:
+        return zbuf
     covered = np.isfinite(buf)
     return np.where(covered, buf, 0.0), covered

@@ -1,5 +1,6 @@
-"""Dense grids: bilinear sampling, backward warping, and the GFT tensor file,
-plus the package's JSON reader and writer and strict JSON-document check.
+"""Dense grids: bilinear sampling, backward warping, the row bands that
+frame kernels work in, and the GFT tensor file, plus the package's JSON
+reader and writer and strict JSON-document check.
 
 Grids are plain numpy arrays in row-major, channels-last layout. Pixel
 centers sit at integer coordinates, origin top-left, x right, y down; the
@@ -121,25 +122,78 @@ def _xy_norm(v):
     return np.sqrt(s)
 
 
-def backward_warp(source, backward_flow):
+def backward_warp(source, backward_flow, row0=0):
     """Warp `source` so that warped(u) = source(u + flow(u)).
 
     `backward_flow` carries, for each target pixel, the displacement to its
-    source location. Returns (warped, mask) where mask(u) is True iff the
+    source location. Its rows are the target lattice's rows row0 to row0 +
+    len(backward_flow), so a band of the lattice gets the rows of a
+    whole-lattice warp. Returns (warped, mask) where mask(u) is True iff the
     sampled coordinate fell inside the source grid; masked-out pixels are
     zero. The mask is exactly the validity set a reward aggregation needs.
     """
     src = _as_sample_grid(source)
     flow = np.asarray(backward_flow)
     h, w, _ = src.shape
-    if flow.shape != (h, w, 2):
-        raise ShapeError(f"flow shape {flow.shape} does not match source {src.shape[:2]} + (2,)")
+    rows = flow.shape[0] if flow.ndim else 0
+    if flow.shape != (rows, w, 2) or not 0 <= row0 <= h - rows:
+        raise ShapeError(f"flow shape {flow.shape} at row {row0} does not fit source {src.shape[:2]} + (2,)")
 
-    coords = np.empty((h, w, 2))
+    coords = np.empty((rows, w, 2))
     np.add(np.arange(w, dtype=np.float64), flow[..., 0], out=coords[..., 0])
-    np.add(np.arange(h, dtype=np.float64)[:, None], flow[..., 1], out=coords[..., 1])
+    np.add(np.arange(row0, row0 + rows, dtype=np.float64)[:, None], flow[..., 1], out=coords[..., 1])
     vals, mask = bilinear_sample(src, coords.reshape(-1, 2))
-    return vals.reshape(h, w, src.shape[2]), mask.reshape(h, w)
+    return vals.reshape(rows, w, src.shape[2]), mask.reshape(rows, w)
+
+
+def _channel_major(img):
+    """An H x W x C image as float64 in a channel-major copy, seen
+    channels-last: bilinear_sample reads it, or any band of its rows,
+    without making a copy of its own."""
+    return img.transpose(2, 0, 1).astype(np.float64, order="C").transpose(1, 2, 0)
+
+
+# Pixels one band of a frame kernel covers. The renderer's trace, shading,
+# warps, wobble potential and flow, and the scorer's structural and feature
+# passes, work through a frame a band of rows at a time, so their
+# temporaries stay this size however large the frame. Each kernel is
+# per-pixel math, so the bands give the bytes of a whole-frame pass. A
+# 256x320 frame is three bands, and a synth frame task peaks at 4.9 times
+# the frame's image, depth and mask bytes, against 7.7 unbanded. Smaller
+# bands cost time on the pool, where each numpy call is a GIL handoff
+# between the workers: at 16384 px, 2 threads rendered frames 1.2x slower
+# and scored pairs 1.23x slower (BENCH_35.json, "band_size").
+_BAND_PIXELS = 32768
+
+
+def _row_bands(h, w, align=1):
+    """The (r0, r1) bands of whole rows that cover an h x w frame: the
+    fewest, of even heights, with at most _BAND_PIXELS pixels each (one
+    row at least). With align, each height is rounded up to a multiple of
+    align, so every band but the last is a whole number of align rows."""
+    bands = max(1, -(-h // max(1, _BAND_PIXELS // max(w, 1))))
+    rows = max(1, -(-h // bands))
+    rows = -(-rows // align) * align
+    return [(r0, min(r0 + rows, h)) for r0 in range(0, max(h, 1), rows)]  # an empty frame is one empty band
+
+
+def _by_rows(h, w, band, align=1):
+    """band(r0, r1), an array or a tuple of arrays for the rows r0:r1 of an
+    h x w frame (for its (r1 - r0) // align blocks of align rows, with
+    align), over its _row_bands, joined along the first axis. A frame of
+    one band is band(0, h) as it is returned."""
+    bands = _row_bands(h, w, align)
+    if len(bands) == 1:
+        return band(0, h)
+    outs = None
+    for r0, r1 in bands:
+        part = band(r0, r1)
+        parts = part if isinstance(part, tuple) else (part,)
+        if outs is None:
+            outs = tuple(np.empty((h // align,) + a.shape[1:], a.dtype) for a in parts)
+        for out, a in zip(outs, parts):
+            out[r0 // align : r1 // align] = a
+    return outs if isinstance(part, tuple) else outs[0]
 
 
 def save_tensor(grid, path):

@@ -18,6 +18,15 @@ r_pair over all (tau, tau + stride) pairs.
 All maps live on one HxW lattice. The valid set Omega intersects rigid-flow
 validity, depth-warp coverage, positive target depth and, when hard gating
 is on, the confidence threshold.
+
+score_pair works through a pair in the row bands of grid._row_bands: the
+rigid flow, EPE and depth splat band by band into whole-frame maps and
+one z-buffer, then the backward warp and the patch features in bands of
+whole patch rows. The maps, the z-buffer, the depth-error and quality
+steps between the passes and one float64 copy of image_a stay
+frame-sized, and a 256x320 pair's temporaries peak at about half the
+memory of a whole-frame pass; the maps, the sums and the stage a
+non-finite value names are those of a whole-frame pass.
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -28,7 +37,7 @@ from . import runtime
 from .adapter import FramePair, VideoBundle, _pixels
 from .camera import relative_transform, reproject_depth, rigid_flow
 from .errors import ConfigError, EmptyMaskError, InputError, NumericError, ShapeError
-from .grid import _shown, _xy_norm, backward_warp, bilinear_sample
+from .grid import _by_rows, _channel_major, _shown, _xy_norm, backward_warp, bilinear_sample
 
 # Hole pixels in the depth-error map carry this finite sentinel. They are
 # excluded from Omega, so the value only matters for dumped diagnostics,
@@ -202,14 +211,18 @@ def r_dino(feat_warped, feat_target, weights):
     return float(-((1.0 - cos) * w).sum() / total)
 
 
-def reference_features(image, patch: int):
+def reference_features(image, patch: int, halo=(0, 0)):
     """Deterministic patch features: mean RGB, RGB std, orientation histogram.
 
     Returns an (H/patch, W/patch, 12) grid: channels 0-2 per-patch RGB mean,
     3-5 per-patch RGB standard deviation, 6-11 a 6-bin gradient-orientation
     histogram of luminance (magnitude-weighted votes, normalized by patch
     area). Images whose sides are not multiples of `patch` are cropped down
-    to the largest fitting multiple.
+    to the largest fitting multiple. halo = (top, bottom) rows of image
+    outside H that only feed the gradients of the rows between them, so a
+    band of whole patch rows of a larger image, with the image's rows next
+    to it, gets that image's features. Raises NumericError when the image
+    is not finite.
     """
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
@@ -218,12 +231,15 @@ def reference_features(image, patch: int):
         img = img.astype(np.float64) / 255.0
     else:
         img = np.ascontiguousarray(img, dtype=np.float64)
-    h, w, _ = img.shape
+    top, bottom = halo
+    h, w = img.shape[0] - top - bottom, img.shape[1]
     if patch > min(h, w):
         raise ConfigError(f"patch {patch} exceeds image sides {h}x{w}")
-    blocks = _blocks(img, patch)
+    blocks = _blocks(img[top : top + h], patch)
     ph, _, pw, _, _ = blocks.shape
-    img = img[: ph * patch, : pw * patch]  # the gradients see the same crop
+    rows = slice(top, top + ph * patch)
+    img = img[: rows.stop + bottom, : pw * patch]  # the gradients see the same crop
+    _require_finite("reference features", img)  # a NaN gradient has no orientation bin
     # A patch-major copy (patch, patch, ph, pw, 3): summing over the two
     # leading axes adds each patch's pixels in the order numpy's
     # blocks.mean/std(axis=(1, 3)) does, so the bits match, but with
@@ -240,6 +256,7 @@ def reference_features(image, patch: int):
 
     lum = img @ np.array([0.299, 0.587, 0.114])
     gy, gx = np.gradient(lum)
+    gy, gx = gy[rows], gx[rows]
     mag = np.hypot(gx, gy)
     bins = _orientation_bins(gy, gx)
 
@@ -280,10 +297,47 @@ def _require_finite(stage, *arrays):
             raise NumericError(f"{stage} produced non-finite values")
 
 
+def _frame_features(pair, patch):
+    """reference_features of image_a warped by flow_bwd and of image_b, and
+    the patch grid of where the warp landed, in row bands of whole patches.
+    A band warps and reads one row more above and below than it keeps, for
+    the gradients; at the crop edge it has none, as the whole frame has
+    none."""
+    img_a, img_b = np.asarray(pair.image_a), np.asarray(pair.image_b)
+    if img_a.ndim != 3 or img_a.shape[2] != 3 or img_b.shape != img_a.shape:
+        raise ShapeError(f"frames must be HxWx3 and match, got {img_a.shape} vs {img_b.shape}")
+    h, w = img_a.shape[:2]
+    flow = np.asarray(pair.flow_bwd)
+    if flow.shape != (h, w, 2):
+        raise ShapeError(f"flow shape {flow.shape} does not match source {(h, w)} + (2,)")
+    if patch > min(h, w):
+        raise ConfigError(f"patch {patch} exceeds image sides {h}x{w}")
+    crop = h // patch * patch
+    planes = _channel_major(img_a)  # made once, not once per band
+    late = []  # image_b's error, raised once every band's warp is checked
+
+    def band(r0, r1):
+        halo = (int(r0 > 0), int(r1 < crop))
+        rows = slice(r0 - halo[0], r1 + halo[1])
+        warped, mask = backward_warp(planes, flow[rows], row0=rows.start)
+        _require_finite("backward warp", warped)
+        feats = reference_features(warped, patch, halo)
+        try:
+            target = reference_features(np.asarray(img_b[rows], dtype=np.float64), patch, halo)
+        except NumericError as exc:
+            late.append(exc)
+            target = feats
+        return feats, target, _blocks(mask[halo[0] : halo[0] + r1 - r0], patch).all(axis=(1, 3))
+
+    out = _by_rows(crop, w, band, patch)
+    if late:
+        raise late[0]
+    return out
+
+
 def _feature_term(pair, config, conf_patch):
     """r_dino via either the built-in extractor or the pair's per-frame
     feature grids (warped in feature space)."""
-    flow_bwd = pair.flow_bwd
     if pair.features_a is not None or pair.features_b is not None:
         if pair.features_a is None or pair.features_b is None:
             raise InputError("feature grids must be supplied for both frames or neither")
@@ -297,17 +351,14 @@ def _feature_term(pair, config, conf_patch):
         centers = np.empty((fh, fw_, 2))  # each cell's centre in pixels
         centers[..., 0] = np.arange(fw_, dtype=np.float64) * sx + (sx - 1.0) / 2.0
         centers[..., 1] = np.arange(fh, dtype=np.float64)[:, None] * sy + (sy - 1.0) / 2.0
-        fvals, _ = bilinear_sample(np.asarray(flow_bwd, dtype=np.float64), centers.reshape(-1, 2))
+        fvals, _ = bilinear_sample(np.asarray(pair.flow_bwd, dtype=np.float64), centers.reshape(-1, 2))
         cell_flow = fvals.reshape(fh, fw_, 2) / np.array([sx, sy])
         warped, inb = backward_warp(fa, cell_flow)
         weights = inb.astype(np.float64)
         target = fb
     else:
-        warped_img, warp_mask = backward_warp(np.asarray(pair.image_a, dtype=np.float64), flow_bwd)
-        _require_finite("backward warp", warped_img)
-        warped = reference_features(warped_img, config.feature_patch)
-        target = reference_features(np.asarray(pair.image_b, dtype=np.float64), config.feature_patch)
-        weights = _blocks(warp_mask, config.feature_patch).all(axis=(1, 3)).astype(np.float64)
+        warped, target, inside = _frame_features(pair, config.feature_patch)
+        weights = inside.astype(np.float64)
     if conf_patch is not None:
         weights = weights * conf_patch
     return r_dino(warped, target, weights)
@@ -322,33 +373,53 @@ def score_pair(pair: FramePair, config: RewardConfig = None):
     hole-free warp. The pair's optional confidence maps feed the gating
     mode; its optional feature grids replace the built-in extractor.
     The score's maps hold epe, depth_err, q_geo and omega.
+
+    Rigid flow, EPE, the depth splat, the backward warp and the built-in
+    features work through the pair a row band at a time (grid._row_bands),
+    so no temporary of theirs is larger than a band; the maps and the
+    scores are those of a whole-frame pass, bit for bit, and a non-finite
+    value names the stage a whole-frame pass would name.
     """
     cfg = config if config is not None else RewardConfig()
-    d_a = np.asarray(pair.depth_a, dtype=np.float64)
-    d_b = np.asarray(pair.depth_b, dtype=np.float64)
+    d_a, d_b = np.asarray(pair.depth_a), np.asarray(pair.depth_b)
     if d_a.shape != d_b.shape or d_a.ndim != 2:
         raise ShapeError(f"depth maps must be HxW and match, got {d_a.shape} vs {d_b.shape}")
     h, w = d_a.shape
+    flow_fwd = np.asarray(pair.flow_fwd)
+    if flow_fwd.shape != (h, w, 2):
+        raise ShapeError(f"flow shapes must match and end in 2, got {flow_fwd.shape} vs {(h, w, 2)}")
 
     k_a, k_b = pair.intrinsics_a, pair.intrinsics_b
     transform = relative_transform(pair.pose_a, pair.pose_b)
-    f_rig, rig_valid, target, z = rigid_flow(d_a, k_a, k_b, transform)
-    _require_finite("rigid flow", f_rig)
+    zbuf = np.full((h, w), np.inf)
+    epe_finite = True  # checked once every band's rigid flow, the stage before, is
 
-    epe = normalized_epe(pair.flow_fwd, f_rig, cfg.eps_num)
-    _require_finite("normalized EPE", epe)
+    def structure(r0, r1):
+        nonlocal epe_finite
+        f_rig, valid, target, z = rigid_flow(d_a[r0:r1], k_a, k_b, transform, row0=r0)
+        _require_finite("rigid flow", f_rig)
+        epe = normalized_epe(flow_fwd[r0:r1], f_rig, cfg.eps_num)
+        epe_finite = epe_finite and np.isfinite(epe).all()
+        reproject_depth(target, z, valid, zbuf)
+        return epe, valid
 
-    d_warp, covered = reproject_depth(target, z, rig_valid)
-    del target, z  # lattice-sized; not held through the feature term
+    epe, rig_valid = _by_rows(h, w, structure)
+    if not epe_finite:
+        raise NumericError("normalized EPE produced non-finite values")
+    covered = np.isfinite(zbuf)
+    d_warp = np.where(covered, zbuf, 0.0)
+    del zbuf
     _require_finite("depth reprojection", d_warp)
 
     depth_err = relative_depth_error(d_warp, d_b, cfg.eps_num, covered)
     _require_finite("relative depth error", depth_err)
+    del d_warp
 
     q = geo_quality(epe, depth_err)
     _require_finite("geometric quality", q)
 
     omega = rig_valid & covered & (d_b > 0)
+    del rig_valid, covered  # frame-sized; not held through the feature term
 
     conf = None
     for side, c in (("a", pair.confidence_a), ("b", pair.confidence_b)):
@@ -370,6 +441,7 @@ def score_pair(pair: FramePair, config: RewardConfig = None):
     conf_patch = None
     if cfg.gating == "soft" and conf is not None and pair.features_a is None:
         conf_patch = _blocks(conf, cfg.feature_patch).mean(axis=(1, 3))
+    del conf
     rd = _feature_term(pair, cfg, conf_patch)
 
     rp = pair_reward(rg, rd, cfg.lam)

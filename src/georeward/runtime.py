@@ -20,8 +20,11 @@ amortise the GIL handoffs between them. On a 2-core host, 2 workers took
 px, but 0.70-0.99x at 12288 px and 0.62-0.87x at 20480 px, over a GRPO
 group, render_video and score_video (tools/pool_sweep.py; BENCH_16.json,
 "sweep"). So the 48x64 trainer, toy renders and toy scores run serially
-and every 256x320 stage keeps its pool. The same handoffs are why
-synth's row bands (synth._BAND_PIXELS) are not smaller.
+and every 256x320 stage keeps its pool. The same handoffs are why the
+row bands of synth's frame kernels and of score_pair
+(grid._BAND_PIXELS) are not smaller. With them a 256x320 score task's
+temporaries peak near 8 MB, not 17, and a second worker adds about 17 MB
+to a fresh score's peak, not 26 (tools/score_peak.py; BENCH_35.json).
 
 retain_heap keeps one malloc heap for the process. Only the CLI calls
 it, because it owns its process; importing the package leaves the

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import runtime
+from . import grid, runtime
 from .adapter import FramePair, Lazy, VideoBundle
 from .camera import Intrinsics, PoseSE3, Z_MIN, _lattice_flow
 from .errors import ConfigError, DomainError, ShapeError
-from .grid import _check_floats, _checked, _from_dict, _numbers, _shown, _xy_norm, bilinear_sample
+from .grid import _by_rows, _channel_major, _check_floats, _checked, _from_dict, _numbers, _row_bands, _shown
+from .grid import _xy_norm, bilinear_sample
 
 _OBJ_SURF = 7  # surface id of the moving quad; background planes use 0..2
 
@@ -349,47 +350,6 @@ class PerturbationSpec:
 
 
 # ---------------------------------------------------------------------------
-# row bands
-
-# Pixels one band of a frame kernel covers. _trace, _shade, the warps, the
-# wobble potential and _flow each work through a frame a band at a time,
-# so their temporaries stay this size however large the frame. Each kernel
-# is per-pixel math, so the bands give the bytes of a whole-frame pass.
-# A 256x320 frame is three bands, and its frame task peaks at 4.9 times
-# the frame's image, depth and mask bytes, against 7.7 unbanded. Smaller
-# bands cost time on the pool, where each numpy call is a GIL handoff
-# between the workers: at 16384 px, 2 threads rendered frames 1.2x slower.
-_BAND_PIXELS = 32768
-
-
-def _row_bands(h, w):
-    """The (r0, r1) bands of whole rows that cover an h x w frame: the
-    fewest, of even heights, with at most _BAND_PIXELS pixels each (one
-    row at least)."""
-    bands = -(-h // max(1, _BAND_PIXELS // w))
-    rows = -(-h // bands)
-    return [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
-
-
-def _by_rows(h, w, band):
-    """band(r0, r1), an array or a tuple of arrays for the rows r0:r1 of an
-    h x w frame, over its _row_bands, joined along the first axis. A frame
-    of one band is band(0, h) as it is returned."""
-    bands = _row_bands(h, w)
-    if len(bands) == 1:
-        return band(0, h)
-    outs = None
-    for r0, r1 in bands:
-        part = band(r0, r1)
-        parts = part if isinstance(part, tuple) else (part,)
-        if outs is None:
-            outs = tuple(np.empty((h,) + a.shape[1:], a.dtype) for a in parts)
-        for out, a in zip(outs, parts):
-            out[r0:r1] = a
-    return outs if isinstance(part, tuple) else outs[0]
-
-
-# ---------------------------------------------------------------------------
 # ray tracing
 
 def _pixel_rays(spec, pose, rows=None):
@@ -595,8 +555,8 @@ def _texture_coords(spec, frame, depth, surf_id, bases, dirs=None):
 
 def _shade(spec, frame, depth, surf_id, textures=None, dirs=None):
     """Procedural color of a frame's pixels from its trace (depth,
-    surf_id), each surface's pixels in blocks of _BAND_PIXELS; textures,
-    when given, are the scene's _scene_textures, and dirs the frame's
+    surf_id), each surface's pixels in blocks of grid._BAND_PIXELS;
+    textures, when given, are the scene's _scene_textures, and dirs the frame's
     _pixel_rays."""
     if textures is None:
         textures = _scene_textures(spec)
@@ -604,8 +564,8 @@ def _shade(spec, frame, depth, surf_id, textures=None, dirs=None):
     rgb = image.reshape(-1, 3)
     bases = {sid: basis for sid, (basis, _) in textures.items()}
     for sid, (idx, u, v) in _texture_coords(spec, frame, depth, surf_id, bases, dirs).items():
-        for start in range(0, idx.size, _BAND_PIXELS):
-            block = slice(start, start + _BAND_PIXELS)
+        for start in range(0, idx.size, grid._BAND_PIXELS):
+            block = slice(start, start + grid._BAND_PIXELS)
             rgb[idx[block]] = _texture(u[block], v[block], textures[sid][1])
     return image
 
@@ -772,9 +732,7 @@ def _warp_rows(img, disp_rows):
     displacements of rows r0:r1. For the corruption paths only: the reward
     path must keep the zero-plus-flag rule."""
     h, w = img.shape[:2]
-    # a channel-major copy, made once: bilinear_sample reads it without
-    # making its own for every band
-    planes = np.moveaxis(np.ascontiguousarray(np.moveaxis(img, -1, 0)), 0, -1)
+    planes = _channel_major(img)  # made once, not once per band
 
     def band(r0, r1):
         disp = disp_rows(r0, r1)

@@ -271,6 +271,14 @@ def test_one_projection_matches_the_two_pass_reference(r, t):
     assert covered.tobytes() == ref_covered.tobytes()
     assert np.isfinite(target).all() and np.isfinite(z).all()
 
+    # bands of rows, splatted into one z-buffer, give the same bits
+    zbuf = np.full(depth.shape, np.inf)
+    for r0, r1 in ((0, 7), (7, 20), (20, 24)):
+        band, band_valid, band_target, band_z = rigid_flow(depth[r0:r1], k_src, k_dst, move, row0=r0)
+        assert band.tobytes() == flow[r0:r1].tobytes() and band_valid.tobytes() == valid[r0:r1].tobytes()
+        assert reproject_depth(band_target, band_z, band_valid, zbuf) is zbuf
+    assert np.where(np.isfinite(zbuf), zbuf, 0.0).tobytes() == warped.tobytes()
+
 
 @pytest.mark.parametrize("shape", [(24, 32), (1, 9), (7, 1)])
 def test_flat_splat_matches_the_tuple_index_splat(shape):

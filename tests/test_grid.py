@@ -208,11 +208,17 @@ def test_backward_warp_matches_the_mgrid_lattice(shape):
     got, ok = backward_warp(src, flow)
     assert got.tobytes() == want.reshape(shape).tobytes()
     assert ok.tobytes() == want_ok.reshape(h, w).tobytes()
+    # a band of the flow's rows warps to those rows of the whole warp
+    r0, r1 = h // 3, h - h // 3
+    band, band_ok = backward_warp(src, flow[r0:r1], row0=r0)
+    assert band.tobytes() == got[r0:r1].tobytes() and band_ok.tobytes() == ok[r0:r1].tobytes()
 
 
 def test_warp_shape_mismatch():
-    with pytest.raises(ShapeError):
-        backward_warp(np.ones((4, 4, 1)), np.zeros((4, 5, 2)))
+    # a flow of the wrong width, or rows that run past the source
+    for flow_shape, row0 in (((4, 5, 2), 0), ((5, 4, 2), 0), ((2, 4, 2), 3), ((2, 4, 2), -1)):
+        with pytest.raises(ShapeError):
+            backward_warp(np.ones((4, 4, 1)), np.zeros(flow_shape), row0=row0)
 
 
 def test_xy_norm_matches_linalg_norm():

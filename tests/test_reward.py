@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from georeward import (
+    Intrinsics,
     PoseSE3,
     RewardConfig,
     SceneSpec,
@@ -28,8 +29,9 @@ from georeward.errors import (
     NumericError,
     ShapeError,
 )
-from georeward import reward
+from georeward import grid, reward
 from georeward.reward import HOLE_SENTINEL, r_dino, r_geo, reference_features
+from georeward.synth import ObjectSpec, PerturbationSpec
 
 
 def const_flow(h, w, dx, dy=0.0):
@@ -368,12 +370,110 @@ def test_nonpositive_target_depth_empties_the_mask(translating_scene):
         score_pair(dataclasses.replace(pair, depth_b=-pair.depth_b), RewardConfig())
 
 
-def test_non_finite_flow_names_the_stage(translating_scene):
+def test_non_finite_flow_names_the_stage(translating_scene, monkeypatch):
     pair = render_pair(translating_scene, 0)
     bad = pair.flow_fwd.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(NumericError, match="EPE"):
         score_pair(dataclasses.replace(pair, flow_fwd=bad), RewardConfig())
+    # In 16-row bands, a later stage's NaN in the first band and an earlier
+    # stage's NaN in the last one: the earlier stage is named, as a
+    # whole-frame pass names it.
+    h = pair.depth_a.shape[0]
+    monkeypatch.setattr(grid, "_BAND_PIXELS", 16 * pair.depth_a.shape[1])
+    rigid = reward.rigid_flow
+
+    def nan_in_the_last_row(depth, *args, **kwargs):
+        out = rigid(depth, *args, **kwargs)
+        if len(depth) + kwargs.get("row0", 0) == h:
+            out[0][-1, -1, 0] = np.nan
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(reward, "rigid_flow", nan_in_the_last_row)
+        with pytest.raises(NumericError, match="rigid flow"):
+            score_pair(dataclasses.replace(pair, flow_fwd=bad), RewardConfig())
+    image_a, image_b = pair.image_a.copy(), pair.image_b.copy()
+    image_a[-1] = np.nan
+    image_b[0, 0, 0] = np.nan
+    with pytest.raises(NumericError, match="backward warp"):
+        score_pair(dataclasses.replace(pair, image_a=image_a, image_b=image_b), RewardConfig())
+
+
+def test_non_finite_target_frame_names_the_stage(translating_scene):
+    pair = render_pair(translating_scene, 0)
+    with pytest.raises(NumericError, match="reference features"):
+        score_pair(dataclasses.replace(pair, image_b=np.full_like(pair.image_b, np.nan)), RewardConfig())
+    img = np.random.default_rng(3).uniform(size=(16, 24, 3))
+    for bad in (np.nan, np.inf):
+        img[5, 7, 1] = bad
+        with pytest.raises(NumericError, match="reference features"):
+            reference_features(img, 8)
+
+
+def _quad_pair(resolution, intrinsics):
+    """Frames 0 and 1 of a moving quad over a depth step, with every
+    corruption and confidences."""
+    spec = SceneSpec(
+        geometry="two_plane",
+        resolution=resolution,
+        intrinsics=intrinsics,
+        camera_path=(PoseSE3.identity(), PoseSE3(np.eye(3), np.array([0.03, 0.01, 0.02]))),
+        moving_object=ObjectSpec(center=(0.1, 0.0, 1.5), size=0.4, velocity=(-0.02, 0.01, 0.0)),
+    )
+    perturb = PerturbationSpec(wobble_px=1.0, texture_drift_px=0.5, object_morph=1.1, depth_noise_rel=0.05)
+    pair = render_video(spec, perturb, seed=3).pair(0)
+    return dataclasses.replace(pair, **{f.name: np.asarray(getattr(pair, f.name)) for f in dataclasses.fields(pair)
+                                        if isinstance(getattr(pair, f.name), np.ndarray)})
+
+
+@pytest.mark.parametrize("gating", ["soft", "hard", "off"])
+@pytest.mark.parametrize("frames", ["f64", "u8"])
+def test_row_bands_leave_every_bit_of_the_score(gating, frames, monkeypatch):
+    # 44 rows crop to 40 for 8-px patches; bands of 7 rows of 64 px, which
+    # the feature pass rounds up to 8
+    pair = _quad_pair((44, 64), Intrinsics(100.0, 100.0, 31.5, 21.5))
+    if frames == "u8":
+        pair = dataclasses.replace(pair, image_a=(pair.image_a * 255).astype(np.uint8),
+                                   image_b=(pair.image_b * 255).astype(np.uint8))
+    cfg = RewardConfig(gating=gating)
+    whole = score_pair(pair, cfg)
+    monkeypatch.setattr(grid, "_BAND_PIXELS", 7 * 64)
+    rows = {"rigid_flow": [], "reference_features": []}
+    for name, seen in rows.items():
+        def recording(image, *args, _fn=getattr(reward, name), _seen=seen, **kwargs):
+            _seen.append(len(image))
+            return _fn(image, *args, **kwargs)
+
+        monkeypatch.setattr(reward, name, recording)
+    banded = score_pair(pair, cfg)
+    # the warped and the target band of each feature band, with a halo row
+    # on each side but at the crop's edges
+    assert rows == {"rigid_flow": [7] * 6 + [2], "reference_features": [9, 9] + [10, 10] * 3 + [9, 9]}
+    assert banded.summary() == whole.summary()
+    assert set(banded.maps) == set(whole.maps)
+    for name, m in whole.maps.items():
+        got = banded.maps[name]
+        assert (got.dtype, got.shape, got.tobytes()) == (m.dtype, m.shape, m.tobytes()), name
+
+
+def test_a_banded_pair_task_stays_small(pooled_fields, monkeypatch):
+    # 96x128 in bands of 4096 px: three bands, as a 256x320 pair has at the
+    # default budget
+    pair = _quad_pair(pooled_fields["resolution"], pooled_fields["intrinsics"])
+    h, w = pair.depth_a.shape
+    frame_bytes = h * w * (3 * 8 + 8 + 1)  # f64 image, f64 depth, bool mask
+    monkeypatch.setattr(grid, "_BAND_PIXELS", 4096)
+    score_pair(pair)  # first calls cache what they cache outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        score_pair(pair)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 6.4 frames in whole-frame passes, 3.0 in bands; the kept maps are 0.76
+    assert peak <= 3.5 * frame_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from georeward import (
     toy_scene,
     write_bundle,
 )
-from georeward import synth
+from georeward import grid, synth
 from georeward.adapter import Lazy
 from georeward.camera import Z_MIN, Intrinsics, relative_transform, rigid_flow
 from georeward.errors import ConfigError, ShapeError
@@ -393,7 +393,7 @@ def test_band_budget_leaves_every_byte(scene_name, monkeypatch):
     template = dataclasses.replace(spec, camera_path=spec.camera_path[:1])
     monkeypatch.setenv("GEOFLOW_THREADS", "1")
     whole = _banded_outputs(spec, template)
-    monkeypatch.setattr(synth, "_BAND_PIXELS", 7 * 64)
+    monkeypatch.setattr(grid, "_BAND_PIXELS", 7 * 64)
     assert _banded_outputs(spec, template) == whole
 
 
@@ -418,7 +418,7 @@ def test_render_video_retains_its_traces_and_a_frame_task_stays_small(pooled_fie
     h, w = spec.resolution
     frame_bytes = h * w * (3 * 8 + 8 + 1)  # f64 image, f64 depth, bool mask
     trace_bytes = h * w * (8 + 1 + 1)  # f64 depth, int8 surface ids, bool mask
-    monkeypatch.setattr(synth, "_BAND_PIXELS", 4096)
+    monkeypatch.setattr(grid, "_BAND_PIXELS", 4096)
     monkeypatch.setenv("GEOFLOW_THREADS", "1")
     render_video(spec, _ALL_CORRUPTIONS, seed=3).images[2]  # first calls cache what they cache outside the measurement
     tracemalloc.start()
