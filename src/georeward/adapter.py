@@ -24,8 +24,10 @@ frames' traces, the images among them: each entry is computed when
 indexed and nothing is cached.
 """
 
+import contextlib
 import operator
 import os
+import shutil
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -186,22 +188,12 @@ def write_bundle(out_dir, bundle: VideoBundle):
     """Serialize a bundle. Frames go out as f32; depth, flow and
     confidence keep f64 so oracle dumps stay exact; masks are u8. Raises
     InputError, before writing anything, when out_dir already holds a
-    layout directory: a shorter clip would leave the old tensors behind."""
+    layout directory: a shorter clip would leave the old tensors behind.
+    A write that fails removes the layout directories and the cameras.json
+    it wrote, so it leaves no half-written dump."""
     for name in _LAYOUT_DIRS:
         if os.path.exists(os.path.join(out_dir, name)):
             raise InputError(f'"{name}/" already exists under {out_dir}; write the bundle to a fresh directory')
-    os.makedirs(out_dir, exist_ok=True)
-    _save_dir(out_dir, "frames", bundle.images, np.float32)
-    _save_dir(out_dir, "depth", bundle.depths, np.float64)
-    _save_dir(out_dir, "flow_fwd", bundle.flows_fwd, np.float64)
-    _save_dir(out_dir, "flow_bwd", bundle.flows_bwd, np.float64)
-    if bundle.confidences is not None:
-        _save_dir(out_dir, "confidence", bundle.confidences, np.float64)
-    if bundle.features is not None:
-        _save_dir(out_dir, "features", bundle.features, np.float64)
-    if bundle.dynamic_masks is not None:
-        _save_dir(out_dir, "dynamic", bundle.dynamic_masks, np.uint8)
-
     cameras = []
     for k, pose in zip(bundle.intrinsics, bundle.poses):
         cameras.append(
@@ -211,7 +203,28 @@ def write_bundle(out_dir, bundle: VideoBundle):
             }
         )
     doc = {"flow_stride": int(bundle.flow_stride), "cameras": cameras}
-    _dump_json(doc, os.path.join(out_dir, "cameras.json"))
+    os.makedirs(out_dir, exist_ok=True)
+    cameras_path = os.path.join(out_dir, "cameras.json")
+    had_cameras = os.path.lexists(cameras_path)
+    try:
+        _save_dir(out_dir, "frames", bundle.images, np.float32)
+        _save_dir(out_dir, "depth", bundle.depths, np.float64)
+        _save_dir(out_dir, "flow_fwd", bundle.flows_fwd, np.float64)
+        _save_dir(out_dir, "flow_bwd", bundle.flows_bwd, np.float64)
+        if bundle.confidences is not None:
+            _save_dir(out_dir, "confidence", bundle.confidences, np.float64)
+        if bundle.features is not None:
+            _save_dir(out_dir, "features", bundle.features, np.float64)
+        if bundle.dynamic_masks is not None:
+            _save_dir(out_dir, "dynamic", bundle.dynamic_masks, np.uint8)
+        _dump_json(doc, cameras_path)
+    except BaseException:
+        for name in _LAYOUT_DIRS:  # none existed before the write
+            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
+        if not had_cameras:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(cameras_path)
+        raise
 
 
 def _read(reader, root, name, file_name):

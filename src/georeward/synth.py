@@ -196,8 +196,9 @@ def _octaves(freq, seed, salt, ndim=1, box=None, max_corners=0):
     of that box's lattice cells, plus one cell of slack on every side, from
     _table_for; it is None without a box, past float64's exact integers or
     when the table would hold more than max_corners corners. Multiplying by
-    a positive frequency keeps the order of floats, so the box scales to
-    each octave exactly.
+    a positive frequency and flooring keep the order of floats, so the box
+    scales to each octave exactly and its cells bound those of its points:
+    a box whose cells leave the int64 range raises DomainError.
     """
     channels = np.arange(3).reshape((3,) + (1,) * ndim)
     octaves = []
@@ -207,7 +208,8 @@ def _octaves(freq, seed, salt, ndim=1, box=None, max_corners=0):
             key = _key(seed, salt, octave, channels)
             table = None
             if box is not None:
-                (u_lo, v_lo), (u_hi, v_hi) = np.floor(np.asarray(box, dtype=np.float64) * f)
+                (u_lo, v_lo), (u_hi, v_hi) = cells = np.floor(np.asarray(box, dtype=np.float64) * f)
+                _lattice_bits(cells)
                 table = _table_for(key, None, (u_lo - 1, u_hi + 1, v_lo - 1, v_hi + 1), max_corners)
             octaves.append((amp, f, key, table))
             amp *= 0.5
@@ -475,38 +477,45 @@ def _surface_bases(spec):
     return bases
 
 
-def _pose_boxes(spec, dirs, poses):
+def _pose_boxes(spec, poses):
     """The box ((u_lo, v_lo), (u_hi, v_hi)) of each background plane's
-    texture coordinates, by surface id, for its hits along the rays dirs
-    from any camera on the segments between the poses: a ray's hit moves
-    linearly with a camera that moves along a line, so the box of the end
-    poses' hits holds them all (the tables' slack absorbs rounding)."""
+    texture coordinates, by surface id, for every pixel seen from the poses
+    or from a camera on a segment between two that share a rotation. A
+    plane seen through a pinhole is a homography, so a frame's hits lie in
+    the box of its four corner rays' hits, and a ray's hit moves linearly
+    with the camera. A plane that a corner ray misses gets no box; the
+    tables' slack absorbs rounding."""
+    h, w = spec.resolution
+    k = spec.intrinsics
+    corners = np.array([[(x - k.cx) / k.fx, (y - k.cy) / k.fy, 1.0]
+                        for y in (0.0, h - 1.0) for x in (0.0, w - 1.0)])
     bases = _surface_bases(spec)
     boxes = {}
     for sid, p0, n in _background_planes(spec):
         uv = []
         for pose in poses:
-            c = _center(pose)
+            c, dirs = _center(pose), corners @ pose.r  # rows R^T d, as _pixel_rays builds them
             s = _plane_s(p0, n, c, dirs)
-            ok = np.isfinite(s) & (s > Z_MIN)
-            pts = c + s[ok][:, None] * dirs[ok]
-            uv.append(np.stack([pts @ e for e in bases[sid]]))
-        uv = np.concatenate(uv, axis=1)
-        if uv.size:
-            boxes[sid] = (uv.min(axis=1), uv.max(axis=1))
+            if not np.all(np.isfinite(s) & (s > Z_MIN)):
+                break
+            with np.errstate(over="ignore", invalid="ignore"):
+                uv.append((c + s[:, None] * dirs) @ np.transpose(bases[sid]))
+        else:
+            uv = np.concatenate(uv)
+            boxes[sid] = uv.min(axis=0), uv.max(axis=0)
     return boxes
 
 
-def _scene_textures(spec, boxes=None):
+def _scene_textures(spec, boxes):
     """(in-plane basis, texture _octaves) of every surface the scene can
     show, by surface id.
 
-    boxes, when given, maps surface ids to boxes known to hold their
-    texture coordinates ahead of any point; the background planes' octaves
-    then get lattice tables. The quad's always do, for the box +-size/2
-    that _surface_hits keeps its coordinates within. A table holds at most
-    as many corners as a frame has pixels, so with its three channels it
-    is never larger than one RGB frame.
+    boxes maps surface ids to boxes known to hold their texture coordinates
+    ahead of any point (_pose_boxes); the background planes with a box get
+    lattice tables. The quad's always do, for the box +-size/2 that
+    _surface_hits keeps its coordinates within. A table holds at most as
+    many corners as a frame has pixels, so with its three channels it is
+    never larger than one RGB frame.
     """
     textures = {}
     pixels = spec.resolution[0] * spec.resolution[1]
@@ -518,8 +527,7 @@ def _scene_textures(spec, boxes=None):
             octaves = _octaves(4.0 * spec.texture_freq, spec.texture_seed, 100 + _OBJ_SURF,
                                box=((-half, -half), (half, half)), max_corners=pixels)
         else:
-            box = boxes.get(sid) if boxes else None
-            octaves = _octaves(spec.texture_freq, spec.texture_seed, sid, box=box, max_corners=pixels)
+            octaves = _octaves(spec.texture_freq, spec.texture_seed, sid, box=boxes.get(sid), max_corners=pixels)
         textures[sid] = basis, octaves
     return textures
 
@@ -553,13 +561,11 @@ def _texture_coords(spec, frame, depth, surf_id, bases, dirs=None):
     return coords
 
 
-def _shade(spec, frame, depth, surf_id, textures=None, dirs=None):
+def _shade(spec, frame, depth, surf_id, textures, dirs=None):
     """Procedural color of a frame's pixels from its trace (depth,
-    surf_id), each surface's pixels in blocks of grid._BAND_PIXELS;
-    textures, when given, are the scene's _scene_textures, and dirs the frame's
+    surf_id) and the scene's _scene_textures, each surface's pixels in
+    blocks of grid._BAND_PIXELS; dirs, when given, are the frame's
     _pixel_rays."""
-    if textures is None:
-        textures = _scene_textures(spec)
     image = np.zeros(depth.shape + (3,))
     rgb = image.reshape(-1, 3)
     bases = {sid: basis for sid, (basis, _) in textures.items()}
@@ -605,7 +611,9 @@ def render_frame(spec: SceneSpec, frame: int, *, state=None):
 def _render(spec, frame, dirs=None, textures=None, trace=None):
     """render_frame from the frame's _pixel_rays, the scene's
     _scene_textures and the frame's _trace, each built here when not
-    given."""
+    given: the textures first, from the boxes of the frame's own pose."""
+    if textures is None:
+        textures = _scene_textures(spec, _pose_boxes(spec, spec.camera_path[frame:frame + 1]))
     depth, surf = _trace(spec, frame, dirs) if trace is None else trace
     image = _shade(spec, frame, depth, surf, textures, dirs)
     return image, depth, surf == _OBJ_SURF
@@ -722,7 +730,11 @@ def wobble_field(shape, amplitude_px, seed, salt=11, *, curl=None):
     """
     field_, peak = _wobble_curl(shape, seed, salt) if curl is None else curl
     if peak > 0 and amplitude_px > 0:
-        return field_ * (amplitude_px / peak)
+        with np.errstate(over="ignore"):
+            scale = amplitude_px / peak
+            if not np.isfinite(scale * peak):  # then no entry times scale overflows
+                raise DomainError(f"perturbation wobble_px {_shown(amplitude_px)} overflows the warp field")
+        return field_ * scale
     return np.zeros_like(field_)
 
 
@@ -756,14 +768,17 @@ def _morph_pixels(img, object_mask, scale):
     cx = xs_m.mean()
     cy = ys_m.mean()
     radius = max(xs_m.max() - xs_m.min(), ys_m.max() - ys_m.min()) / 2.0 + 1.0
-    reach = radius * max(scale, 1.0) * 1.5
+    # a reach or displacement past the float range is harmless: it clamps to the border
+    with np.errstate(over="ignore"):
+        reach = radius * max(scale, 1.0) * 1.5
     dx = np.arange(img.shape[1]) - cx
 
     def disp_rows(r0, r1):
         dy = np.arange(r0, r1)[:, None] - cy
-        falloff = np.exp(-((dx * dx + dy * dy) / (reach * reach)))
-        gain = (1.0 / scale - 1.0) * falloff
-        return np.stack([dx * gain, dy * gain], axis=-1)
+        with np.errstate(over="ignore"):
+            falloff = np.exp(-((dx * dx + dy * dy) / (reach * reach)))
+            gain = (1.0 / scale - 1.0) * falloff
+            return np.stack([dx * gain, dy * gain], axis=-1)
 
     return _warp_rows(img, disp_rows)
 
@@ -788,8 +803,21 @@ def _corrupt_image(img, object_mask, p: PerturbationSpec, seed, salt, frames):
 
         img = _warp_rows(img, drift)
     if p.object_morph != 1.0:
-        img = _morph_pixels(img, object_mask, p.object_morph**frames)
+        img = _morph_pixels(img, object_mask, _morph_factor(p.object_morph, frames))
     return img
+
+
+def _morph_factor(morph, frames):
+    """morph ** frames; DomainError when it or its inverse leaves the float range."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        try:
+            factor = morph**frames
+        except OverflowError:  # a Python float's power raises where numpy's gives inf
+            factor = np.inf
+        if not (0 < factor < np.inf and 1.0 / factor < np.inf):
+            raise DomainError(f"perturbation object_morph {_shown(morph)} compounded over {frames} frames "
+                              "leaves the float range")
+    return factor
 
 
 def _noisy_depth(depth, p: PerturbationSpec, seed, frame):
@@ -797,7 +825,12 @@ def _noisy_depth(depth, p: PerturbationSpec, seed, frame):
     drawn from a stream keyed by (seed, frame)."""
     if p.depth_noise_rel > 0:
         rng = np.random.default_rng([seed, 13, frame])
-        depth = depth * np.exp(p.depth_noise_rel * rng.standard_normal(depth.shape))
+        with np.errstate(over="ignore"):
+            depth = depth * np.exp(p.depth_noise_rel * rng.standard_normal(depth.shape))
+        if not np.isfinite(depth).all():
+            raise DomainError(
+                f"perturbation depth_noise_rel {_shown(p.depth_noise_rel)} overflows frame {frame}'s depth"
+            )
     return depth
 
 
@@ -833,17 +866,19 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     map frame i to frame i + stride; the moving quad's pixels are the
     bundle's dynamic masks.
 
-    The frames are traced on runtime.ordered_map, each task covering one
-    frame's pixels and returning its clean depth, surface ids and object
-    mask. They are read-only, because the rest of the bundle is derived
-    from them: the images, the flows, the noisy depths and the confidences
-    are adapter.Lazy sequences, which compute an entry when it is indexed
-    and cache nothing, so a caller holds the tensors it keeps: write_bundle
+    The textures' lattice tables are sized from the camera path
+    (_pose_boxes), so a lattice that leaves the int64 range raises
+    DomainError before any frame is traced. The frames are traced on
+    runtime.ordered_map, each task covering one frame's pixels and
+    returning its clean depth, surface ids and object mask. They are
+    read-only, because the rest of the bundle is derived from them: the
+    images, the flows, the noisy depths and the confidences are
+    adapter.Lazy sequences, which compute an entry when it is indexed and
+    cache nothing, so a caller holds the tensors it keeps: write_bundle
     computes, saves and drops each in one pool task. An image entry shades
     its frame from the stored trace through render_frame, then corrupts
-    it. A texture lattice that leaves the int64 range raises DomainError
-    here, before any frame is shaded. Each task is pure and returns the
-    arrays it allocated, so the bundle is the same at every thread count.
+    it. Each task is pure and returns the arrays it allocated, so the
+    bundle is the same at every thread count.
     """
     p = perturb if perturb is not None else PerturbationSpec()
     n = len(spec.camera_path)
@@ -852,30 +887,15 @@ def render_video(spec: SceneSpec, perturb: PerturbationSpec = None, seed: int = 
     if n < stride + 1:
         raise ConfigError(f"camera path has {n} frames; need at least stride + 1 = {stride + 1}")
     h, w = spec.resolution
-    bases = _surface_bases(spec)
+    textures = _scene_textures(spec, _pose_boxes(spec, spec.camera_path))
 
-    def trace(i):  # frame i's trace and mask, and the box of each surface's texture coordinates
-        dirs = _pixel_rays(spec, spec.camera_path[i])  # built once for both passes
-        depth, surf = _trace(spec, i, dirs)
-        coords = _texture_coords(spec, i, depth, surf, bases, dirs)
-        boxes = [(sid, (u.min(), v.min()), (u.max(), v.max())) for sid, (_, u, v) in coords.items()]
-        return depth, surf, surf == _OBJ_SURF, boxes
+    def trace(i):  # frame i's trace and object mask
+        depth, surf = _trace(spec, i)
+        return depth, surf, surf == _OBJ_SURF
 
-    depths, surfs, masks, frame_boxes = zip(*runtime.ordered_map(trace, runtime.Tasks(range(n), h * w)))
+    depths, surfs, masks = zip(*runtime.ordered_map(trace, runtime.Tasks(range(n), h * w)))
     for arr in (*depths, *surfs, *masks):
         arr.flags.writeable = False
-    clip_boxes = {}
-    for sid, lo, hi in (box for boxes in frame_boxes for box in boxes):
-        lo0, hi0 = clip_boxes.get(sid, (lo, hi))
-        clip_boxes[sid] = np.minimum(lo0, lo), np.maximum(hi0, hi)
-    textures = _scene_textures(spec, clip_boxes)
-    # every shaded point's lattice cells, checked before any frame is shaded:
-    # floor and a positive frequency keep the order of floats, so the cells
-    # of a box's corners bound those of every point in it
-    with np.errstate(over="ignore"):
-        for sid, box in clip_boxes.items():
-            for _, f, _, _ in textures[sid][1]:
-                _lattice_bits(np.floor(np.asarray(box) * f))
     clip = _ClipTrace(spec, textures, list(zip(depths, surfs)))
 
     def image(i):
@@ -970,7 +990,7 @@ class DecodeState:
         first = template.camera_path[0]
         self.dirs = _pixel_rays(template, first)
         fastest = PoseSE3(first.r, first.t + np.array([CAM_TX_RANGE[1], 0.0, 0.0]))
-        self.textures = _scene_textures(template, _pose_boxes(template, self.dirs, (first, fastest)))
+        self.textures = _scene_textures(template, _pose_boxes(template, (first, fastest)))
         self.frame_a = _render(template, 0, self.dirs, self.textures)
         self.curl = _wobble_curl(template.resolution, seed, 11)
         for arr in (*self.frame_a, self.dirs, self.curl[0]):

@@ -102,6 +102,26 @@ def test_rendered_video_round_trip(tmp_path):
         np.testing.assert_array_equal(back.flows_bwd[i], video.flows_bwd[i])
 
 
+def test_a_failed_write_leaves_no_dump(tmp_path):
+    bundle = make_bundle()
+
+    def depth(i):
+        if i == 1:
+            raise InputError("depth 1 cannot be computed")
+        return bundle.depths[i]
+
+    broken = dataclasses.replace(bundle, depths=adapter.Lazy(depth, range(3), bundle.depths[0].shape))
+    out = tmp_path / "v"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    with pytest.raises(InputError, match="depth 1"):
+        write_bundle(out, broken)
+    # frames/ and depth/000.gft were written, then removed with their directories
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    write_bundle(out, bundle)  # so a rerun into the same directory writes the dump
+    np.testing.assert_array_equal(read_bundle(out).depths[2], bundle.depths[2])
+
+
 def test_pair_cuts_frames_flows_and_maps_at_the_stride():
     video = make_bundle(n=5, stride=2)
     for tau in range(3):

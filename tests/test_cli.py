@@ -238,6 +238,22 @@ def test_synth_into_an_existing_dump_leaves_it_as_it_was(tmp_path, capsys):
     assert main(["score", "--input", str(out), "--out", str(tmp_path / "report.json")]) == 0
 
 
+def test_a_failed_synth_leaves_no_dump_and_a_rerun_writes_one(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", {"camera_path": TRANS_PATH,
+                                                "moving_object": {"center": [0.0, 0.0, 1.5], "size": 0.4}})
+    out = tmp_path / "dump"
+    # the third frame's morph factor underflows after the first two frames are saved
+    assert main(["synth", "--spec", spec, "--out", str(out), "--perturb", "object_morph=1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "object_morph" in err and err.count("\n") == 1
+    assert not out.exists()
+    out.mkdir()  # a directory the caller made stays, empty
+    assert main(["synth", "--spec", spec, "--out", str(out), "--perturb", "depth_noise_rel=1e300"]) == 2
+    assert "depth_noise_rel" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
+    assert main(["synth", "--spec", spec, "--out", str(out), "--perturb", "object_morph=0.9"]) == 0
+
+
 @pytest.mark.parametrize(
     "message",
     ["Unable to allocate 894. GiB for an array with shape (200000, 200000, 3) and data type float64", ""],
@@ -475,6 +491,12 @@ BAD_SPECS = {
     "perturb_morph_nonpositive": {"camera_path": STATIC_PATH},
     "scene_path_kind": {"camera_path": {"kind": "circle", "frames": 2}},
     "perturb_not_a_number": {"camera_path": STATIC_PATH},
+    # amplitudes whose corruption leaves the float range on the third frame
+    **dict.fromkeys(
+        ("perturb_wobble_overflow", "perturb_flow_wobble_overflow", "perturb_morph_overflow",
+         "perturb_morph_underflow", "perturb_depth_noise_overflow"),
+        {"camera_path": STATIC_PATH, "moving_object": {"center": [0.0, 0.0, 1.5], "size": 0.4}},
+    ),
 }
 # extra synth arguments of the BAD_SPECS cases that need them
 SYNTH_ARGS = {
@@ -487,6 +509,11 @@ SYNTH_ARGS = {
     "perturb_negative_amplitude": ["--perturb", "texture_drift_px=-0.5"],
     "perturb_morph_nonpositive": ["--perturb", "object_morph=0"],
     "perturb_not_a_number": ["--perturb", "wobble_px=abc"],
+    "perturb_wobble_overflow": ["--perturb", "wobble_px=1e308"],
+    "perturb_flow_wobble_overflow": ["--perturb", "wobble_px=1e308", "--perturb", "corrupt_flow=true"],
+    "perturb_morph_overflow": ["--perturb", "object_morph=1e200"],
+    "perturb_morph_underflow": ["--perturb", "object_morph=1e-300"],
+    "perturb_depth_noise_overflow": ["--perturb", "depth_noise_rel=1e300"],
 }
 BAD_PRETRAIN = {
     "pretrain_list": [1],
@@ -618,6 +645,11 @@ NAMED = {
     "perturb_drift_inf": "texture_drift_px",
     "perturb_morph_nan": "object_morph",
     "perturb_depth_noise_inf": "depth_noise_rel",
+    "perturb_wobble_overflow": "wobble_px",
+    "perturb_flow_wobble_overflow": "wobble_px",
+    "perturb_morph_overflow": "object_morph",
+    "perturb_morph_underflow": "object_morph",
+    "perturb_depth_noise_overflow": "depth_noise_rel",
     "scene_texture_freq_huge": "texture lattice",
     "scene_depth_huge": "texture lattice",
     "scene_intrinsics_tiny": "texture lattice",
@@ -764,7 +796,7 @@ def test_malformed_input_exits_2(case, static_dump, tmp_path, capsys):
         argv = ["grpo", "--config", cfg, "--out", out]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert NAMED.get(case, "") in err
     assert not os.path.exists(out)
     if case in LONG_VALUES:

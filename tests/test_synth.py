@@ -1,8 +1,10 @@
 """Ray-traced scenes, ground-truth flow, perturbations, latent decoding."""
 
 import dataclasses
+import importlib.util
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from georeward import (
 from georeward import grid, synth
 from georeward.adapter import Lazy
 from georeward.camera import Z_MIN, Intrinsics, relative_transform, rigid_flow
-from georeward.errors import ConfigError, ShapeError
+from georeward.errors import ConfigError, DomainError, ShapeError
 from georeward.grid import bilinear_sample
 from georeward.synth import ObjectSpec, perturbation_from_dict, scene_from_dict, wobble_field
 
@@ -456,6 +458,84 @@ def test_render_video_traces_each_frame_once_and_shades_each_read(monkeypatch):
     for i in (3, 0, 3):
         video.images[i]
     assert calls == {"_trace": [], "_shade": [3, 0, 3]}
+
+
+@pytest.mark.parametrize("scene_name", sorted(_ORACLE_SCENES))
+def test_pose_boxes_hold_every_traced_texture_coordinate(scene_name):
+    # rotated cameras and a quad: a frame's four corner rays bound the
+    # texture coordinates of all its pixels, and two poses that share a
+    # rotation bound those of every camera on the segment between them
+    base = _ORACLE_SCENES[scene_name]
+    bases = synth._surface_bases(base)
+    planes = {sid for sid, basis in bases.items() if basis is not None}
+    rng = np.random.default_rng(36)
+    for _ in range(12):
+        r = _rotation(*rng.uniform(-0.3, 0.3, 3))
+        t0, t1 = rng.uniform(-0.2, 0.2, (2, 3))
+        ends = PoseSE3(r, t0), PoseSE3(r, t1)
+        spec = dataclasses.replace(base, camera_path=(*ends, PoseSE3(r, t0 + rng.uniform() * (t1 - t0))))
+        boxes = synth._pose_boxes(spec, ends)
+        assert set(boxes) == planes
+        for frame in range(3):
+            depth, surf = synth._trace(spec, frame)
+            for sid, (_, u, v) in synth._texture_coords(spec, frame, depth, surf, bases).items():
+                if sid not in planes:
+                    continue
+                lo, hi = boxes[sid]
+                tol = 1e-12 * max(1.0, np.abs(boxes[sid]).max())
+                assert lo[0] - tol <= u.min() and u.max() <= hi[0] + tol
+                assert lo[1] - tol <= v.min() and v.max() <= hi[1] + tol
+                # every octave's table holds the traced cells
+                octaves = synth._octaves(spec.texture_freq, spec.texture_seed, sid, box=boxes[sid],
+                                         max_corners=10**6)
+                for _, f, _, table in octaves:
+                    iu, iv = np.floor(u * f), np.floor(v * f)
+                    assert table.holds(iu.min(), iu.max(), iv.min(), iv.max())
+
+
+def test_a_plane_some_corner_ray_misses_gets_no_box():
+    # tilted 1.45 rad about x, one edge's corner rays run away from the backdrop
+    spec = SceneSpec(camera_path=(PoseSE3(_rotation(1.45, 0.0, 0.0), np.zeros(3)),))
+    assert synth._pose_boxes(spec, spec.camera_path) == {}
+    assert synth._scene_textures(spec, {})[0][1][0][3] is None
+
+
+def _benchmark_scene():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    return scene_from_dict(workloads.hires_scene(1))
+
+
+def test_every_render_gets_a_table_for_every_background_octave(monkeypatch):
+    built = []
+    scene_textures = synth._scene_textures
+
+    def capturing(spec, boxes):
+        built.append(scene_textures(spec, boxes))
+        return built[-1]
+
+    monkeypatch.setattr(synth, "_scene_textures", capturing)
+    spec = _benchmark_scene()
+    render_video(spec)  # a clip
+    synth.DecodeState(toy_scene())  # a decode
+    render_frame(spec, 4)  # a stateless render
+    assert len(built) == 3
+    for textures in built:
+        planes = [octaves for basis, octaves in textures.values() if basis is not None]
+        assert planes and all(table is not None for octaves in planes for *_, table in octaves)
+
+
+def test_a_texture_lattice_beyond_int64_raises_before_any_trace(monkeypatch):
+    def no_trace(*args):
+        raise AssertionError("traced")
+
+    monkeypatch.setattr(synth, "_trace", no_trace)
+    spec = dataclasses.replace(_ORACLE_SCENES["two_plane"], texture_freq=1e300)
+    for render in (render_video, lambda s: render_frame(s, 0), synth.DecodeState):
+        with pytest.raises(DomainError, match="texture lattice"):
+            render(spec)
 
 
 def test_derived_fields_are_lazy_and_their_sources_read_only(monkeypatch):

@@ -12,8 +12,9 @@ one GRPO group (4 members, each a rollout and a latent reward), synth
 (render_video's traces, then write_bundle shading each frame and computing
 and saving each tensor into a temporary directory, which it empties
 first), and score_video's pairs, over a bundle whose images are rendered
-ahead, so that stage times scoring alone. synth is also swept at the
-benchmark's 256x320. Like the CLI, the process keeps one malloc heap
+ahead, so that stage times scoring alone. synth and score_video are also
+swept at the benchmark's 256x320, where a score pair runs in three row
+bands (grid._BAND_PIXELS). Like the CLI, the process keeps one malloc heap
 (runtime.retain_heap). The package is imported from src/ of this checkout.
 """
 
@@ -51,7 +52,9 @@ from georeward.synth import ObjectSpec  # noqa: E402
 
 # 48x64 is the toy size; the others keep its 3:4 aspect and scale its
 # intrinsics with the width. Each size names the stages swept at it.
-SIZES = tuple(((h, w), None) for h, w in ((48, 64), (72, 96), (96, 128), (128, 160))) + (((256, 320), {"synth"}),)
+SIZES = tuple(((h, w), None) for h, w in ((48, 64), (72, 96), (96, 128), (128, 160))) + (
+    ((256, 320), {"synth", "score_video"}),
+)
 FRAMES = 5
 PERTURB = PerturbationSpec(wobble_px=1.0, texture_drift_px=0.5, object_morph=1.05, depth_noise_rel=0.01)
 
